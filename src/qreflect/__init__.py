@@ -34,6 +34,7 @@ from .intertwiners import (
     IntertwinerSolution,
     ScanResult,
     dimension_scan,
+    engine_point,
     reflection_dual,
     solve_boundary,
     solve_bulk,
@@ -54,6 +55,7 @@ from .checks import (
     check_reflection_equation,
     check_sklyanin,
     check_ybe,
+    engine_blocks,
     eval_b_matrix,
     opposite_r,
     plain_r,
@@ -85,6 +87,8 @@ __all__ = [
     "dimension_scan",
     "dual_rep",
     "embed_on_legs",
+    "engine_blocks",
+    "engine_point",
     "eval_b_matrix",
     "flip_operator",
     "kron",

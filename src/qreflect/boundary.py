@@ -22,14 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    DEFAULT_REL_TOL,
-    as_matrix,
-    normalize_solution,
-    nullspace,
-    projective_compare,
-)
-from .intertwiners import IntertwinerSolution
+from .linalg import DEFAULT_REL_TOL, as_matrix, normalize_solution, projective_compare
+from .linalg import nullspace  # noqa: F401  (bench/test_bench.py traces it in this namespace)
+from .intertwiners import IntertwinerSolution, solve_system
 from .reps import BoundaryParams, as_boundary_params
 
 
@@ -103,24 +98,24 @@ def paper_boundary_system(n: int, q: complex, x: complex, eps) -> PaperBoundaryS
 def solve_paper_k(
     n: int, q: complex, x: complex, eps, rel_tol: float = DEFAULT_REL_TOL
 ) -> IntertwinerSolution:
-    """Nullspace of the explicit family system, canonically normalized."""
+    """Nullspace of the explicit family system, canonically normalized.
+
+    The residual is the row defect |rows . vec K| / (|K| max(1, |rows|)).
+    """
     system = paper_boundary_system(n, q, x, eps)
-    dim = system.dim
-    ns = nullspace(system.rows, rel_tol=rel_tol, unknown_shape=(dim, dim))
-    solution = IntertwinerSolution(
-        kind="paper-boundary",
-        context={"n": n, "q": system.q, "x": system.x, "eps": system.eps.eps},
-        nullspace=ns,
+    rows = system.rows
+
+    def residual(k):
+        scale = float(np.linalg.norm(k)) * max(1.0, float(np.linalg.norm(rows)))
+        return float(np.linalg.norm(rows @ k.ravel())) / scale
+
+    context = {"n": n, "q": system.q, "x": system.x, "eps": system.eps.eps}
+    return solve_system(
+        rows, (system.dim, system.dim), "paper-boundary", context, rel_tol, residual
     )
-    if ns.dimension == 1:
-        k = normalize_solution(ns.basis[0])
-        solution.normalized = k
-        scale = float(np.linalg.norm(k)) * max(1.0, float(np.linalg.norm(system.rows)))
-        solution.residual = float(np.linalg.norm(system.rows @ k.ravel())) / scale
-    return solution
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClosedFormParams:
     """Inputs of the closed-form reflection matrix.
 
@@ -135,17 +130,17 @@ class ClosedFormParams:
     k_theta: complex = 1.0
     branch: int = +1
 
-    def __init__(self, eps, eps_aggregate=None, k_theta=1.0, branch=+1):
-        params = eps if isinstance(eps, BoundaryParams) else BoundaryParams(eps)
+    def __post_init__(self):
+        params = self.eps if isinstance(self.eps, BoundaryParams) else BoundaryParams(self.eps)
         bad = [e for e in params if abs(abs(e) - 1.0) > 1e-12]
         if bad:
             raise ValueError(f"closed form requires |eps_i| = 1, got {bad}")
-        if branch not in (+1, -1):
+        if self.branch not in (+1, -1):
             raise ValueError("branch must be +1 or -1")
-        self.eps = params
-        self.eps_aggregate = None if eps_aggregate is None else complex(eps_aggregate)
-        self.k_theta = complex(k_theta)
-        self.branch = branch
+        aggregate = None if self.eps_aggregate is None else complex(self.eps_aggregate)
+        object.__setattr__(self, "eps", params)
+        object.__setattr__(self, "eps_aggregate", aggregate)
+        object.__setattr__(self, "k_theta", complex(self.k_theta))
 
     def aggregate(self) -> complex:
         if self.eps_aggregate is not None:

@@ -153,6 +153,34 @@ def eval_b_matrix(k_mu, r_in, r_op_out) -> np.ndarray:
     return r_op_out @ np.kron(k_mu, np.eye(d_lam, dtype=np.complex128)) @ r_in
 
 
+def engine_blocks(matrices: dict, dim: int) -> dict:
+    """B blocks and Sklyanin R set built from normalized ``engine_point`` channels.
+
+    Returns ``b_nu``/``b_nub`` (companion leg nu/nubar), the ``r_set`` that
+    check_sklyanin takes and, when the lambda channels are present,
+    ``b1``/``b2`` (K_mu/K_nu with companion leg lambda).  Every leg has
+    dimension ``dim``.
+    """
+    def r(key):
+        return plain_r(matrices[key], dim, dim)
+
+    def prp(key):
+        return opposite_r(r(key), dim, dim)
+
+    k_mu = matrices["k_mu"]
+    r_set = {"dims": (dim, dim, dim), "r_mu_nu": r("s_mn"), "r_mu_nubar": r("s_m_nb"),
+             "prp_nubar_mubar": prp("s_nb_mb"), "prp_nu_mubar": prp("s_n_mb")}
+    blocks = {
+        "b_nu": eval_b_matrix(k_mu, r_set["r_mu_nu"], r_set["prp_nu_mubar"]),
+        "b_nub": eval_b_matrix(k_mu, r_set["r_mu_nubar"], r_set["prp_nubar_mubar"]),
+        "r_set": r_set,
+    }
+    if "s_ml" in matrices:
+        blocks["b1"] = eval_b_matrix(k_mu, r("s_ml"), prp("s_l_mb"))
+        blocks["b2"] = eval_b_matrix(matrices["k_nu"], r("s_nl"), prp("s_l_nb"))
+    return blocks
+
+
 def _blocks(b: np.ndarray, d_rows: int, d_cols: int, d_lam: int):
     for alpha in range(d_rows):
         for beta in range(d_cols):

@@ -36,11 +36,15 @@ from .checks import (
     check_reflection_equation,
     check_sklyanin,
     check_ybe,
-    eval_b_matrix,
-    opposite_r,
-    plain_r,
+    engine_blocks,
 )
-from .intertwiners import dimension_scan, reflection_dual, solve_boundary, solve_bulk
+from .intertwiners import (
+    dimension_scan,
+    engine_point,
+    reflection_dual,
+    solve_boundary,
+    solve_bulk,
+)
 from .linalg import normalize_solution
 from .reps import check_relations, dual_rep, vector_rep
 
@@ -182,26 +186,6 @@ def cmd_kmatrix(args) -> int:
     return EXIT_OK
 
 
-def _engine_boundary_objects(n, q, thetas, eps, rel_tol):
-    """Solve the K and S channels that the boundary checks consume."""
-    x, y = (cmath.exp(t) for t in thetas[:2])
-    mu = vector_rep(n, q, x)
-    nu = vector_rep(n, q, y)
-    mub = reflection_dual(mu)
-    nub = reflection_dual(nu)
-    objs = {"mu": mu, "nu": nu, "mub": mub, "nub": nub}
-    objs["k_mu"] = _require_unique(solve_boundary(mu, mub, eps, rel_tol), "K_mu")
-    objs["k_nu"] = _require_unique(solve_boundary(nu, nub, eps, rel_tol), "K_nu")
-    for key, (a, b) in {
-        "s_mn": (mu, nu),
-        "s_m_nb": (mu, nub),
-        "s_n_mb": (nu, mub),
-        "s_nb_mb": (nub, mub),
-    }.items():
-        objs[key] = _require_unique(solve_bulk(a, b, rel_tol), f"S channel {key}")
-    return objs
-
-
 def cmd_verify(args) -> int:
     mode = args.check
     thetas = args.rapidities
@@ -221,66 +205,35 @@ def cmd_verify(args) -> int:
     dim = n + 1
     rel_tol = 1e-9
     if mode == "ybe":
-        xa, xb, xc = (cmath.exp(t) for t in thetas)
-        ra, rb, rc = (vector_rep(n, q, v) for v in (xa, xb, xc))
+        ra, rb, rc = (vector_rep(n, q, cmath.exp(t)) for t in thetas)
         s_ab = _require_unique(solve_bulk(ra, rb, rel_tol), "S_ab")
         s_ac = _require_unique(solve_bulk(ra, rc, rel_tol), "S_ac")
         s_bc = _require_unique(solve_bulk(rb, rc, rel_tol), "S_bc")
         reports = [check_ybe(s_ab, s_ac, s_bc, (dim, dim, dim), tol,
                              context={"n": n, "rapidities": thetas})]
-    elif mode == "re":
-        objs = _engine_boundary_objects(n, q, thetas, eps, rel_tol)
-        reports = [
-            check_reflection_equation(
-                objs["k_mu"], objs["k_nu"], objs["s_mn"], objs["s_m_nb"],
-                objs["s_n_mb"], objs["s_nb_mb"], tol,
-                context={"n": n, "rapidities": thetas, "eps": [str(e) for e in eps]},
-            )
-        ]
     elif mode == "coideal":
         xa, xb = (cmath.exp(t) for t in thetas)
         reports = [check_coideal_property(vector_rep(n, q, xa), vector_rep(n, q, xb), eps, tol)]
-    elif mode == "b-comm":
-        objs = _engine_boundary_objects(n, q, thetas, eps, rel_tol)
-        b_nu = eval_b_matrix(
-            objs["k_mu"],
-            plain_r(objs["s_mn"], dim, dim),
-            opposite_r(plain_r(objs["s_n_mb"], dim, dim), dim, dim),
-        )
-        b_nub = eval_b_matrix(
-            objs["k_mu"],
-            plain_r(objs["s_m_nb"], dim, dim),
-            opposite_r(plain_r(objs["s_nb_mb"], dim, dim), dim, dim),
-        )
-        reports = [check_b_commutation(b_nu, b_nub, objs["k_nu"], tol,
-                                       context={"n": n, "rapidities": thetas})]
-    else:  # sklyanin
-        objs = _engine_boundary_objects(n, q, thetas, eps, rel_tol)
-        lam_rep = vector_rep(n, q, cmath.exp(thetas[2]))
-        b1 = eval_b_matrix(
-            objs["k_mu"],
-            plain_r(_require_unique(solve_bulk(objs["mu"], lam_rep, rel_tol), "S(mu,lam)"),
-                    dim, dim),
-            opposite_r(
-                plain_r(_require_unique(solve_bulk(lam_rep, objs["mub"], rel_tol), "S(lam,mub)"),
-                        dim, dim), dim, dim),
-        )
-        b2 = eval_b_matrix(
-            objs["k_nu"],
-            plain_r(_require_unique(solve_bulk(objs["nu"], lam_rep, rel_tol), "S(nu,lam)"),
-                    dim, dim),
-            opposite_r(
-                plain_r(_require_unique(solve_bulk(lam_rep, objs["nub"], rel_tol), "S(lam,nub)"),
-                        dim, dim), dim, dim),
-        )
-        r_set = {
-            "dims": (dim, dim, dim),
-            "r_mu_nu": plain_r(objs["s_mn"], dim, dim),
-            "r_mu_nubar": plain_r(objs["s_m_nb"], dim, dim),
-            "prp_nubar_mubar": opposite_r(plain_r(objs["s_nb_mb"], dim, dim), dim, dim),
-            "prp_nu_mubar": opposite_r(plain_r(objs["s_n_mb"], dim, dim), dim, dim),
-        }
-        reports = [check_sklyanin(b1, b2, r_set, tol, context={"n": n, "rapidities": thetas})]
+    else:
+        solved = engine_point(n, q, thetas, eps, rel_tol)
+        m = {key: _require_unique(sol, key) for key, sol in solved.items()}
+        context = {"n": n, "rapidities": thetas}
+        if mode == "re":
+            context["eps"] = [str(e) for e in eps]
+            reports = [
+                check_reflection_equation(
+                    m["k_mu"], m["k_nu"], m["s_mn"], m["s_m_nb"], m["s_n_mb"], m["s_nb_mb"],
+                    tol, context=context,
+                )
+            ]
+        elif mode == "b-comm":
+            blocks = engine_blocks(m, dim)
+            reports = [check_b_commutation(blocks["b_nu"], blocks["b_nub"], m["k_nu"], tol,
+                                           context=context)]
+        else:  # sklyanin
+            blocks = engine_blocks(m, dim)
+            reports = [check_sklyanin(blocks["b1"], blocks["b2"], blocks["r_set"], tol,
+                                      context=context)]
 
     for report in reports:
         _print_report(report)

@@ -9,6 +9,7 @@ rows are implied by invertibility and never stacked.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,16 +61,27 @@ def _sylvester_block(m_in: np.ndarray, m_out: np.ndarray) -> np.ndarray:
     return np.kron(eye_r, m_in.T) - np.kron(m_out, eye_c)
 
 
-def _solve_stacked(pairs, shape, kind, context, rel_tol, flags=()):
-    """Common tail: stack Sylvester blocks, take the nullspace, normalize."""
-    system = np.vstack([_sylvester_block(m_in, m_out) for m_in, m_out in pairs])
-    ns = nullspace(system, rel_tol=rel_tol, unknown_shape=shape)
+def solve_system(rows, shape, kind, context, rel_tol, residual, flags=()):
+    """Common tail of every solve: nullspace of ``rows``, normalize, score.
+
+    ``residual`` maps the normalized solution (present only when the space
+    is one-dimensional) to its worst relative defect.
+    """
+    ns = nullspace(rows, rel_tol=rel_tol, unknown_shape=shape)
     solution = IntertwinerSolution(kind=kind, context=context, nullspace=ns, flags=tuple(flags))
     if ns.dimension == 1:
         candidate = normalize_solution(ns.basis[0])
         solution.normalized = candidate
-        solution.residual = intertwining_residual(candidate, pairs)
+        solution.residual = residual(candidate)
     return solution
+
+
+def _solve_stacked(pairs, shape, kind, context, rel_tol, flags=()):
+    """Stack one Sylvester block per generator pair and solve."""
+    rows = np.vstack([_sylvester_block(m_in, m_out) for m_in, m_out in pairs])
+    return solve_system(
+        rows, shape, kind, context, rel_tol, lambda x: intertwining_residual(x, pairs), flags
+    )
 
 
 def intertwining_residual(x: np.ndarray, pairs) -> float:
@@ -178,6 +190,30 @@ def reflection_dual(rep: EvaluationRep) -> EvaluationRep:
     if rep.is_dual:
         raise ValueError("reflection_dual expects a vector representation")
     return dual_rep(vector_rep(rep.n, rep.q, -rep.q / rep.x))
+
+
+def engine_point(n: int, q: complex, thetas, eps, rel_tol: float = DEFAULT_REL_TOL) -> dict:
+    """Solve the K and S channels of the engine-convention boundary checks.
+
+    ``thetas`` gives the rapidities (x = e^theta) of mu, nu and, optionally,
+    lambda; conjugates come from ``reflection_dual``.  Returns solutions keyed
+    by channel in solve order: ``k_mu``, ``k_nu``, then braidings ``s_ab`` :
+    V_a x V_b -> V_b x V_a for ab in mn, m_nb, n_mb, nb_mb and, with lambda,
+    ml, l_mb, nl, l_nb (``b`` marks a conjugate).
+    """
+    mu, nu = (vector_rep(n, q, cmath.exp(t)) for t in thetas[:2])
+    mub, nub = reflection_dual(mu), reflection_dual(nu)
+    solved = {
+        "k_mu": solve_boundary(mu, mub, eps, rel_tol),
+        "k_nu": solve_boundary(nu, nub, eps, rel_tol),
+    }
+    channels = {"s_mn": (mu, nu), "s_m_nb": (mu, nub), "s_n_mb": (nu, mub), "s_nb_mb": (nub, mub)}
+    if len(thetas) > 2:
+        lam = vector_rep(n, q, cmath.exp(thetas[2]))
+        channels.update(s_ml=(mu, lam), s_l_mb=(lam, mub), s_nl=(nu, lam), s_l_nb=(lam, nub))
+    for key, (a, b) in channels.items():
+        solved[key] = solve_bulk(a, b, rel_tol)
+    return solved
 
 
 @dataclass

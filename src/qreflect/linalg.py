@@ -14,7 +14,7 @@ import numpy as np
 
 DEFAULT_REL_TOL = 1e-9
 
-# Tie tolerance for picking the max-modulus entry in normalize_solution.
+# Relative tie tolerance for picking the max-modulus entry in normalize_solution.
 _TIE_TOL = 1e-12
 
 
@@ -42,38 +42,17 @@ def flip_operator(d_a: int, d_b: int) -> np.ndarray:
     """
     if d_a < 1 or d_b < 1:
         raise ValueError("leg dimensions must be >= 1")
-    p = np.zeros((d_a * d_b, d_a * d_b), dtype=np.complex128)
-    for i in range(d_a):
-        for j in range(d_b):
-            p[j * d_a + i, i * d_b + j] = 1.0
-    return p
-
-
-def _leg_permutation(new_order, leg_dims) -> np.ndarray:
-    """Matrix sending basis vector e_(i_0,...,i_k) to e_(i_new_order)."""
-    dims = list(leg_dims)
-    total = int(np.prod(dims))
-    perm = np.zeros((total, total), dtype=np.complex128)
-    strides_old = np.array([int(np.prod(dims[k + 1:])) for k in range(len(dims))])
-    new_dims = [dims[k] for k in new_order]
-    strides_new = np.array([int(np.prod(new_dims[k + 1:])) for k in range(len(new_dims))])
-    for flat in range(total):
-        rem = flat
-        idx = []
-        for s in strides_old:
-            idx.append(rem // s)
-            rem %= s
-        new_flat = sum(int(idx[k]) * int(strides_new[pos]) for pos, k in enumerate(new_order))
-        perm[new_flat, flat] = 1.0
-    return perm
+    size = d_a * d_b
+    eye = np.eye(size, dtype=np.complex128)
+    return eye.reshape(d_a, d_b, size).transpose(1, 0, 2).reshape(size, size)
 
 
 def embed_on_legs(op, legs, leg_dims) -> np.ndarray:
     """Act with a square operator on selected tensor legs, identity elsewhere.
 
     ``legs`` are 0-based, strictly increasing positions into ``leg_dims``.
-    Non-adjacent legs are handled by conjugating with the permutation that
-    brings the selected legs to the front (in their given order).
+    ``op x 1`` acts on the legs reordered as (selected..., rest...); its
+    row and column axes are then moved back to the original leg order.
     """
     op = as_matrix(op)
     legs = list(legs)
@@ -87,11 +66,12 @@ def embed_on_legs(op, legs, leg_dims) -> np.ndarray:
         raise ValueError(
             f"operator shape {op.shape} does not match selected leg dims (total {sel})"
         )
-    rest = [k for k in range(len(dims)) if k not in legs]
-    perm = _leg_permutation(legs + rest, dims)
-    d_rest = int(np.prod([dims[k] for k in rest])) if rest else 1
-    big = np.kron(op, np.eye(d_rest, dtype=np.complex128))
-    return perm.conj().T @ big @ perm
+    order = legs + [k for k in range(len(dims)) if k not in legs]
+    total = int(np.prod(dims))
+    big = np.kron(op, np.eye(total // sel, dtype=np.complex128))
+    back = [order.index(k) for k in range(len(dims))]
+    tensor = big.reshape([dims[k] for k in order] * 2)
+    return tensor.transpose(back + [len(dims) + k for k in back]).reshape(total, total)
 
 
 @dataclass
@@ -162,8 +142,10 @@ def projective_compare(a, b, tol: float):
 def normalize_solution(v) -> np.ndarray:
     """Divide by the entry of maximum modulus (first index on near-ties).
 
-    The chosen entry becomes exactly 1+0i, which makes nullspace output
-    independent of the arbitrary SVD phase.  Idempotent.
+    Near-ties are judged relative to the largest modulus, so the pivot does
+    not depend on the overall scale of ``v``.  The chosen entry becomes
+    exactly 1+0i, which makes nullspace output independent of the arbitrary
+    SVD phase.  Idempotent.
     """
     v = as_matrix(np.atleast_2d(v))
     flat = v.ravel()
@@ -171,7 +153,7 @@ def normalize_solution(v) -> np.ndarray:
     top = float(mods.max())
     if top == 0.0:
         raise ValueError("cannot normalize the zero matrix")
-    pivot_index = int(np.nonzero(mods >= top - _TIE_TOL)[0][0])
+    pivot_index = int(np.nonzero(mods >= top * (1.0 - _TIE_TOL))[0][0])
     out = flat / flat[pivot_index]
     out[pivot_index] = 1.0
     return out.reshape(v.shape)

@@ -20,7 +20,3 @@ class VerificationReport:
     tol: float
     passed: bool
     context: dict = field(default_factory=dict)
-
-    def oneline(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return f"{status}  {self.name}: deviation={self.deviation:.3e} (tol={self.tol:.1e})"

@@ -87,13 +87,13 @@ class EvaluationRep:
         return self.Q[0].shape[0] if self.Q else self.n + 1
 
     def generator(self, kind: str, i: int) -> np.ndarray:
-        table = {"Q": self.Q, "Qbar": self.Qbar, "qT": self.D, "qTinv": self.Dinv}
+        table = {"Q": self.Q, "Qbar": self.Qbar, "qT": self.D}
         if kind not in table:
             raise ValueError(f"unknown generator kind {kind!r}")
         return table[kind][i]
 
     def same_algebra(self, other: "EvaluationRep") -> bool:
-        return self.n == other.n and np.isclose(self.q, other.q)
+        return self.n == other.n and np.isclose(self.q, other.q, atol=0.0)
 
     def label(self) -> str:
         flavor = "dual" if self.is_dual else "vector"
@@ -159,14 +159,14 @@ def dual_rep(rep: EvaluationRep, negate_rapidity: bool = False) -> EvaluationRep
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundaryParams:
     """Boundary parameter vector eps_0..eps_n (complex)."""
 
     eps: tuple
 
-    def __init__(self, eps):
-        object.__setattr__(self, "eps", tuple(complex(e) for e in eps))
+    def __post_init__(self):
+        object.__setattr__(self, "eps", tuple(complex(e) for e in self.eps))
 
     def __len__(self) -> int:
         return len(self.eps)
@@ -216,8 +216,6 @@ def coproduct_matrix(rep_a: EvaluationRep, rep_b: EvaluationRep, kind: str, i: i
         return kron(rep_a.generator(kind, i), id_b) + kron(rep_a.D[i], rep_b.generator(kind, i))
     if kind == "qT":
         return kron(rep_a.D[i], rep_b.D[i])
-    if kind == "qTinv":
-        return kron(rep_a.Dinv[i], rep_b.Dinv[i])
     raise ValueError(f"unknown generator kind {kind!r}")
 
 

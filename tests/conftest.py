@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from qreflect.intertwiners import reflection_dual, solve_boundary, solve_bulk
-from qreflect.reps import vector_rep
+from qreflect import intertwiners
 
 
 @pytest.fixture
@@ -23,24 +22,12 @@ def eps_star(q):
 
 
 def engine_point(n, q, thetas, eps):
-    """Solve the K's and the four S channels of one engine-convention point.
+    """Normalized K and S channels of one engine-convention point.
 
-    Returns None if any required solution space fails to be one-dimensional,
-    otherwise a dict of reps and normalized matrices.
+    Wraps ``qreflect.intertwiners.engine_point``; returns None if any
+    channel's solution space fails to be one-dimensional.
     """
-    x, y = (np.exp(t) for t in thetas[:2])
-    mu, nu = vector_rep(n, q, x), vector_rep(n, q, y)
-    mub, nub = reflection_dual(mu), reflection_dual(nu)
-    solved = {
-        "k_mu": solve_boundary(mu, mub, eps),
-        "k_nu": solve_boundary(nu, nub, eps),
-        "s_mn": solve_bulk(mu, nu),
-        "s_m_nb": solve_bulk(mu, nub),
-        "s_n_mb": solve_bulk(nu, mub),
-        "s_nb_mb": solve_bulk(nub, mub),
-    }
+    solved = intertwiners.engine_point(n, q, thetas, eps)
     if any(sol.dimension != 1 for sol in solved.values()):
         return None
-    out = {key: sol.normalized for key, sol in solved.items()}
-    out.update(mu=mu, nu=nu, mub=mub, nub=nub)
-    return out
+    return {key: sol.normalized for key, sol in solved.items()}

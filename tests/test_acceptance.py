@@ -17,9 +17,7 @@ from qreflect.checks import (
     check_reflection_equation,
     check_sklyanin,
     check_ybe,
-    eval_b_matrix,
-    opposite_r,
-    plain_r,
+    engine_blocks,
 )
 from qreflect.cli import main as cli_main
 from qreflect.intertwiners import solve_bulk
@@ -142,8 +140,8 @@ def test_criterion_5_degenerate_eps():
     )
 
 
-def _re_inputs(n, eps):
-    objs = engine_point(n, Q_REF, THETAS, eps)
+def _re_inputs(n, eps, thetas=THETAS[:2]):
+    objs = engine_point(n, Q_REF, thetas, eps)
     assert objs is not None, f"expected dimension-1 point at n={n}, eps={eps}"
     return objs
 
@@ -184,45 +182,15 @@ def test_criterion_7_coideal_property():
 def test_criterion_8_sklyanin_and_b_commutation():
     worst = 0.0
     for n, points in ENGINE_POINTS.items():
-        dim = n + 1
-        lam_rep = vector_rep(n, Q_REF, np.exp(THETAS[2]))
         for eps in points:
-            objs = _re_inputs(n, eps)
-            b_nu = eval_b_matrix(
-                objs["k_mu"],
-                plain_r(objs["s_mn"], dim, dim),
-                opposite_r(plain_r(objs["s_n_mb"], dim, dim), dim, dim),
-            )
-            b_nub = eval_b_matrix(
-                objs["k_mu"],
-                plain_r(objs["s_m_nb"], dim, dim),
-                opposite_r(plain_r(objs["s_nb_mb"], dim, dim), dim, dim),
-            )
+            objs = _re_inputs(n, eps, THETAS)
+            blocks = engine_blocks(objs, n + 1)
             worst = max(
-                worst, check_b_commutation(b_nu, b_nub, objs["k_nu"], tol=1e-8).deviation
+                worst,
+                check_b_commutation(blocks["b_nu"], blocks["b_nub"], objs["k_nu"],
+                                    tol=1e-8).deviation,
+                check_sklyanin(blocks["b1"], blocks["b2"], blocks["r_set"], tol=1e-8).deviation,
             )
-            b1 = eval_b_matrix(
-                objs["k_mu"],
-                plain_r(solve_bulk(objs["mu"], lam_rep).normalized, dim, dim),
-                opposite_r(
-                    plain_r(solve_bulk(lam_rep, objs["mub"]).normalized, dim, dim), dim, dim
-                ),
-            )
-            b2 = eval_b_matrix(
-                objs["k_nu"],
-                plain_r(solve_bulk(objs["nu"], lam_rep).normalized, dim, dim),
-                opposite_r(
-                    plain_r(solve_bulk(lam_rep, objs["nub"]).normalized, dim, dim), dim, dim
-                ),
-            )
-            r_set = {
-                "dims": (dim, dim, dim),
-                "r_mu_nu": plain_r(objs["s_mn"], dim, dim),
-                "r_mu_nubar": plain_r(objs["s_m_nb"], dim, dim),
-                "prp_nubar_mubar": opposite_r(plain_r(objs["s_nb_mb"], dim, dim), dim, dim),
-                "prp_nu_mubar": opposite_r(plain_r(objs["s_n_mb"], dim, dim), dim, dim),
-            }
-            worst = max(worst, check_sklyanin(b1, b2, r_set, tol=1e-8).deviation)
     _verdict(
         8,
         worst < 1e-8,

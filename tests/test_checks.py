@@ -8,6 +8,7 @@ from qreflect.checks import (
     check_reflection_equation,
     check_sklyanin,
     check_ybe,
+    engine_blocks,
     eval_b_matrix,
     opposite_r,
     plain_r,
@@ -60,7 +61,7 @@ def _re_report(objs, tol=1e-8):
 
 
 def test_reflection_equation_zero_eps():
-    objs = engine_point(1, Q_REF, THETAS, (0.0, 0.0))
+    objs = engine_point(1, Q_REF, THETAS[:2], (0.0, 0.0))
     assert objs is not None
     report = _re_report(objs)
     assert report.passed and report.deviation < 1e-12
@@ -68,13 +69,13 @@ def test_reflection_equation_zero_eps():
 
 def test_reflection_equation_n2_star_locus():
     star = eps_star(Q_REF)
-    objs = engine_point(2, Q_REF, THETAS, (star,) * 3)
+    objs = engine_point(2, Q_REF, THETAS[:2], (star,) * 3)
     assert objs is not None
     assert _re_report(objs).passed
 
 
 def test_reflection_equation_detects_corruption():
-    objs = engine_point(1, Q_REF, THETAS, (1.0, 1.0))
+    objs = engine_point(1, Q_REF, THETAS[:2], (1.0, 1.0))
     corrupted = dict(objs)
     bad = objs["k_mu"].copy()
     bad[0, 1] *= 1.01
@@ -109,31 +110,17 @@ def test_coideal_property_zero_eps():
 
 
 def _b_pair(objs, n):
-    dim = n + 1
-    b_nu = eval_b_matrix(
-        objs["k_mu"],
-        plain_r(objs["s_mn"], dim, dim),
-        opposite_r(plain_r(objs["s_n_mb"], dim, dim), dim, dim),
-    )
-    b_nub = eval_b_matrix(
-        objs["k_mu"],
-        plain_r(objs["s_m_nb"], dim, dim),
-        opposite_r(plain_r(objs["s_nb_mb"], dim, dim), dim, dim),
-    )
-    return b_nu, b_nub
+    blocks = engine_blocks(objs, n + 1)
+    return blocks["b_nu"], blocks["b_nub"]
 
 
 def test_eval_b_matrix_typing_and_linearity():
-    objs = engine_point(1, Q_REF, THETAS, (1.0, 1.0))
+    objs = engine_point(1, Q_REF, THETAS[:2], (1.0, 1.0))
     b_nu, _ = _b_pair(objs, 1)
     assert b_nu.shape == (4, 4)
     norm = np.linalg.norm(b_nu)
     assert 1e-6 < norm < 1e6
-    zero = eval_b_matrix(
-        np.zeros_like(objs["k_mu"]),
-        plain_r(objs["s_mn"], 2, 2),
-        opposite_r(plain_r(objs["s_n_mb"], 2, 2), 2, 2),
-    )
+    zero, _ = _b_pair(dict(objs, k_mu=np.zeros_like(objs["k_mu"])), 1)
     assert np.all(zero == 0)
 
 
@@ -147,7 +134,7 @@ def test_eval_b_matrix_shape_guard():
     [(1, lambda q: (1.0, 1.0)), (2, lambda q: (eps_star(q),) * 3)],
 )
 def test_b_commutation_common_scalar(n, eps_of_q):
-    objs = engine_point(n, Q_REF, THETAS, eps_of_q(Q_REF))
+    objs = engine_point(n, Q_REF, THETAS[:2], eps_of_q(Q_REF))
     b_nu, b_nub = _b_pair(objs, n)
     report = check_b_commutation(b_nu, b_nub, objs["k_nu"], tol=1e-8)
     assert report.passed
@@ -155,7 +142,7 @@ def test_b_commutation_common_scalar(n, eps_of_q):
 
 
 def test_b_commutation_detects_block_perturbation():
-    objs = engine_point(1, Q_REF, THETAS, (1.0, 1.0))
+    objs = engine_point(1, Q_REF, THETAS[:2], (1.0, 1.0))
     b_nu, b_nub = _b_pair(objs, 1)
     bad = b_nub.copy()
     bad[0:2, 0:2] *= 1.02
@@ -163,7 +150,7 @@ def test_b_commutation_detects_block_perturbation():
 
 
 def test_b_commutation_k_scale_cancels():
-    objs = engine_point(1, Q_REF, THETAS, (1.0, 1.0))
+    objs = engine_point(1, Q_REF, THETAS[:2], (1.0, 1.0))
     b_nu, b_nub = _b_pair(objs, 1)
     base = check_b_commutation(b_nu, b_nub, objs["k_nu"], tol=1e-8)
     scaled = check_b_commutation(b_nu, b_nub, 5.0 * objs["k_nu"], tol=1e-8)
@@ -173,26 +160,8 @@ def test_b_commutation_k_scale_cancels():
 
 def _sklyanin_inputs(n, eps):
     objs = engine_point(n, Q_REF, THETAS, eps)
-    dim = n + 1
-    lam_rep = vector_rep(n, Q_REF, np.exp(THETAS[2]))
-    b1 = eval_b_matrix(
-        objs["k_mu"],
-        plain_r(solve_bulk(objs["mu"], lam_rep).normalized, dim, dim),
-        opposite_r(plain_r(solve_bulk(lam_rep, objs["mub"]).normalized, dim, dim), dim, dim),
-    )
-    b2 = eval_b_matrix(
-        objs["k_nu"],
-        plain_r(solve_bulk(objs["nu"], lam_rep).normalized, dim, dim),
-        opposite_r(plain_r(solve_bulk(lam_rep, objs["nub"]).normalized, dim, dim), dim, dim),
-    )
-    r_set = {
-        "dims": (dim, dim, dim),
-        "r_mu_nu": plain_r(objs["s_mn"], dim, dim),
-        "r_mu_nubar": plain_r(objs["s_m_nb"], dim, dim),
-        "prp_nubar_mubar": opposite_r(plain_r(objs["s_nb_mb"], dim, dim), dim, dim),
-        "prp_nu_mubar": opposite_r(plain_r(objs["s_n_mb"], dim, dim), dim, dim),
-    }
-    return b1, b2, r_set, objs
+    blocks = engine_blocks(objs, n + 1)
+    return blocks["b1"], blocks["b2"], blocks["r_set"], objs
 
 
 @pytest.mark.parametrize(
@@ -208,15 +177,9 @@ def test_sklyanin_exchange_passes(n, eps_of_q):
 
 def test_sklyanin_detects_corrupt_k():
     b1, b2, r_set, objs = _sklyanin_inputs(1, (1.0, 1.0))
-    dim = 2
-    lam_rep = vector_rep(1, Q_REF, np.exp(THETAS[2]))
     bad_k = objs["k_mu"].copy()
     bad_k[0, 0] *= 1.03
-    bad_b1 = eval_b_matrix(
-        bad_k,
-        plain_r(solve_bulk(objs["mu"], lam_rep).normalized, dim, dim),
-        opposite_r(plain_r(solve_bulk(lam_rep, objs["mub"]).normalized, dim, dim), dim, dim),
-    )
+    bad_b1 = engine_blocks(dict(objs, k_mu=bad_k), 2)["b1"]
     assert not check_sklyanin(bad_b1, b2, r_set, tol=1e-8).passed
 
 

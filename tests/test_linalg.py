@@ -33,12 +33,14 @@ def test_flip_degenerate_leg():
     assert np.array_equal(flip_operator(5, 1), np.eye(5))
 
 
-def test_flip_swaps_factors():
-    u = np.array([1.0, 2.0])
-    v = np.array([3.0, 4.0])
-    got = flip_operator(2, 2) @ np.kron(u, v)
+@pytest.mark.parametrize("da,db", [(2, 2), (2, 3), (3, 2), (2, 5)])
+def test_flip_swaps_factors(da, db):
+    u = np.arange(1.0, da + 1)
+    v = np.arange(da + 1.0, da + db + 1)
+    got = flip_operator(da, db) @ np.kron(u, v)
     assert np.allclose(got, np.kron(v, u))
-    assert np.allclose(got, [3, 6, 4, 8])
+    if (da, db) == (2, 2):
+        assert np.allclose(got, [3, 6, 4, 8])
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -74,6 +76,12 @@ def test_embed_split_legs(rng):
     t = m.reshape(2, 2, 2, 2)
     direct = np.einsum("acbd,ef->aecbfd", t, np.eye(2)).reshape(8, 8)
     assert np.allclose(embed_on_legs(m, (0, 2), (2, 2, 2)), direct)
+
+    # unequal legs (2, 3, 4): conjugate m x I_3 by the order change to (0, 2, 1)
+    m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    to_front = np.kron(np.eye(2), flip_operator(3, 4))
+    expected = to_front.T @ np.kron(m, np.eye(3)) @ to_front
+    assert np.allclose(embed_on_legs(m, (0, 2), (2, 3, 4)), expected)
 
 
 def test_embed_rejects_bad_shapes():
@@ -162,6 +170,10 @@ def test_normalize_single_max():
 def test_normalize_tie_breaks_to_first():
     out = normalize_solution(np.array([[1.0, -1.0]]))
     assert np.allclose(out, [[1.0, -1.0]])
+    # ties are judged relative to the largest modulus, not absolutely
+    small = normalize_solution(np.array([[1e-13, 3e-13], [0, 0]]))
+    assert small[0, 1] == 1.0 + 0.0j
+    assert np.abs(small).max() == 1.0
 
 
 def test_normalize_zero_rejected():

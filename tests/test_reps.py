@@ -154,7 +154,7 @@ def test_coproduct_cartan_example():
     b = vector_rep(1, 2.0, 5.0)
     delta = coproduct_matrix(a, b, "qT", 0)
     assert np.allclose(delta, np.diag([0.25, 1.0, 1.0, 4.0]))
-    inverse = coproduct_matrix(a, b, "qTinv", 0)
+    inverse = kron(a.Dinv[0], b.Dinv[0])
     assert np.allclose(delta @ inverse, np.eye(4), atol=1e-13)
 
 
@@ -172,6 +172,8 @@ def test_coproduct_requires_same_algebra(rng):
     q, x = generic_point(rng)
     with pytest.raises(ValueError):
         coproduct_matrix(vector_rep(1, q, x), vector_rep(1, q * 1.1, x), "Q", 0)
+    # q is compared relatively, so tiny but distinct q are different algebras
+    assert not vector_rep(1, 1e-9, x).same_algebra(vector_rep(1, 2e-9, x))
 
 
 def test_coproduct_is_algebra_map():
@@ -187,7 +189,7 @@ def test_coproduct_is_algebra_map():
         Q=[coproduct_matrix(a, b, "Q", i) for i in range(2)],
         Qbar=[coproduct_matrix(a, b, "Qbar", i) for i in range(2)],
         D=[coproduct_matrix(a, b, "qT", i) for i in range(2)],
-        Dinv=[coproduct_matrix(a, b, "qTinv", i) for i in range(2)],
+        Dinv=[kron(a.Dinv[i], b.Dinv[i]) for i in range(2)],
     )
     assert check_relations(tensor, tol=1e-10).passed
 
