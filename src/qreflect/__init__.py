@@ -20,7 +20,6 @@ from .linalg import (
 from .reports import VerificationReport
 from .reps import (
     BoundaryParams,
-    CoidealGenerators,
     EvaluationRep,
     cartan_inner,
     check_relations,
@@ -43,7 +42,6 @@ from .intertwiners import (
 from .boundary import (
     ClosedFormParams,
     GaugeReport,
-    PaperBoundarySystem,
     closed_form_k,
     paper_boundary_system,
     reconcile_gauge,
@@ -66,12 +64,10 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundaryParams",
     "ClosedFormParams",
-    "CoidealGenerators",
     "EvaluationRep",
     "GaugeReport",
     "IntertwinerSolution",
     "NullspaceResult",
-    "PaperBoundarySystem",
     "ScanResult",
     "VerificationReport",
     "cartan_inner",

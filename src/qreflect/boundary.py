@@ -28,27 +28,12 @@ from .intertwiners import IntertwinerSolution, solve_system
 from .reps import BoundaryParams, as_boundary_params
 
 
-@dataclass
-class PaperBoundarySystem:
-    """Stacked coefficient rows acting on vec(K) in row-major entry order."""
-
-    n: int
-    q: complex
-    x: complex
-    eps: BoundaryParams
-    rows: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.n + 1
-
-
-def paper_boundary_system(n: int, q: complex, x: complex, eps) -> PaperBoundarySystem:
+def paper_boundary_system(n: int, q: complex, x: complex, eps) -> np.ndarray:
     """Emit the four equation families, one coefficient row per instance.
 
-    Row order is family-major: family 1 for i = 0..n, then family 2, then
-    families 3 and 4 with rows ordered by (i, j).  Total row count is
-    (n+1)(2N-2).
+    The rows act on vec(K) in row-major entry order.  Row order is
+    family-major: family 1 for i = 0..n, then family 2, then families 3 and
+    4 with rows ordered by (i, j).  Total row count is (n+1)(2N-2).
     """
     q = complex(q)
     x = complex(x)
@@ -92,7 +77,7 @@ def paper_boundary_system(n: int, q: complex, x: complex, eps) -> PaperBoundaryS
     stacked = np.array(rows, dtype=np.complex128)
     expected = (n + 1) * (2 * dim - 2)
     assert stacked.shape == (expected, dim * dim)
-    return PaperBoundarySystem(n=n, q=q, x=x, eps=params, rows=stacked)
+    return stacked
 
 
 def solve_paper_k(
@@ -102,17 +87,13 @@ def solve_paper_k(
 
     The residual is the row defect |rows . vec K| / (|K| max(1, |rows|)).
     """
-    system = paper_boundary_system(n, q, x, eps)
-    rows = system.rows
+    rows = paper_boundary_system(n, q, x, eps)
 
     def residual(k):
         scale = float(np.linalg.norm(k)) * max(1.0, float(np.linalg.norm(rows)))
         return float(np.linalg.norm(rows @ k.ravel())) / scale
 
-    context = {"n": n, "q": system.q, "x": system.x, "eps": system.eps.eps}
-    return solve_system(
-        rows, (system.dim, system.dim), "paper-boundary", context, rel_tol, residual
-    )
+    return solve_system(rows, (n + 1, n + 1), rel_tol, residual)
 
 
 @dataclass(frozen=True)
@@ -127,7 +108,6 @@ class ClosedFormParams:
 
     eps: BoundaryParams
     eps_aggregate: complex | None = None
-    k_theta: complex = 1.0
     branch: int = +1
 
     def __post_init__(self):
@@ -140,7 +120,6 @@ class ClosedFormParams:
         aggregate = None if self.eps_aggregate is None else complex(self.eps_aggregate)
         object.__setattr__(self, "eps", params)
         object.__setattr__(self, "eps_aggregate", aggregate)
-        object.__setattr__(self, "k_theta", complex(self.k_theta))
 
     def aggregate(self) -> complex:
         if self.eps_aggregate is not None:
@@ -155,9 +134,9 @@ def closed_form_k(n: int, q: complex, x: complex, params: ClosedFormParams) -> n
     """Evaluate the closed-form reflection matrix at one spectral point.
 
     With w a square root of -q x and W = w^{n+1}:
-      K^i_i = (q^{-1} W - eps_agg q W^{-1}) k / (q^{-1} - q)
-      K^i_j = eps_i ... eps_{j-1}           w^{2(i-j)+n+1} k   (j > i)
-      K^j_i = eps_i ... eps_{j-1} eps_agg   w^{2(j-i)-n-1} k   (j > i)
+      K^i_i = (q^{-1} W - eps_agg q W^{-1}) / (q^{-1} - q)
+      K^i_j = eps_i ... eps_{j-1}           w^{2(i-j)+n+1}   (j > i)
+      K^j_i = eps_i ... eps_{j-1} eps_agg   w^{2(j-i)-n-1}   (j > i)
     """
     q = complex(q)
     x = complex(x)
@@ -167,13 +146,12 @@ def closed_form_k(n: int, q: complex, x: complex, params: ClosedFormParams) -> n
         raise ValueError("closed form is singular at q^2 = 1")
     eps = as_boundary_params(params.eps, n)
     agg = params.aggregate()
-    k_scale = params.k_theta
     w = params.branch * cmath.sqrt(-q * x)
     cap_w = w ** (n + 1)
     dim = n + 1
 
     out = np.zeros((dim, dim), dtype=np.complex128)
-    diag = (cap_w / q - agg * q / cap_w) * k_scale / (1.0 / q - q)
+    diag = (cap_w / q - agg * q / cap_w) / (1.0 / q - q)
     for i in range(dim):
         out[i, i] = diag
     for i in range(dim):
@@ -181,8 +159,8 @@ def closed_form_k(n: int, q: complex, x: complex, params: ClosedFormParams) -> n
             chain = 1.0 + 0j
             for l in range(i, j):
                 chain *= eps[l]
-            out[i, j] = chain * w ** (2 * (i - j) + n + 1) * k_scale
-            out[j, i] = chain * agg * w ** (2 * (j - i) - n - 1) * k_scale
+            out[i, j] = chain * w ** (2 * (i - j) + n + 1)
+            out[j, i] = chain * agg * w ** (2 * (j - i) - n - 1)
     return out
 
 

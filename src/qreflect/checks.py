@@ -42,14 +42,12 @@ def opposite_r(r_plain, d_a: int, d_b: int) -> np.ndarray:
     return flip_operator(d_a, d_b) @ r_plain @ flip_operator(d_b, d_a)
 
 
-def _projective_report(name, lhs, rhs, tol, context) -> VerificationReport:
+def _projective_report(name, lhs, rhs, tol) -> VerificationReport:
     equal, lam, deviation = projective_compare(lhs, rhs, tol)
-    return VerificationReport(
-        name=name, deviation=deviation, lam=lam, tol=tol, passed=equal, context=context
-    )
+    return VerificationReport(name=name, deviation=deviation, lam=lam, tol=tol, passed=equal)
 
 
-def check_ybe(s_ab, s_ac, s_bc, dims, tol: float = 1e-8, context=None) -> VerificationReport:
+def check_ybe(s_ab, s_ac, s_bc, dims, tol: float = 1e-8) -> VerificationReport:
     """Yang-Baxter equation in braid form on three legs.
 
     LHS = (1 x S_ab)(S_ac x 1)(1 x S_bc) against
@@ -67,11 +65,11 @@ def check_ybe(s_ab, s_ac, s_bc, dims, tol: float = 1e-8, context=None) -> Verifi
         @ embed_on_legs(s_ac, (1, 2), (d_b, d_a, d_c))
         @ embed_on_legs(s_ab, (0, 1), (d_a, d_b, d_c))
     )
-    return _projective_report("yang-baxter", lhs, rhs, tol, dict(context or {}, dims=dims))
+    return _projective_report("yang-baxter", lhs, rhs, tol)
 
 
 def check_reflection_equation(
-    k_mu, k_nu, s_mn, s_m_nb, s_n_mb, s_nb_mb, tol: float = 1e-8, context=None
+    k_mu, k_nu, s_mn, s_m_nb, s_n_mb, s_nb_mb, tol: float = 1e-8
 ) -> VerificationReport:
     """Reflection equation, composed exactly as the two boundary factorizations.
 
@@ -100,7 +98,7 @@ def check_reflection_equation(
     )
     if left.shape != right.shape:
         raise ValueError(f"path shapes disagree: {left.shape} vs {right.shape}")
-    return _projective_report("reflection-equation", left, right, tol, dict(context or {}))
+    return _projective_report("reflection-equation", left, right, tol)
 
 
 def check_coideal_property(
@@ -112,7 +110,7 @@ def check_coideal_property(
     sits at machine precision; the check guards the assembly, not the algebra.
     """
     params = as_boundary_params(eps, rep_a.n)
-    hats_b = coideal_generators(rep_b, params).Qhat
+    hats_b = coideal_generators(rep_b, params)
     eye_b = np.eye(rep_b.dim, dtype=np.complex128)
     worst = 0.0
     for i in range(rep_a.nodes):
@@ -129,8 +127,6 @@ def check_coideal_property(
         lam=1.0,
         tol=tol,
         passed=worst <= tol,
-        context={"n": rep_a.n, "q": rep_a.q, "x_left": rep_a.x, "x_right": rep_b.x,
-                 "eps": params.eps},
     )
 
 
@@ -187,9 +183,7 @@ def _blocks(b: np.ndarray, d_rows: int, d_cols: int, d_lam: int):
             yield b[alpha * d_lam:(alpha + 1) * d_lam, beta * d_lam:(beta + 1) * d_lam]
 
 
-def check_b_commutation(
-    b_with_nu, b_with_nubar, k_nu, tol: float = 1e-8, context=None
-) -> VerificationReport:
+def check_b_commutation(b_with_nu, b_with_nubar, k_nu, tol: float = 1e-8) -> VerificationReport:
     """One common scalar c with K_nu M_ab = c Mbar_ab K_nu over all blocks.
 
     The blocks M_ab (Mbar_ab) are the companion-leg matrices of B evaluated
@@ -212,10 +206,10 @@ def check_b_commutation(
         )
     lhs = np.vstack([k_nu @ m for m in _blocks(b_nu, d_rows, d_cols, d_nu)])
     rhs = np.vstack([m @ k_nu for m in _blocks(b_nubar, d_rows, d_cols, d_nub)])
-    return _projective_report("b-commutation", lhs, rhs, tol, dict(context or {}))
+    return _projective_report("b-commutation", lhs, rhs, tol)
 
 
-def check_sklyanin(b1, b2, r_set: dict, tol: float = 1e-8, context=None) -> VerificationReport:
+def check_sklyanin(b1, b2, r_set: dict, tol: float = 1e-8) -> VerificationReport:
     """Quadratic exchange relation of the boundary blocks, evaluated on three legs.
 
     Legs are (mu, nu, lambda); b1 acts on legs (0, 2), b2 on legs (1, 2).
@@ -247,4 +241,4 @@ def check_sklyanin(b1, b2, r_set: dict, tol: float = 1e-8, context=None) -> Veri
         @ embed_on_legs(b1, (0, 2), legs)
         @ embed_on_legs(r_set["r_mu_nu"], (0, 1), legs)
     )
-    return _projective_report("sklyanin-exchange", lhs, rhs, tol, dict(context or {}, dims=legs))
+    return _projective_report("sklyanin-exchange", lhs, rhs, tol)

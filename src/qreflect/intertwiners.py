@@ -10,7 +10,7 @@ rows are implied by invertibility and never stacked.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,11 +37,9 @@ class IntertwinerSolution:
 
     ``normalized`` is the canonically scaled solution, present only when the
     space is one-dimensional; ``residual`` is its worst relative defect over
-    the defining equations.
+    the defining equations; ``flags`` marks non-generic inputs.
     """
 
-    kind: str
-    context: dict
     nullspace: NullspaceResult
     normalized: np.ndarray | None = None
     residual: float = float("nan")
@@ -61,14 +59,14 @@ def _sylvester_block(m_in: np.ndarray, m_out: np.ndarray) -> np.ndarray:
     return np.kron(eye_r, m_in.T) - np.kron(m_out, eye_c)
 
 
-def solve_system(rows, shape, kind, context, rel_tol, residual, flags=()):
+def solve_system(rows, shape, rel_tol, residual, flags=()):
     """Common tail of every solve: nullspace of ``rows``, normalize, score.
 
     ``residual`` maps the normalized solution (present only when the space
     is one-dimensional) to its worst relative defect.
     """
     ns = nullspace(rows, rel_tol=rel_tol, unknown_shape=shape)
-    solution = IntertwinerSolution(kind=kind, context=context, nullspace=ns, flags=tuple(flags))
+    solution = IntertwinerSolution(nullspace=ns, flags=tuple(flags))
     if ns.dimension == 1:
         candidate = normalize_solution(ns.basis[0])
         solution.normalized = candidate
@@ -76,12 +74,10 @@ def solve_system(rows, shape, kind, context, rel_tol, residual, flags=()):
     return solution
 
 
-def _solve_stacked(pairs, shape, kind, context, rel_tol, flags=()):
+def _solve_stacked(pairs, shape, rel_tol, flags=()):
     """Stack one Sylvester block per generator pair and solve."""
     rows = np.vstack([_sylvester_block(m_in, m_out) for m_in, m_out in pairs])
-    return solve_system(
-        rows, shape, kind, context, rel_tol, lambda x: intertwining_residual(x, pairs), flags
-    )
+    return solve_system(rows, shape, rel_tol, lambda x: intertwining_residual(x, pairs), flags)
 
 
 def intertwining_residual(x: np.ndarray, pairs) -> float:
@@ -119,16 +115,10 @@ def solve_bulk(
     if not rep_a.same_algebra(rep_b):
         raise ValueError("bulk channels require matching (n, q)")
     flags = []
-    if np.isclose(rep_a.x, rep_b.x) and rep_a.is_dual == rep_b.is_dual:
+    if np.isclose(rep_a.x, rep_b.x, atol=0.0) and rep_a.is_dual == rep_b.is_dual:
         flags.append("equal-rapidity")
-    context = {
-        "n": rep_a.n,
-        "q": rep_a.q,
-        "left": rep_a.label(),
-        "right": rep_b.label(),
-    }
     shape = (rep_b.dim * rep_a.dim, rep_a.dim * rep_b.dim)
-    return _solve_stacked(_bulk_pairs(rep_a, rep_b), shape, "bulk", context, rel_tol, flags)
+    return _solve_stacked(_bulk_pairs(rep_a, rep_b), shape, rel_tol, flags)
 
 
 def solve_boundary(
@@ -150,17 +140,8 @@ def solve_boundary(
     if rep.dim != dual.dim:
         raise ValueError("boundary system requires equal dimensions")
     params = as_boundary_params(eps, rep.n)
-    hats_in = coideal_generators(rep, params).Qhat
-    hats_out = coideal_generators(dual, params).Qhat
-    pairs = list(zip(hats_in, hats_out))
-    context = {
-        "n": rep.n,
-        "q": rep.q,
-        "x": rep.x,
-        "dual": dual.label(),
-        "eps": params.eps,
-    }
-    return _solve_stacked(pairs, (dual.dim, rep.dim), "boundary", context, rel_tol)
+    pairs = list(zip(coideal_generators(rep, params), coideal_generators(dual, params)))
+    return _solve_stacked(pairs, (dual.dim, rep.dim), rel_tol)
 
 
 def solve_equivalence(
@@ -175,8 +156,7 @@ def solve_equivalence(
     for kind in GENERATOR_ORDER:
         for i in range(rep_a.nodes):
             pairs.append((rep_a.generator(kind, i), rep_b.generator(kind, i)))
-    context = {"n": rep_a.n, "q": rep_a.q, "left": rep_a.label(), "right": rep_b.label()}
-    return _solve_stacked(pairs, (rep_b.dim, rep_a.dim), "equivalence", context, rel_tol)
+    return _solve_stacked(pairs, (rep_b.dim, rep_a.dim), rel_tol)
 
 
 def reflection_dual(rep: EvaluationRep) -> EvaluationRep:
@@ -222,7 +202,6 @@ class ScanResult:
 
     grid: list
     dims: list
-    meta: dict = field(default_factory=dict)
 
 
 def dimension_scan(kind: str, fixed: dict, grid, rel_tol: float = DEFAULT_REL_TOL) -> ScanResult:
@@ -231,10 +210,9 @@ def dimension_scan(kind: str, fixed: dict, grid, rel_tol: float = DEFAULT_REL_TO
     kind="bulk": fixed needs n, q, x_left; grid entries are right spectral
     parameters.  kind="boundary": fixed needs n, q, x and a ``method`` of
     "paper" (the explicit printed equation system) or "generic" (the
-    antipode-dual engine system; optional ``dual_x`` overrides the conjugate
-    parameter, default -q/x).  Grid entries are eps tuples, or spectral
-    parameters when fixed carries an ``eps`` entry instead.  Degenerate
-    points are recorded, never raised.
+    antipode-dual engine system with the conjugate from ``reflection_dual``).
+    Grid entries are eps tuples, or spectral parameters when fixed carries an
+    ``eps`` entry instead.  Degenerate points are recorded, never raised.
     """
     grid = list(grid)
     if not grid:
@@ -253,24 +231,18 @@ def dimension_scan(kind: str, fixed: dict, grid, rel_tol: float = DEFAULT_REL_TO
                 eps, x = tuple(point), complex(fixed["x"])
             else:
                 eps, x = tuple(fixed["eps"]), complex(point)
-            dims.append(_boundary_dimension(n, q, x, eps, method, fixed, rel_tol))
+            dims.append(_boundary_dimension(n, q, x, eps, method, rel_tol))
     else:
         raise ValueError(f"unknown scan kind {kind!r}")
-    meta = {"kind": kind, "fixed": dict(fixed), "rel_tol": rel_tol}
-    return ScanResult(grid=grid, dims=dims, meta=meta)
+    return ScanResult(grid=grid, dims=dims)
 
 
-def _boundary_dimension(n, q, x, eps, method, fixed, rel_tol) -> int:
+def _boundary_dimension(n, q, x, eps, method, rel_tol) -> int:
     if method == "paper":
         from .boundary import solve_paper_k  # local import, boundary builds on this module
 
         return solve_paper_k(n, q, x, eps, rel_tol).dimension
     if method == "generic":
         rep = vector_rep(n, q, x)
-        dual_x = fixed.get("dual_x")
-        if dual_x is None:
-            dual = reflection_dual(rep)
-        else:
-            dual = dual_rep(vector_rep(n, q, complex(dual_x)))
-        return solve_boundary(rep, dual, eps, rel_tol).dimension
+        return solve_boundary(rep, reflection_dual(rep), eps, rel_tol).dimension
     raise ValueError(f"unknown boundary method {method!r}")

@@ -80,8 +80,6 @@ class NullspaceResult:
 
     dimension: int
     basis: list = field(default_factory=list)  # vectors reshaped to the unknown's shape
-    max_residual: float = 0.0
-    tolerance_used: float = DEFAULT_REL_TOL
     sigma_max: float = 0.0
     degenerate: bool = False  # all-zero input matrix
 
@@ -93,7 +91,7 @@ def nullspace(m, rel_tol: float = DEFAULT_REL_TOL, unknown_shape=None) -> Nullsp
     vectors are reshaped (row-major) to ``unknown_shape`` when given.  An
     all-zero matrix yields the full space with the ``degenerate`` flag set.
     """
-    if rel_tol <= 0:
+    if not rel_tol > 0:  # also rejects NaN
         raise ValueError("rel_tol must be positive")
     m = as_matrix(m)
     rows, cols = m.shape
@@ -107,13 +105,11 @@ def nullspace(m, rel_tol: float = DEFAULT_REL_TOL, unknown_shape=None) -> Nullsp
     sigma_max = float(s[0]) if s.size else 0.0
     if sigma_max == 0.0:
         basis = [np.eye(cols, dtype=np.complex128)[:, k].reshape(shape) for k in range(cols)]
-        return NullspaceResult(cols, basis, 0.0, rel_tol, 0.0, degenerate=True)
+        return NullspaceResult(cols, basis, 0.0, degenerate=True)
 
     rank = int(np.sum(s >= rel_tol * sigma_max))
-    vectors = [vh[k].conj() for k in range(rank, cols)]
-    residual = max((float(np.linalg.norm(m @ v)) for v in vectors), default=0.0)
-    basis = [v.reshape(shape) for v in vectors]
-    return NullspaceResult(cols - rank, basis, residual, rel_tol, sigma_max)
+    basis = [vh[k].conj().reshape(shape) for k in range(rank, cols)]
+    return NullspaceResult(cols - rank, basis, sigma_max)
 
 
 def projective_compare(a, b, tol: float):

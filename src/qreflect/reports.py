@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -19,4 +19,3 @@ class VerificationReport:
     lam: complex
     tol: float
     passed: bool
-    context: dict = field(default_factory=dict)

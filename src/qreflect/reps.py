@@ -5,9 +5,10 @@ group-like Cartan elements q^{T_i}, i = 0..n, with all node indices cyclic
 mod N = n+1 (the affine node participates on equal footing).  Only the
 group-like q^{+-T_i} are ever represented; T_i itself never appears.
 
-A representation is stored as the four lists of generator matrices
-(Q, Qbar, D = image of q^{T_i}, Dinv) together with the deformation
-parameter q and the spectral parameter x = e^theta.
+A representation is stored as the three lists of generator matrices
+(Q, Qbar, D = image of q^{T_i}) together with the deformation parameter q
+and the spectral parameter x = e^theta.  The D_i are diagonal, so their
+inverses are read off the diagonal where needed.
 """
 
 from __future__ import annotations
@@ -74,7 +75,6 @@ class EvaluationRep:
     Q: list = field(repr=False, default_factory=list)
     Qbar: list = field(repr=False, default_factory=list)
     D: list = field(repr=False, default_factory=list)
-    Dinv: list = field(repr=False, default_factory=list)
 
     @property
     def nodes(self) -> int:
@@ -95,10 +95,6 @@ class EvaluationRep:
     def same_algebra(self, other: "EvaluationRep") -> bool:
         return self.n == other.n and np.isclose(self.q, other.q, atol=0.0)
 
-    def label(self) -> str:
-        flavor = "dual" if self.is_dual else "vector"
-        return f"{flavor}(n={self.n}, x={self.x:.6g})"
-
 
 def vector_rep(n: int, q: complex, x: complex) -> EvaluationRep:
     """The N = n+1 dimensional vector evaluation representation.
@@ -114,7 +110,7 @@ def vector_rep(n: int, q: complex, x: complex) -> EvaluationRep:
         raise ValueError("q and x must be nonzero")
     _warn_if_low_root_of_unity(q)
     dim = n + 1
-    Q, Qbar, D, Dinv = [], [], [], []
+    Q, Qbar, D = [], [], []
     for i in range(dim):
         up = (i + 1) % dim
         Q.append(x * _elementary(dim, up, i))
@@ -123,12 +119,11 @@ def vector_rep(n: int, q: complex, x: complex) -> EvaluationRep:
         d[i] = 1.0 / q
         d[up] = q
         D.append(np.diag(d))
-        Dinv.append(np.diag(1.0 / d))
-    return EvaluationRep(n=n, q=q, x=x, is_dual=False, Q=Q, Qbar=Qbar, D=D, Dinv=Dinv)
+    return EvaluationRep(n=n, q=q, x=x, is_dual=False, Q=Q, Qbar=Qbar, D=D)
 
 
-def _warn_if_low_root_of_unity(q: complex, max_order: int = 6) -> None:
-    for k in range(1, max_order + 1):
+def _warn_if_low_root_of_unity(q: complex) -> None:
+    for k in range(1, 7):
         if abs(q**k - 1.0) < 1e-9:
             warnings.warn(
                 f"q is (close to) a root of unity of order {k}; "
@@ -138,25 +133,19 @@ def _warn_if_low_root_of_unity(q: complex, max_order: int = 6) -> None:
             return
 
 
-def dual_rep(rep: EvaluationRep, negate_rapidity: bool = False) -> EvaluationRep:
+def dual_rep(rep: EvaluationRep) -> EvaluationRep:
     """Antipode-transpose dual of a representation.
 
     The antipode acts as S(Q_i) = -q^{-T_i} Q_i, S(Qbar_i) = -q^{-T_i} Qbar_i,
     S(q^{T_i}) = q^{-T_i}, and the dual matrices are transposes of the
-    antipode images.  With ``negate_rapidity`` the input is first rebuilt at
-    spectral parameter 1/x (theta -> -theta), which requires a vector rep.
+    antipode images.  The dual at another spectral parameter is the dual of
+    a vector representation built there.
     """
-    if negate_rapidity:
-        if rep.is_dual:
-            raise ValueError("negate_rapidity requires a vector representation")
-        rep = vector_rep(rep.n, rep.q, 1.0 / rep.x)
-    Q = [-(dinv @ qi).T for dinv, qi in zip(rep.Dinv, rep.Q)]
-    Qbar = [-(dinv @ qb).T for dinv, qb in zip(rep.Dinv, rep.Qbar)]
-    D = [dinv.T for dinv in rep.Dinv]
-    Dinv = [d.T for d in rep.D]
-    return EvaluationRep(
-        n=rep.n, q=rep.q, x=rep.x, is_dual=not rep.is_dual, Q=Q, Qbar=Qbar, D=D, Dinv=Dinv
-    )
+    dinv = [np.diag(1.0 / np.diag(d)) for d in rep.D]  # every D_i is diagonal
+    Q = [-(di @ qi).T for di, qi in zip(dinv, rep.Q)]
+    Qbar = [-(di @ qb).T for di, qb in zip(dinv, rep.Qbar)]
+    D = [di.T for di in dinv]
+    return EvaluationRep(n=rep.n, q=rep.q, x=rep.x, is_dual=not rep.is_dual, Q=Q, Qbar=Qbar, D=D)
 
 
 @dataclass(frozen=True)
@@ -185,22 +174,10 @@ def as_boundary_params(eps, n: int) -> BoundaryParams:
     return params
 
 
-@dataclass
-class CoidealGenerators:
+def coideal_generators(rep: EvaluationRep, eps) -> list:
     """Matrices Qhat_i = Q_i + Qbar_i + eps_i q^{T_i} of the boundary algebra."""
-
-    Qhat: list
-    params: BoundaryParams
-    rep: EvaluationRep
-
-
-def coideal_generators(rep: EvaluationRep, eps) -> CoidealGenerators:
     params = as_boundary_params(eps, rep.n)
-    qhat = [
-        rep.Q[i] + rep.Qbar[i] + params[i] * rep.D[i]
-        for i in range(rep.nodes)
-    ]
-    return CoidealGenerators(Qhat=qhat, params=params, rep=rep)
+    return [rep.Q[i] + rep.Qbar[i] + params[i] * rep.D[i] for i in range(rep.nodes)]
 
 
 def coproduct_matrix(rep_a: EvaluationRep, rep_b: EvaluationRep, kind: str, i: int) -> np.ndarray:
@@ -245,12 +222,13 @@ def check_relations(rep: EvaluationRep, tol: float = 1e-10) -> VerificationRepor
     worst = 0.0
     for i in range(rep.nodes):
         casimir = (rep.D[i] @ rep.D[i] - eye) / (q**2 - 1.0)
+        dinv = np.diag(1.0 / np.diag(rep.D[i]))
         for j in range(rep.nodes):
             a_ij = cartan_inner(rep.n, i, j)
             worst = max(
                 worst,
-                relative_defect(rep.D[i] @ rep.Q[j] @ rep.Dinv[i], q**a_ij * rep.Q[j]),
-                relative_defect(rep.D[i] @ rep.Qbar[j] @ rep.Dinv[i], q**-a_ij * rep.Qbar[j]),
+                relative_defect(rep.D[i] @ rep.Q[j] @ dinv, q**a_ij * rep.Q[j]),
+                relative_defect(rep.D[i] @ rep.Qbar[j] @ dinv, q**-a_ij * rep.Qbar[j]),
                 relative_defect(
                     rep.Q[i] @ rep.Qbar[j] - q**-a_ij * rep.Qbar[j] @ rep.Q[i],
                     casimir if i == j else np.zeros((dim, dim)),
@@ -262,5 +240,4 @@ def check_relations(rep: EvaluationRep, tol: float = 1e-10) -> VerificationRepor
         lam=1.0,
         tol=tol,
         passed=worst <= tol,
-        context={"n": rep.n, "q": rep.q, "x": rep.x, "dual": rep.is_dual},
     )

@@ -20,21 +20,21 @@ X_REF = np.exp(0.7)
 
 
 def test_system_row_counts():
-    assert paper_boundary_system(1, 2.0, 3.0, (1, 1)).rows.shape == (4, 4)
-    assert paper_boundary_system(2, Q_REF, X_REF, (1, 1, 1)).rows.shape == (12, 9)
-    assert paper_boundary_system(3, Q_REF, X_REF, (1,) * 4).rows.shape == (24, 16)
+    assert paper_boundary_system(1, 2.0, 3.0, (1, 1)).shape == (4, 4)
+    assert paper_boundary_system(2, Q_REF, X_REF, (1, 1, 1)).shape == (12, 9)
+    assert paper_boundary_system(3, Q_REF, X_REF, (1,) * 4).shape == (24, 16)
 
 
 def test_system_family_one_row():
-    system = paper_boundary_system(1, 2.0, 3.0, (1.0, 1.0))
+    rows = paper_boundary_system(1, 2.0, 3.0, (1.0, 1.0))
     # unknown order (K00, K01, K10, K11)
-    assert np.allclose(system.rows[0], [0.5 - 2.0, 3.0, -1 / 3, 0.0])
+    assert np.allclose(rows[0], [0.5 - 2.0, 3.0, -1 / 3, 0.0])
 
 
 def test_system_family_two_rows():
-    system = paper_boundary_system(1, 2.0, 3.0, (1.0, 1.0))
-    assert np.allclose(system.rows[2], [-1, 0, 0, 1])
-    assert np.allclose(system.rows[3], [1, 0, 0, -1])
+    rows = paper_boundary_system(1, 2.0, 3.0, (1.0, 1.0))
+    assert np.allclose(rows[2], [-1, 0, 0, 1])
+    assert np.allclose(rows[3], [1, 0, 0, -1])
 
 
 def test_solve_anchor_plus_plus():

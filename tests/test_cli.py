@@ -85,6 +85,50 @@ def test_kmatrix_eps_length_checked(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["kmatrix", "--n", "2", "--q", "0.8@0.3", "--x", "2", "--eps", "1,1", "--method", "generic"],
+    ["kmatrix", "--n", "2", "--q", "0.8@0.3", "--x", "2", "--eps", "1,1",
+     "--method", "closed-form"],
+    ["verify", "re", "--n", "2", "--q", "0.8@0.3", "--rapidities", "0.7,0.23", "--eps", "1,1"],
+    ["verify", "coideal", "--n", "2", "--q", "0.8@0.3", "--rapidities", "0.7,0.23",
+     "--eps", "1,1,1,1"],
+    ["scan", "theta", "--n", "2", "--q", "0.8@0.3", "--eps", "1,1", "--grid", "0.1:1.5:3"],
+    ["scan", "theta", "--n", "2", "--q", "0.8@0.3", "--eps", "1,1", "--grid", "0.1:1.5:3",
+     "--method", "generic"],
+])
+def test_eps_length_checked_on_every_path(argv, tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "boundary parameters" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["rep-check", "--n", "1", "--q", "1e308@0", "--x", "2"],
+    ["verify", "ybe", "--n", "1", "--q", "0.8@0.3", "--rapidities", "800,0,1"],
+])
+def test_arithmetic_overflow_exits_2(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, tol", [
+    (["smatrix", "--n", "1", "--q", "0.8@0.3", "--x1", "2", "--x2", "1.3"], "nan"),
+    (["rep-check", "--n", "1", "--q", "0.8@0.3", "--x", "2"], "nan"),
+    (["verify", "re", "--n", "1", "--q", "0.8@0.3", "--rapidities", "0.7,0.23",
+      "--eps", "1,1"], "-1"),
+    (["kmatrix", "--n", "1", "--q", "2", "--x", "3", "--eps", "1,1"], "inf"),
+    (["verify", "ybe", "--n", "1", "--q", "0.8@0.3", "--rapidities", "0.7,0.23,-0.4"], "0"),
+])
+def test_invalid_tolerance_exits_2(command, tol, tmp_path, capsys):
+    out = tmp_path / "x.json"
+    extra = [] if command[0] in ("rep-check", "verify") else ["--out", str(out)]
+    assert main(command + ["--tol", tol] + extra) == 2
+    assert "positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_ybe_passes(capsys):
     code = main([
         "verify", "ybe", "--n", "1", "--q", "0.8@0.3",

@@ -121,6 +121,12 @@ def test_nullspace_basis_orthonormal_and_bounded(rng):
         assert np.linalg.norm(m @ v.ravel()) <= 1e-9 * res.sigma_max
 
 
+@pytest.mark.parametrize("rel_tol", [0.0, -1e-9, float("nan")])
+def test_nullspace_rejects_bad_tolerance(rel_tol):
+    with pytest.raises(ValueError):
+        nullspace(np.eye(2), rel_tol=rel_tol)
+
+
 def test_nullspace_reshapes_to_unknown_shape():
     res = nullspace(np.zeros((2, 6)), unknown_shape=(2, 3))
     assert res.basis[0].shape == (2, 3)
