@@ -19,7 +19,6 @@ from .linalg import (
 )
 from .reports import VerificationReport
 from .reps import (
-    BoundaryParams,
     EvaluationRep,
     cartan_inner,
     check_relations,
@@ -62,7 +61,6 @@ from .checks import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundaryParams",
     "ClosedFormParams",
     "EvaluationRep",
     "GaugeReport",

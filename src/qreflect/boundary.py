@@ -22,10 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_REL_TOL, as_matrix, normalize_solution, projective_compare
+from .linalg import DEFAULT_REL_TOL, as_matrix, check_tolerance, normalize_solution
+from .linalg import projective_compare
 from .linalg import nullspace  # noqa: F401  (bench/test_bench.py traces it in this namespace)
 from .intertwiners import IntertwinerSolution, solve_system
-from .reps import BoundaryParams, as_boundary_params
+from .reps import as_boundary_params, check_point
 
 
 def paper_boundary_system(n: int, q: complex, x: complex, eps) -> np.ndarray:
@@ -35,10 +36,7 @@ def paper_boundary_system(n: int, q: complex, x: complex, eps) -> np.ndarray:
     family-major: family 1 for i = 0..n, then family 2, then families 3 and
     4 with rows ordered by (i, j).  Total row count is (n+1)(2N-2).
     """
-    q = complex(q)
-    x = complex(x)
-    if q == 0 or x == 0:
-        raise ValueError("q and x must be nonzero")
+    n, q, x = check_point(n, q, x)
     params = as_boundary_params(eps, n)
     dim = n + 1
 
@@ -101,22 +99,18 @@ class ClosedFormParams:
     """Inputs of the closed-form reflection matrix.
 
     ``eps_aggregate`` defaults to the product of all eps_i (the rule the
-    n = 1 elimination fixes and the n = 2 nullspace confirms).  ``branch``
-    selects the square root of -q x used for half-integer powers; flipping
-    it changes the matrix only by an overall sign.
+    n = 1 elimination fixes and the n = 2 nullspace confirms).
     """
 
-    eps: BoundaryParams
+    eps: tuple
     eps_aggregate: complex | None = None
-    branch: int = +1
 
     def __post_init__(self):
-        params = self.eps if isinstance(self.eps, BoundaryParams) else BoundaryParams(self.eps)
+        eps = tuple(self.eps)
+        params = as_boundary_params(eps, len(eps) - 1)  # closed_form_k checks the length
         bad = [e for e in params if abs(abs(e) - 1.0) > 1e-12]
         if bad:
             raise ValueError(f"closed form requires |eps_i| = 1, got {bad}")
-        if self.branch not in (+1, -1):
-            raise ValueError("branch must be +1 or -1")
         aggregate = None if self.eps_aggregate is None else complex(self.eps_aggregate)
         object.__setattr__(self, "eps", params)
         object.__setattr__(self, "eps_aggregate", aggregate)
@@ -138,15 +132,12 @@ def closed_form_k(n: int, q: complex, x: complex, params: ClosedFormParams) -> n
       K^i_j = eps_i ... eps_{j-1}           w^{2(i-j)+n+1}   (j > i)
       K^j_i = eps_i ... eps_{j-1} eps_agg   w^{2(j-i)-n-1}   (j > i)
     """
-    q = complex(q)
-    x = complex(x)
-    if q == 0 or x == 0:
-        raise ValueError("q and x must be nonzero")
+    n, q, x = check_point(n, q, x)
     if abs(q**2 - 1.0) < 1e-12:
         raise ValueError("closed form is singular at q^2 = 1")
     eps = as_boundary_params(params.eps, n)
     agg = params.aggregate()
-    w = params.branch * cmath.sqrt(-q * x)
+    w = cmath.sqrt(-q * x)
     cap_w = w ** (n + 1)
     dim = n + 1
 
@@ -193,15 +184,14 @@ def reconcile_gauge(k_paper_seq, k_generic_seq, sample_thetas, tol: float = 1e-6
         raise ValueError("need one K per convention per sampled rapidity")
     if not thetas:
         raise ValueError("need at least one sample")
+    check_tolerance(tol)
     gauges = []
     for k_p, k_g in zip(k_paper_seq, k_generic_seq):
         if abs(np.linalg.det(k_p)) < 1e-300:
             raise ValueError("paper-convention K is singular at a sample")
         gauges.append(normalize_solution(k_g @ np.linalg.inv(k_p)))
-    worst = 0.0
-    for c in gauges[1:]:
-        _, _, deviation = projective_compare(c, gauges[0], tol)
-        worst = max(worst, deviation)
+    deviations = [projective_compare(c, gauges[0], tol)[2] for c in gauges[1:]]
+    worst = float(np.max(deviations, initial=0.0))  # NaN propagates
     constant = worst <= tol
     return GaugeReport(
         constant=constant,

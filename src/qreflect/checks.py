@@ -16,6 +16,7 @@ import numpy as np
 
 from .linalg import (
     as_matrix,
+    check_tolerance,
     embed_on_legs,
     flip_operator,
     kron,
@@ -109,10 +110,11 @@ def check_coideal_property(
     Both sides expand to the same sum of Kronecker products, so the residual
     sits at machine precision; the check guards the assembly, not the algebra.
     """
+    check_tolerance(tol)
     params = as_boundary_params(eps, rep_a.n)
     hats_b = coideal_generators(rep_b, params)
     eye_b = np.eye(rep_b.dim, dtype=np.complex128)
-    worst = 0.0
+    defects = []
     for i in range(rep_a.nodes):
         lhs = (
             coproduct_matrix(rep_a, rep_b, "Q", i)
@@ -120,7 +122,8 @@ def check_coideal_property(
             + params[i] * coproduct_matrix(rep_a, rep_b, "qT", i)
         )
         rhs = kron(rep_a.Q[i] + rep_a.Qbar[i], eye_b) + kron(rep_a.D[i], hats_b[i])
-        worst = max(worst, relative_defect(lhs, rhs))
+        defects.append(relative_defect(lhs, rhs))
+    worst = float(np.max(defects))  # a NaN defect propagates and fails the check
     return VerificationReport(
         name="coideal-property",
         deviation=worst,

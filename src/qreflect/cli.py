@@ -3,14 +3,14 @@
   rep-check --n --q --x [--tol]
   smatrix   --n --q --x1 --x2 [--dual-left] [--dual-right] --out FILE
   kmatrix   --n --q --x --eps LIST --method {paper,generic,closed-form}
-            [--eps-aggregate C] [--branch {1,-1}] --out FILE
+            [--eps-aggregate C] --out FILE
   verify    {ybe,re,coideal,sklyanin,b-comm} --n --q --rapidities LIST
             [--eps LIST] [--tol T] [--out FILE]
   scan      {eps,theta} --n --q ... --grid SPEC [--method M] --out FILE
 
 Complex values are written "a+bi" or polar "r@phi"; --rapidities takes
-theta values (x = e^theta internally), --x flags take x directly.  Every
---tol must be a positive, finite number.
+theta values (x = e^theta internally), --x flags take x directly.  Valid
+input: n >= 1, finite nonzero q and x, finite eps, positive finite --tol.
 
 Exit codes: 0 success / verification passed, 1 verification failed,
 2 invalid input, 3 degenerate solution space (dimension != 1 where a
@@ -46,7 +46,7 @@ from .intertwiners import (
     solve_boundary,
     solve_bulk,
 )
-from .linalg import normalize_solution
+from .linalg import check_tolerance, normalize_solution
 from .reps import check_relations, dual_rep, vector_rep
 
 EXIT_OK = 0
@@ -83,12 +83,9 @@ def parse_complex_list(text: str) -> list:
 def parse_tolerance(text: str) -> float:
     """Parse a positive, finite tolerance (argparse reports a rejection as exit 2)."""
     try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not 0 < value < float("inf"):
-        raise argparse.ArgumentTypeError(f"tolerance must be positive and finite, got {text!r}")
-    return value
+        return check_tolerance(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _pass_word(passed: bool) -> str:
@@ -174,10 +171,7 @@ def cmd_kmatrix(args) -> int:
         convention = "antipode-dual"
         note = f"residual {solution.residual:.3e}"
     else:  # closed-form
-        try:
-            params = ClosedFormParams(eps, eps_aggregate=args.eps_aggregate, branch=args.branch)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        params = ClosedFormParams(eps, eps_aggregate=args.eps_aggregate)
         matrix = normalize_solution(closed_form_k(args.n, args.q, args.x, params))
         convention = "paper"
         note = "closed form"
@@ -275,8 +269,6 @@ def cmd_scan(args) -> int:
         if args.x is None:
             raise CliError("scan eps requires --x")
         values = parse_complex_list(args.grid)
-        if not values:
-            raise CliError("empty eps grid")
         if len(values) ** (n + 1) > 200_000:
             raise CliError("eps grid too large")
         grid = [tuple(p) for p in itertools.product(values, repeat=n + 1)]
@@ -291,8 +283,8 @@ def cmd_scan(args) -> int:
             "convention": "paper" if args.method == "paper" else "antipode-dual",
         }
     else:  # theta
-        thetas = _parse_theta_grid(args.grid)
-        xs = [cmath.exp(t) for t in thetas]
+        grid = _parse_theta_grid(args.grid)  # the document records the thetas, not x = e^theta
+        xs = [cmath.exp(t) for t in grid]
         if args.kind == "bulk":
             if args.x is None:
                 raise CliError("scan theta --kind bulk requires --x (left parameter)")
@@ -314,8 +306,7 @@ def cmd_scan(args) -> int:
                 "method": args.method,
                 "convention": "paper" if args.method == "paper" else "antipode-dual",
             }
-        result.grid = thetas  # record the thetas, not the exponentiated values
-    _write_out(args.out, qio.serialize_scan(meta, result.grid, result.dims))
+    _write_out(args.out, qio.serialize_scan(meta, grid, result.dims))
     print(f"scan: {len(result.dims)} points, dims "
           f"min={min(result.dims)} max={max(result.dims)}, wrote {args.out}")
     return EXIT_OK
@@ -356,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=parse_complex_list, required=True)
     p.add_argument("--method", choices=("paper", "generic", "closed-form"), default="paper")
     p.add_argument("--eps-aggregate", type=parse_complex, default=None)
-    p.add_argument("--branch", type=int, choices=(1, -1), default=1)
     p.add_argument("--tol", type=parse_tolerance, default=1e-9)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_kmatrix)

@@ -83,11 +83,11 @@ def _solve_stacked(pairs, shape, rel_tol, flags=()):
 def intertwining_residual(x: np.ndarray, pairs) -> float:
     """Worst relative defect of X @ m_in - m_out @ X over the given pairs."""
     norm_x = float(np.linalg.norm(x))
-    worst = 0.0
+    defects = []
     for m_in, m_out in pairs:
         scale = norm_x * max(1.0, float(np.linalg.norm(m_in)), float(np.linalg.norm(m_out)))
-        worst = max(worst, float(np.linalg.norm(x @ m_in - m_out @ x)) / scale)
-    return worst
+        defects.append(float(np.linalg.norm(x @ m_in - m_out @ x)) / scale)
+    return float(np.max(defects))  # NaN propagates
 
 
 def _bulk_pairs(rep_a: EvaluationRep, rep_b: EvaluationRep):
@@ -198,9 +198,8 @@ def engine_point(n: int, q: complex, thetas, eps, rel_tol: float = DEFAULT_REL_T
 
 @dataclass
 class ScanResult:
-    """Nullspace dimensions recorded over a parameter grid."""
+    """Nullspace dimensions recorded over a parameter grid, in grid order."""
 
-    grid: list
     dims: list
 
 
@@ -217,24 +216,23 @@ def dimension_scan(kind: str, fixed: dict, grid, rel_tol: float = DEFAULT_REL_TO
     grid = list(grid)
     if not grid:
         raise ValueError("grid must be nonempty")
-    n = int(fixed["n"])
-    q = complex(fixed["q"])
+    n, q = fixed["n"], fixed["q"]
     dims = []
     if kind == "bulk":
-        left = vector_rep(n, q, complex(fixed["x_left"]))
+        left = vector_rep(n, q, fixed["x_left"])
         for point in grid:
-            dims.append(solve_bulk(left, vector_rep(n, q, complex(point)), rel_tol).dimension)
+            dims.append(solve_bulk(left, vector_rep(n, q, point), rel_tol).dimension)
     elif kind == "boundary":
         method = fixed.get("method", "paper")
         for point in grid:
             if isinstance(point, (tuple, list)):
-                eps, x = tuple(point), complex(fixed["x"])
+                eps, x = point, fixed["x"]
             else:
-                eps, x = tuple(fixed["eps"]), complex(point)
+                eps, x = fixed["eps"], point
             dims.append(_boundary_dimension(n, q, x, eps, method, rel_tol))
     else:
         raise ValueError(f"unknown scan kind {kind!r}")
-    return ScanResult(grid=grid, dims=dims)
+    return ScanResult(dims=dims)
 
 
 def _boundary_dimension(n, q, x, eps, method, rel_tol) -> int:

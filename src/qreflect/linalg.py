@@ -8,6 +8,7 @@ which is how the intertwining systems are stacked.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +17,14 @@ DEFAULT_REL_TOL = 1e-9
 
 # Relative tie tolerance for picking the max-modulus entry in normalize_solution.
 _TIE_TOL = 1e-12
+
+
+def check_tolerance(tol) -> float:
+    """Return ``tol`` as a float; anything but a positive, finite value is a ValueError."""
+    value = float(tol)
+    if not 0 < value < math.inf:  # also rejects NaN
+        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
+    return value
 
 
 def as_matrix(a) -> np.ndarray:
@@ -91,8 +100,7 @@ def nullspace(m, rel_tol: float = DEFAULT_REL_TOL, unknown_shape=None) -> Nullsp
     vectors are reshaped (row-major) to ``unknown_shape`` when given.  An
     all-zero matrix yields the full space with the ``degenerate`` flag set.
     """
-    if not rel_tol > 0:  # also rejects NaN
-        raise ValueError("rel_tol must be positive")
+    check_tolerance(rel_tol)
     m = as_matrix(m)
     rows, cols = m.shape
     if rows == 0:
@@ -120,6 +128,7 @@ def projective_compare(a, b, tol: float):
     reports not-equal with deviation 1; two zero inputs are an error.  The
     deviation is measured relative to the left argument.
     """
+    check_tolerance(tol)
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape != b.shape:

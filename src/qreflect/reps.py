@@ -14,12 +14,13 @@ inverses are read off the diagonal where needed.
 from __future__ import annotations
 
 import cmath
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import kron, relative_defect
+from .linalg import check_tolerance, kron, relative_defect
 from .reports import VerificationReport
 
 
@@ -96,18 +97,26 @@ class EvaluationRep:
         return self.n == other.n and np.isclose(self.q, other.q, atol=0.0)
 
 
+def check_point(n: int, q: complex, x: complex) -> tuple:
+    """Validate one point (n, q, x) and return it as (int, complex, complex).
+
+    n must be an integer >= 1; q and x must be finite and nonzero.
+    """
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"rank index n must be an integer >= 1, got {n!r}")
+    q, x = complex(q), complex(x)
+    if not (cmath.isfinite(q) and cmath.isfinite(x)) or q == 0 or x == 0:
+        raise ValueError("q and x must be finite and nonzero")
+    return int(n), q, x
+
+
 def vector_rep(n: int, q: complex, x: complex) -> EvaluationRep:
     """The N = n+1 dimensional vector evaluation representation.
 
     Q_i = x e^{i+1}_i, Qbar_i = x^{-1} e^i_{i+1}, and q^{T_i} acts
     diagonally with q^{-1} in slot i and q in slot i+1 (indices mod N).
     """
-    if n < 1:
-        raise ValueError("rank index n must be >= 1")
-    q = complex(q)
-    x = complex(x)
-    if q == 0 or x == 0:
-        raise ValueError("q and x must be nonzero")
+    n, q, x = check_point(n, q, x)
     _warn_if_low_root_of_unity(q)
     dim = n + 1
     Q, Qbar, D = [], [], []
@@ -148,29 +157,13 @@ def dual_rep(rep: EvaluationRep) -> EvaluationRep:
     return EvaluationRep(n=rep.n, q=rep.q, x=rep.x, is_dual=not rep.is_dual, Q=Q, Qbar=Qbar, D=D)
 
 
-@dataclass(frozen=True)
-class BoundaryParams:
-    """Boundary parameter vector eps_0..eps_n (complex)."""
-
-    eps: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "eps", tuple(complex(e) for e in self.eps))
-
-    def __len__(self) -> int:
-        return len(self.eps)
-
-    def __getitem__(self, i: int) -> complex:
-        return self.eps[i]
-
-    def __iter__(self):
-        return iter(self.eps)
-
-
-def as_boundary_params(eps, n: int) -> BoundaryParams:
-    params = eps if isinstance(eps, BoundaryParams) else BoundaryParams(eps)
+def as_boundary_params(eps, n: int) -> tuple:
+    """Boundary parameters eps_0..eps_n as a tuple of n+1 finite complex numbers."""
+    params = tuple(complex(e) for e in eps)
     if len(params) != n + 1:
         raise ValueError(f"expected {n + 1} boundary parameters, got {len(params)}")
+    if not all(cmath.isfinite(e) for e in params):
+        raise ValueError("boundary parameters must be finite")
     return params
 
 
@@ -212,28 +205,27 @@ def check_relations(rep: EvaluationRep, tol: float = 1e-10) -> VerificationRepor
     (a)/(b) are the exponentiated forms of the T-commutators.  Serre
     relations are not checked.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_tolerance(tol)
     q = rep.q
     if abs(q**2 - 1.0) < 1e-12:
         raise ValueError("relation (c) is singular at q^2 = 1")
     dim = rep.dim
     eye = np.eye(dim, dtype=np.complex128)
-    worst = 0.0
+    defects = []
     for i in range(rep.nodes):
         casimir = (rep.D[i] @ rep.D[i] - eye) / (q**2 - 1.0)
         dinv = np.diag(1.0 / np.diag(rep.D[i]))
         for j in range(rep.nodes):
             a_ij = cartan_inner(rep.n, i, j)
-            worst = max(
-                worst,
+            defects += [
                 relative_defect(rep.D[i] @ rep.Q[j] @ dinv, q**a_ij * rep.Q[j]),
                 relative_defect(rep.D[i] @ rep.Qbar[j] @ dinv, q**-a_ij * rep.Qbar[j]),
                 relative_defect(
                     rep.Q[i] @ rep.Qbar[j] - q**-a_ij * rep.Qbar[j] @ rep.Q[i],
                     casimir if i == j else np.zeros((dim, dim)),
                 ),
-            )
+            ]
+    worst = float(np.max(defects))  # a NaN defect propagates and fails the check
     return VerificationReport(
         name="algebra-relations",
         deviation=worst,

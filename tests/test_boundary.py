@@ -106,20 +106,35 @@ def test_closed_form_anchor_values():
     assert abs(k2[1, 0] + k2[0, 1]) < 1e-12
 
 
-def test_closed_form_branch_flip_is_projective(rng):
-    q, x = generic_point(rng)
-    plus = closed_form_k(2, q, x, ClosedFormParams((1, 1, -1), branch=+1))
-    minus = closed_form_k(2, q, x, ClosedFormParams((1, 1, -1), branch=-1))
-    equal, lam, _ = projective_compare(plus, minus, 1e-10)
-    assert equal
-    assert abs(abs(lam) - 1.0) < 1e-10
-
-
 def test_closed_form_rejects_bad_modulus():
     with pytest.raises(ValueError):
         ClosedFormParams((2.0, 1.0))
-    with pytest.raises(ValueError):
-        ClosedFormParams((1.0, 1.0), branch=3)
+
+
+BAD_POINTS = {"n0": (0, Q_REF, X_REF), "n-1": (-1, Q_REF, X_REF), "n1.5": (1.5, Q_REF, X_REF),
+              "q-nan": (2, np.nan, X_REF), "q-inf": (2, np.inf, X_REF),
+              "x-nan": (2, Q_REF, complex(np.nan, 1)), "x-inf": (2, Q_REF, np.inf),
+              "q0": (2, 0.0, X_REF), "x0": (2, Q_REF, 0.0)}
+ENTRY_POINTS = {
+    "vector_rep": vector_rep,
+    "paper_boundary_system": lambda n, q, x: paper_boundary_system(n, q, x, (1,)),
+    "closed_form_k": lambda n, q, x: closed_form_k(n, q, x, ClosedFormParams((1,))),
+}
+
+
+@pytest.mark.parametrize("point", BAD_POINTS.values(), ids=BAD_POINTS.keys())
+@pytest.mark.parametrize("build", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+def test_invalid_point_rejected(build, point):
+    # a one-entry eps has the right length at n = 0, so only the point check can fire
+    with pytest.raises(ValueError, match="rank index|finite and nonzero"):
+        build(*point)
+
+
+def test_non_finite_eps_rejected():
+    with pytest.raises(ValueError, match="finite"):
+        paper_boundary_system(1, Q_REF, X_REF, (np.nan, 1))
+    with pytest.raises(ValueError, match="finite"):
+        ClosedFormParams((1, np.inf))
 
 
 def test_closed_form_accepts_phase_construction():
@@ -173,6 +188,12 @@ def test_reconcile_cross_locus_n2_not_constant():
         kg.append(solve_boundary(rep, reflection_dual(rep), (star,) * 3).normalized)
     report = reconcile_gauge(kp, kg, thetas)
     assert not report.constant
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0])
+def test_reconcile_rejects_bad_tolerance(tol):
+    with pytest.raises(ValueError, match="positive and finite"):
+        reconcile_gauge([np.eye(2)], [np.eye(2)], [0.1], tol=tol)
 
 
 def test_reconcile_input_validation():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import engine_point, eps_star
+from qreflect import checks
 from qreflect.checks import (
     check_b_commutation,
     check_coideal_property,
@@ -101,6 +102,31 @@ def test_coideal_property_seed7():
     rep_a = vector_rep(2, Q_REF, np.exp(0.7))
     rep_b = vector_rep(2, Q_REF, np.exp(0.23))
     assert check_coideal_property(rep_a, rep_b, eps, tol=1e-12).passed
+
+
+def test_coideal_property_rejects_bad_input():
+    rep_a = vector_rep(2, Q_REF, np.exp(0.7))
+    rep_b = vector_rep(2, Q_REF, np.exp(0.23))
+    with pytest.raises(ValueError, match="positive and finite"):
+        check_coideal_property(rep_a, rep_b, (1, 0, -1), tol=-1)
+    with pytest.raises(ValueError, match="finite"):
+        check_coideal_property(rep_a, rep_b, (1, np.nan, -1))
+
+
+def test_coideal_property_nan_defect_fails(monkeypatch):
+    # generators with NaN entries are rejected earlier, so feed the NaN defect directly
+    defects = iter([0.0, float("nan"), 0.0])
+    monkeypatch.setattr(checks, "relative_defect", lambda lhs, rhs: next(defects))
+    rep_a = vector_rep(2, Q_REF, np.exp(0.7))
+    rep_b = vector_rep(2, Q_REF, np.exp(0.23))
+    report = check_coideal_property(rep_a, rep_b, (1, 0, -1))
+    assert np.isnan(report.deviation) and not report.passed
+
+
+def test_ybe_rejects_nan_tolerance():
+    s_ab, s_ac, s_bc = _ybe_channels(1)
+    with pytest.raises(ValueError, match="positive and finite"):
+        check_ybe(s_ab, s_ac, s_bc, (2, 2, 2), tol=float("nan"))
 
 
 def test_coideal_property_zero_eps():

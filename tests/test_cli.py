@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qreflect.cli import main, parse_complex
 from qreflect.io import deserialize_matrix
@@ -127,6 +133,69 @@ def test_invalid_tolerance_exits_2(command, tol, tmp_path, capsys):
     assert main(command + ["--tol", tol] + extra) == 2
     assert "positive and finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+KMATRIX_N = ["kmatrix", "--q", "0.8@0.3", "--x", "2", "--eps", "1", "--n"]
+
+
+@pytest.mark.parametrize("argv", [
+    *[KMATRIX_N + [n, "--method", method]
+      for n in ("0", "-1") for method in ("paper", "generic", "closed-form")],
+    ["scan", "eps", "--n", "0", "--q", "0.8@0.3", "--x", "2", "--grid", "1"],
+    ["rep-check", "--n", "1", "--q", "2", "--x", "nan"],
+    ["smatrix", "--n", "1", "--q", "nan", "--x1", "2", "--x2", "1.3"],
+    ["kmatrix", "--n", "1", "--q", "0.8@0.3", "--x", "2", "--eps", "nan,1"],
+])
+def test_invalid_point_exits_2(argv, tmp_path, capsys):
+    out = tmp_path / "x.json"
+    extra = [] if argv[0] == "rep-check" else ["--out", str(out)]
+    assert main(argv + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert "PASS" not in captured.out
+    assert not out.exists()
+
+
+# Cheap valid invocations (n <= 2) and tokens no valid input contains.
+CHEAP_ARGV = [
+    ["rep-check", "--n", "1", "--q", "0.8@0.3", "--x", "2", "--tol", "1e-10"],
+    ["smatrix", "--n", "1", "--q", "0.8@0.3", "--x1", "2", "--x2", "1.3", "--tol", "1e-9",
+     "--out", "out.json"],
+    *[["kmatrix", "--n", "1", "--q", "0.8@0.3", "--x", "2", "--eps", "1,-1", "--method", method,
+       "--out", "out.json"] for method in ("paper", "generic", "closed-form")],
+    ["verify", "coideal", "--n", "2", "--q", "0.8@0.3", "--rapidities", "0.7,0.23",
+     "--eps", "1,0,-1", "--tol", "1e-12", "--out", "out.json"],
+    ["scan", "eps", "--n", "1", "--q", "0.8@0.3", "--x", "2", "--grid", "0,1", "--out", "out.json"],
+]
+MALFORMED = ["nan", "1e400", "1@nan", "0", "-1", "x", "", "1,nan", "inf@0"]
+
+
+@contextlib.contextmanager
+def _quiet_tmpdir():
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                yield
+        finally:
+            os.chdir(cwd)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(case=st.sampled_from(range(len(CHEAP_ARGV))), position=st.integers(0, 15),
+       token=st.sampled_from(MALFORMED))
+@example(case=2, position=2, token="0")  # kmatrix --n 0 --method paper
+@example(case=0, position=6, token="nan")  # rep-check --x nan
+@example(case=1, position=4, token="nan")  # smatrix --q nan
+def test_malformed_argument_never_raises(case, position, token):
+    argv = list(CHEAP_ARGV[case])
+    argv[position % len(argv)] = token
+    with _quiet_tmpdir():
+        code = main(argv)
+        if code in (2, 3):  # output files only follow a completed computation
+            assert os.listdir(".") == []
+    assert code in (0, 1, 2, 3)
 
 
 def test_verify_ybe_passes(capsys):

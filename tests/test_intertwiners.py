@@ -5,6 +5,7 @@ from conftest import generic_point
 from qreflect.intertwiners import (
     _solve_stacked,
     dimension_scan,
+    intertwining_residual,
     reflection_dual,
     solve_boundary,
     solve_bulk,
@@ -192,7 +193,6 @@ def test_scan_bulk_ray():
     xs = [np.exp(0.1 + 0.2 * k) for k in range(4)]
     result = dimension_scan("bulk", {"n": 1, "q": Q_REF, "x_left": np.exp(0.7)}, xs)
     assert result.dims == [1, 1, 1, 1]
-    assert result.grid == xs
 
 
 def test_scan_boundary_paper_grid():
@@ -202,7 +202,8 @@ def test_scan_boundary_paper_grid():
 
     grid = [tuple(p) for p in itertools.product(values, repeat=3)]
     result = dimension_scan("boundary", {"n": 2, "q": Q_REF, "x": np.exp(0.7)}, grid)
-    for point, dim in zip(result.grid, result.dims):
+    assert len(result.dims) == len(grid)
+    for point, dim in zip(grid, result.dims):
         signs_only = all(v in (1, -1) for v in point)
         if signs_only or point == (0, 0, 0):
             assert dim == 1, point
@@ -233,3 +234,9 @@ def test_scan_rejects_empty_grid():
         dimension_scan("bulk", {"n": 1, "q": Q_REF, "x_left": 1.0}, [])
     with pytest.raises(ValueError):
         dimension_scan("orbit", {"n": 1, "q": Q_REF}, [1.0])
+
+
+def test_intertwining_residual_propagates_nan():
+    eye = np.eye(2)
+    assert np.isnan(intertwining_residual(eye, [(eye, np.full((2, 2), np.nan))]))
+    assert np.isnan(intertwining_residual(eye, [(eye, eye), (eye, np.full((2, 2), np.nan))]))

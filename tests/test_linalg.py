@@ -121,7 +121,7 @@ def test_nullspace_basis_orthonormal_and_bounded(rng):
         assert np.linalg.norm(m @ v.ravel()) <= 1e-9 * res.sigma_max
 
 
-@pytest.mark.parametrize("rel_tol", [0.0, -1e-9, float("nan")])
+@pytest.mark.parametrize("rel_tol", [0.0, -1e-9, float("nan"), float("inf")])
 def test_nullspace_rejects_bad_tolerance(rel_tol):
     with pytest.raises(ValueError):
         nullspace(np.eye(2), rel_tol=rel_tol)
@@ -151,6 +151,12 @@ def test_projective_detects_mismatch():
     assert not equal
     assert abs(dev - expected_dev) < 1e-12
     assert dev > 1e-2
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan"), float("inf")])
+def test_projective_rejects_bad_tolerance(tol):
+    with pytest.raises(ValueError, match="positive and finite"):
+        projective_compare(np.eye(2), np.eye(2), tol)
 
 
 def test_projective_zero_cases():

@@ -208,6 +208,19 @@ def test_check_relations_rejects_singular_q(rng):
         check_relations(rep)
 
 
+def test_check_relations_nan_generator_fails():
+    rep = vector_rep(1, 0.8 * np.exp(0.3j), 2.0)
+    rep.Q[0] = np.full((2, 2), np.nan)
+    report = check_relations(rep)
+    assert np.isnan(report.deviation) and not report.passed
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_check_relations_rejects_bad_tolerance(tol):
+    with pytest.raises(ValueError, match="positive and finite"):
+        check_relations(vector_rep(1, 2.0, 3.0), tol=tol)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_relations_generic_samples(n):
     rng = np.random.default_rng(1234 + n)
