@@ -10,6 +10,7 @@ reflection-equation-algebra relations numerically.
 
 from .linalg import (
     NullspaceResult,
+    VerificationReport,
     embed_on_legs,
     flip_operator,
     kron,
@@ -17,7 +18,6 @@ from .linalg import (
     nullspace,
     projective_compare,
 )
-from .reports import VerificationReport
 from .reps import (
     EvaluationRep,
     cartan_inner,
@@ -44,6 +44,7 @@ from .boundary import (
     closed_form_k,
     paper_boundary_system,
     reconcile_gauge,
+    solve_k,
     solve_paper_k,
 )
 from .checks import (
@@ -98,6 +99,7 @@ __all__ = [
     "solve_boundary",
     "solve_bulk",
     "solve_equivalence",
+    "solve_k",
     "solve_paper_k",
     "vector_rep",
 ]

@@ -25,8 +25,8 @@ import numpy as np
 from .linalg import DEFAULT_REL_TOL, as_matrix, check_tolerance, normalize_solution
 from .linalg import projective_compare
 from .linalg import nullspace  # noqa: F401  (bench/test_bench.py traces it in this namespace)
-from .intertwiners import IntertwinerSolution, solve_system
-from .reps import as_boundary_params, check_point
+from .intertwiners import IntertwinerSolution, reflection_dual, solve_boundary, solve_system
+from .reps import as_boundary_params, check_point, vector_rep
 
 
 def paper_boundary_system(n: int, q: complex, x: complex, eps) -> np.ndarray:
@@ -94,6 +94,28 @@ def solve_paper_k(
     return solve_system(rows, (n + 1, n + 1), rel_tol, residual)
 
 
+# The ``convention`` label that documents carry for each K method; the CLI
+# reads its method names and labels from here.
+_CONVENTIONS = {"paper": "paper", "generic": "antipode-dual", "closed-form": "paper"}
+
+
+def solve_k(
+    n: int, q: complex, x: complex, eps, method: str = "paper", rel_tol: float = DEFAULT_REL_TOL
+) -> IntertwinerSolution:
+    """Solve for the boundary K at one point by the named method.
+
+    "paper" solves the explicit family system (``solve_paper_k``);
+    "generic" solves the antipode-dual engine system with the conjugate
+    from ``reflection_dual`` (``solve_boundary``).
+    """
+    if method == "paper":
+        return solve_paper_k(n, q, x, eps, rel_tol)
+    if method == "generic":
+        rep = vector_rep(n, q, x)
+        return solve_boundary(rep, reflection_dual(rep), eps, rel_tol)
+    raise ValueError(f"unknown boundary method {method!r}")
+
+
 @dataclass(frozen=True)
 class ClosedFormParams:
     """Inputs of the closed-form reflection matrix.
@@ -111,9 +133,10 @@ class ClosedFormParams:
         bad = [e for e in params if abs(abs(e) - 1.0) > 1e-12]
         if bad:
             raise ValueError(f"closed form requires |eps_i| = 1, got {bad}")
-        aggregate = None if self.eps_aggregate is None else complex(self.eps_aggregate)
         object.__setattr__(self, "eps", params)
-        object.__setattr__(self, "eps_aggregate", aggregate)
+        if self.eps_aggregate is not None:
+            (aggregate,) = as_boundary_params((self.eps_aggregate,), 0)  # one finite value
+            object.__setattr__(self, "eps_aggregate", aggregate)
 
     def aggregate(self) -> complex:
         if self.eps_aggregate is not None:
@@ -167,22 +190,19 @@ class GaugeReport:
     constant: bool
     gauge: np.ndarray | None
     max_deviation: float
-    samples: list
-    tol: float
 
 
-def reconcile_gauge(k_paper_seq, k_generic_seq, sample_thetas, tol: float = 1e-6) -> GaugeReport:
+def reconcile_gauge(k_paper_seq, k_generic_seq, tol: float = 1e-6) -> GaugeReport:
     """Measure whether two K conventions differ by a rapidity-independent gauge.
 
     Both sequences must hold the (invertible) dimension-1 solutions at the
     same sampled rapidities, in order.
     """
-    thetas = list(sample_thetas)
     k_paper_seq = [as_matrix(k) for k in k_paper_seq]
     k_generic_seq = [as_matrix(k) for k in k_generic_seq]
-    if not (len(thetas) == len(k_paper_seq) == len(k_generic_seq)):
+    if len(k_paper_seq) != len(k_generic_seq):
         raise ValueError("need one K per convention per sampled rapidity")
-    if not thetas:
+    if not k_paper_seq:
         raise ValueError("need at least one sample")
     check_tolerance(tol)
     gauges = []
@@ -197,6 +217,4 @@ def reconcile_gauge(k_paper_seq, k_generic_seq, sample_thetas, tol: float = 1e-6
         constant=constant,
         gauge=gauges[0] if constant else None,
         max_deviation=worst,
-        samples=[{"theta": t, "gauge": g} for t, g in zip(thetas, gauges)],
-        tol=tol,
     )

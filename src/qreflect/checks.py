@@ -14,16 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import (
-    as_matrix,
-    check_tolerance,
-    embed_on_legs,
-    flip_operator,
-    kron,
-    projective_compare,
-    relative_defect,
-)
-from .reports import VerificationReport
+from .linalg import VerificationReport, as_matrix, embed_on_legs, kron, relative_defect
 from .reps import EvaluationRep, as_boundary_params, coideal_generators, coproduct_matrix
 
 
@@ -32,7 +23,8 @@ def plain_r(braiding, d_a: int, d_b: int) -> np.ndarray:
     braiding = as_matrix(braiding)
     if braiding.shape != (d_b * d_a, d_a * d_b):
         raise ValueError(f"braiding shape {braiding.shape} does not match dims ({d_a},{d_b})")
-    return flip_operator(d_b, d_a) @ braiding
+    cols = braiding.shape[1]
+    return braiding.reshape(d_b, d_a, cols).transpose(1, 0, 2).reshape(d_a * d_b, cols)
 
 
 def opposite_r(r_plain, d_a: int, d_b: int) -> np.ndarray:
@@ -40,12 +32,8 @@ def opposite_r(r_plain, d_a: int, d_b: int) -> np.ndarray:
     r_plain = as_matrix(r_plain)
     if r_plain.shape != (d_a * d_b, d_a * d_b):
         raise ValueError(f"plain R shape {r_plain.shape} does not match dims ({d_a},{d_b})")
-    return flip_operator(d_a, d_b) @ r_plain @ flip_operator(d_b, d_a)
-
-
-def _projective_report(name, lhs, rhs, tol) -> VerificationReport:
-    equal, lam, deviation = projective_compare(lhs, rhs, tol)
-    return VerificationReport(name=name, deviation=deviation, lam=lam, tol=tol, passed=equal)
+    size = d_a * d_b
+    return r_plain.reshape(d_a, d_b, d_a, d_b).transpose(1, 0, 3, 2).reshape(size, size)
 
 
 def check_ybe(s_ab, s_ac, s_bc, dims, tol: float = 1e-8) -> VerificationReport:
@@ -66,7 +54,7 @@ def check_ybe(s_ab, s_ac, s_bc, dims, tol: float = 1e-8) -> VerificationReport:
         @ embed_on_legs(s_ac, (1, 2), (d_b, d_a, d_c))
         @ embed_on_legs(s_ab, (0, 1), (d_a, d_b, d_c))
     )
-    return _projective_report("yang-baxter", lhs, rhs, tol)
+    return VerificationReport.projective("yang-baxter", lhs, rhs, tol)
 
 
 def check_reflection_equation(
@@ -99,7 +87,7 @@ def check_reflection_equation(
     )
     if left.shape != right.shape:
         raise ValueError(f"path shapes disagree: {left.shape} vs {right.shape}")
-    return _projective_report("reflection-equation", left, right, tol)
+    return VerificationReport.projective("reflection-equation", left, right, tol)
 
 
 def check_coideal_property(
@@ -110,7 +98,6 @@ def check_coideal_property(
     Both sides expand to the same sum of Kronecker products, so the residual
     sits at machine precision; the check guards the assembly, not the algebra.
     """
-    check_tolerance(tol)
     params = as_boundary_params(eps, rep_a.n)
     hats_b = coideal_generators(rep_b, params)
     eye_b = np.eye(rep_b.dim, dtype=np.complex128)
@@ -123,14 +110,7 @@ def check_coideal_property(
         )
         rhs = kron(rep_a.Q[i] + rep_a.Qbar[i], eye_b) + kron(rep_a.D[i], hats_b[i])
         defects.append(relative_defect(lhs, rhs))
-    worst = float(np.max(defects))  # a NaN defect propagates and fails the check
-    return VerificationReport(
-        name="coideal-property",
-        deviation=worst,
-        lam=1.0,
-        tol=tol,
-        passed=worst <= tol,
-    )
+    return VerificationReport.worst_of("coideal-property", defects, tol)
 
 
 def eval_b_matrix(k_mu, r_in, r_op_out) -> np.ndarray:
@@ -180,10 +160,9 @@ def engine_blocks(matrices: dict, dim: int) -> dict:
     return blocks
 
 
-def _blocks(b: np.ndarray, d_rows: int, d_cols: int, d_lam: int):
-    for alpha in range(d_rows):
-        for beta in range(d_cols):
-            yield b[alpha * d_lam:(alpha + 1) * d_lam, beta * d_lam:(beta + 1) * d_lam]
+def _blocks(b: np.ndarray, d_rows: int, d_cols: int, d_lam: int) -> np.ndarray:
+    """The d_lam x d_lam blocks of ``b`` as a stack, row-major over block positions."""
+    return b.reshape(d_rows, d_lam, d_cols, d_lam).swapaxes(1, 2).reshape(-1, d_lam, d_lam)
 
 
 def check_b_commutation(b_with_nu, b_with_nubar, k_nu, tol: float = 1e-8) -> VerificationReport:
@@ -209,7 +188,7 @@ def check_b_commutation(b_with_nu, b_with_nubar, k_nu, tol: float = 1e-8) -> Ver
         )
     lhs = np.vstack([k_nu @ m for m in _blocks(b_nu, d_rows, d_cols, d_nu)])
     rhs = np.vstack([m @ k_nu for m in _blocks(b_nubar, d_rows, d_cols, d_nub)])
-    return _projective_report("b-commutation", lhs, rhs, tol)
+    return VerificationReport.projective("b-commutation", lhs, rhs, tol)
 
 
 def check_sklyanin(b1, b2, r_set: dict, tol: float = 1e-8) -> VerificationReport:
@@ -244,4 +223,4 @@ def check_sklyanin(b1, b2, r_set: dict, tol: float = 1e-8) -> VerificationReport
         @ embed_on_legs(b1, (0, 2), legs)
         @ embed_on_legs(r_set["r_mu_nu"], (0, 1), legs)
     )
-    return _projective_report("sklyanin-exchange", lhs, rhs, tol)
+    return VerificationReport.projective("sklyanin-exchange", lhs, rhs, tol)

@@ -12,6 +12,12 @@ Complex values are written "a+bi" or polar "r@phi"; --rapidities takes
 theta values (x = e^theta internally), --x flags take x directly.  Valid
 input: n >= 1, finite nonzero q and x, finite eps, positive finite --tol.
 
+The CLI decides nothing the library owns: kmatrix and scan solve
+through ``boundary.solve_k``, whose table also gives each method's
+``convention`` label; --tol defaults to ``linalg.DEFAULT_REL_TOL`` for
+solves and, when omitted, to each check's own default for rep-check and
+verify.
+
 Exit codes: 0 success / verification passed, 1 verification failed,
 2 invalid input, 3 degenerate solution space (dimension != 1 where a
 unique matrix was requested).  Output files are written only after the
@@ -30,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as qio
-from .boundary import ClosedFormParams, closed_form_k, solve_paper_k
+from .boundary import _CONVENTIONS, ClosedFormParams, closed_form_k, solve_k
 from .checks import (
     check_b_commutation,
     check_coideal_property,
@@ -39,14 +45,8 @@ from .checks import (
     check_ybe,
     engine_blocks,
 )
-from .intertwiners import (
-    dimension_scan,
-    engine_point,
-    reflection_dual,
-    solve_boundary,
-    solve_bulk,
-)
-from .linalg import check_tolerance, normalize_solution
+from .intertwiners import dimension_scan, engine_point, solve_bulk
+from .linalg import DEFAULT_REL_TOL, check_tolerance, normalize_solution
 from .reps import check_relations, dual_rep, vector_rep
 
 EXIT_OK = 0
@@ -55,25 +55,21 @@ EXIT_INVALID = 2
 EXIT_DEGENERATE = 3
 
 
-class CliError(ValueError):
-    """Invalid command-line input."""
-
-
 def parse_complex(text: str) -> complex:
     """Parse "a+bi" or polar "r@phi" notation."""
     raw = text.strip().replace(" ", "")
     if not raw:
-        raise CliError("empty complex value")
+        raise ValueError("empty complex value")
     if "@" in raw:
         mod, _, phase = raw.partition("@")
         try:
             return float(mod) * cmath.exp(1j * float(phase))
         except ValueError as exc:
-            raise CliError(f"bad polar value {text!r}") from exc
+            raise ValueError(f"bad polar value {text!r}") from exc
     try:
         return complex(raw.replace("i", "j"))
     except ValueError as exc:
-        raise CliError(f"bad complex value {text!r}") from exc
+        raise ValueError(f"bad complex value {text!r}") from exc
 
 
 def parse_complex_list(text: str) -> list:
@@ -116,8 +112,9 @@ class Degenerate(RuntimeError):
     pass
 
 
-def _write_out(path: str, data: bytes) -> None:
-    Path(path).write_bytes(data)
+def _check_tol(args) -> dict:
+    """The ``tol`` keyword for a check: --tol if given, else the check's own default."""
+    return {} if args.tol is None else {"tol": args.tol}
 
 
 # --------------------------------------------------------------------------
@@ -126,7 +123,7 @@ def _write_out(path: str, data: bytes) -> None:
 
 def cmd_rep_check(args) -> int:
     rep = vector_rep(args.n, args.q, args.x)
-    reports = [check_relations(rep, args.tol), check_relations(dual_rep(rep), args.tol)]
+    reports = [check_relations(r, **_check_tol(args)) for r in (rep, dual_rep(rep))]
     for flavor, report in zip(("vector", "dual"), reports):
         print(f"{_pass_word(report.passed)}  algebra-relations[{flavor}]: "
               f"deviation={report.deviation:.6e}  tol={report.tol:.1e}")
@@ -152,40 +149,31 @@ def cmd_smatrix(args) -> int:
         eps=None,
         tol=args.tol,
     )
-    _write_out(args.out, qio.serialize_matrix(doc))
+    Path(args.out).write_bytes(qio.serialize_matrix(doc))
     print(f"smatrix: dimension 1, residual {solution.residual:.3e}, wrote {args.out}")
     return EXIT_OK
 
 
 def cmd_kmatrix(args) -> int:
-    eps = args.eps
-    if args.method == "paper":
-        solution = solve_paper_k(args.n, args.q, args.x, eps, rel_tol=args.tol)
-        matrix = _require_unique(solution, "paper boundary system")
-        convention = "paper"
-        note = f"residual {solution.residual:.3e}"
-    elif args.method == "generic":
-        rep = vector_rep(args.n, args.q, args.x)
-        solution = solve_boundary(rep, reflection_dual(rep), eps, rel_tol=args.tol)
-        matrix = _require_unique(solution, "boundary intertwiner")
-        convention = "antipode-dual"
-        note = f"residual {solution.residual:.3e}"
-    else:  # closed-form
-        params = ClosedFormParams(eps, eps_aggregate=args.eps_aggregate)
+    if args.method == "closed-form":
+        params = ClosedFormParams(args.eps, eps_aggregate=args.eps_aggregate)
         matrix = normalize_solution(closed_form_k(args.n, args.q, args.x, params))
-        convention = "paper"
         note = "closed form"
+    else:
+        solution = solve_k(args.n, args.q, args.x, args.eps, args.method, args.tol)
+        matrix = _require_unique(solution, f"{args.method} boundary system")
+        note = f"residual {solution.residual:.3e}"
     doc = qio.MatrixDocument(
         kind="kmatrix",
         n=args.n,
         q=args.q,
         matrix=matrix,
-        convention=convention,
+        convention=_CONVENTIONS[args.method],
         x=[args.x],
-        eps=list(eps),
+        eps=list(args.eps),
         tol=args.tol,
     )
-    _write_out(args.out, qio.serialize_matrix(doc))
+    Path(args.out).write_bytes(qio.serialize_matrix(doc))
     print(f"kmatrix[{args.method}]: {note}, wrote {args.out}")
     return EXIT_OK
 
@@ -193,71 +181,66 @@ def cmd_kmatrix(args) -> int:
 def cmd_verify(args) -> int:
     mode = args.check
     thetas = args.rapidities
-    default_tol = 1e-12 if mode == "coideal" else 1e-8
-    tol = args.tol if args.tol is not None else default_tol
     need = {"ybe": 3, "re": 2, "coideal": 2, "sklyanin": 3, "b-comm": 2}[mode]
     if len(thetas) != need:
-        raise CliError(f"verify {mode} needs {need} rapidities, got {len(thetas)}")
+        raise ValueError(f"verify {mode} needs {need} rapidities, got {len(thetas)}")
     eps = args.eps
     if mode != "ybe" and eps is None:
-        raise CliError(f"verify {mode} requires --eps")
+        raise ValueError(f"verify {mode} requires --eps")
 
     n, q = args.n, args.q
     dim = n + 1
-    rel_tol = 1e-9
+    tol_kw = _check_tol(args)
     if mode == "ybe":
         ra, rb, rc = (vector_rep(n, q, cmath.exp(t)) for t in thetas)
-        s_ab = _require_unique(solve_bulk(ra, rb, rel_tol), "S_ab")
-        s_ac = _require_unique(solve_bulk(ra, rc, rel_tol), "S_ac")
-        s_bc = _require_unique(solve_bulk(rb, rc, rel_tol), "S_bc")
-        reports = [check_ybe(s_ab, s_ac, s_bc, (dim, dim, dim), tol)]
+        s_ab = _require_unique(solve_bulk(ra, rb), "S_ab")
+        s_ac = _require_unique(solve_bulk(ra, rc), "S_ac")
+        s_bc = _require_unique(solve_bulk(rb, rc), "S_bc")
+        report = check_ybe(s_ab, s_ac, s_bc, (dim, dim, dim), **tol_kw)
     elif mode == "coideal":
         xa, xb = (cmath.exp(t) for t in thetas)
-        reports = [check_coideal_property(vector_rep(n, q, xa), vector_rep(n, q, xb), eps, tol)]
+        report = check_coideal_property(vector_rep(n, q, xa), vector_rep(n, q, xb), eps, **tol_kw)
     else:
-        solved = engine_point(n, q, thetas, eps, rel_tol)
+        solved = engine_point(n, q, thetas, eps)
         m = {key: _require_unique(sol, key) for key, sol in solved.items()}
         if mode == "re":
-            reports = [
-                check_reflection_equation(
-                    m["k_mu"], m["k_nu"], m["s_mn"], m["s_m_nb"], m["s_n_mb"], m["s_nb_mb"], tol
-                )
-            ]
+            report = check_reflection_equation(
+                m["k_mu"], m["k_nu"], m["s_mn"], m["s_m_nb"], m["s_n_mb"], m["s_nb_mb"], **tol_kw
+            )
         elif mode == "b-comm":
             blocks = engine_blocks(m, dim)
-            reports = [check_b_commutation(blocks["b_nu"], blocks["b_nub"], m["k_nu"], tol)]
+            report = check_b_commutation(blocks["b_nu"], blocks["b_nub"], m["k_nu"], **tol_kw)
         else:  # sklyanin
             blocks = engine_blocks(m, dim)
-            reports = [check_sklyanin(blocks["b1"], blocks["b2"], blocks["r_set"], tol)]
+            report = check_sklyanin(blocks["b1"], blocks["b2"], blocks["r_set"], **tol_kw)
 
-    for report in reports:
-        _print_report(report)
+    _print_report(report)
     if args.out:
         doc = qio.ReportDocument(
             kind=f"verify-{mode}",
             n=n,
             q=q,
-            checks=reports,
-            convention="antipode-dual" if mode in ("re", "sklyanin", "b-comm") else "n/a",
+            checks=[report],
+            convention="n/a" if mode in ("ybe", "coideal") else _CONVENTIONS["generic"],
             rapidities=[complex(t) for t in thetas],
             eps=None if eps is None else list(eps),
-            tol=tol,
+            tol=report.tol,
         )
-        _write_out(args.out, qio.serialize_report(doc))
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_FAILED
+        Path(args.out).write_bytes(qio.serialize_report(doc))
+    return EXIT_OK if report.passed else EXIT_FAILED
 
 
 def _parse_theta_grid(spec: str) -> list:
     parts = spec.split(":")
     if len(parts) != 3:
-        raise CliError("theta grid spec must be start:stop:count")
+        raise ValueError("theta grid spec must be start:stop:count")
     start, stop = parse_complex(parts[0]), parse_complex(parts[1])
     try:
         count = int(parts[2])
     except ValueError as exc:
-        raise CliError(f"bad grid count {parts[2]!r}") from exc
+        raise ValueError(f"bad grid count {parts[2]!r}") from exc
     if count < 1:
-        raise CliError("grid count must be >= 1")
+        raise ValueError("grid count must be >= 1")
     if count == 1:
         return [start]
     return [start + (stop - start) * k / (count - 1) for k in range(count)]
@@ -267,10 +250,10 @@ def cmd_scan(args) -> int:
     n, q = args.n, args.q
     if args.axis == "eps":
         if args.x is None:
-            raise CliError("scan eps requires --x")
+            raise ValueError("scan eps requires --x")
         values = parse_complex_list(args.grid)
         if len(values) ** (n + 1) > 200_000:
-            raise CliError("eps grid too large")
+            raise ValueError("eps grid too large")
         grid = [tuple(p) for p in itertools.product(values, repeat=n + 1)]
         fixed = {"n": n, "q": q, "x": args.x, "method": args.method}
         result = dimension_scan("boundary", fixed, grid)
@@ -280,21 +263,21 @@ def cmd_scan(args) -> int:
             "q": qio._pair(q),
             "x": qio._pair(args.x),
             "method": args.method,
-            "convention": "paper" if args.method == "paper" else "antipode-dual",
+            "convention": _CONVENTIONS[args.method],
         }
     else:  # theta
         grid = _parse_theta_grid(args.grid)  # the document records the thetas, not x = e^theta
         xs = [cmath.exp(t) for t in grid]
         if args.kind == "bulk":
             if args.x is None:
-                raise CliError("scan theta --kind bulk requires --x (left parameter)")
+                raise ValueError("scan theta --kind bulk requires --x (left parameter)")
             fixed = {"n": n, "q": q, "x_left": args.x}
             result = dimension_scan("bulk", fixed, xs)
             meta = {"scan": "theta", "kind": "bulk", "n": n, "q": qio._pair(q),
                     "x_left": qio._pair(args.x)}
         else:
             if args.eps is None:
-                raise CliError("scan theta --kind boundary requires --eps")
+                raise ValueError("scan theta --kind boundary requires --eps")
             fixed = {"n": n, "q": q, "eps": tuple(args.eps), "method": args.method}
             result = dimension_scan("boundary", fixed, xs)
             meta = {
@@ -304,9 +287,9 @@ def cmd_scan(args) -> int:
                 "q": qio._pair(q),
                 "eps": [qio._pair(e) for e in args.eps],
                 "method": args.method,
-                "convention": "paper" if args.method == "paper" else "antipode-dual",
+                "convention": _CONVENTIONS[args.method],
             }
-    _write_out(args.out, qio.serialize_scan(meta, grid, result.dims))
+    Path(args.out).write_bytes(qio.serialize_scan(meta, grid, result.dims))
     print(f"scan: {len(result.dims)} points, dims "
           f"min={min(result.dims)} max={max(result.dims)}, wrote {args.out}")
     return EXIT_OK
@@ -331,30 +314,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rep-check", help="verify the algebra relations in a representation")
     common(p, ("--x",))
-    p.add_argument("--tol", type=parse_tolerance, default=1e-10)
+    p.add_argument("--tol", type=parse_tolerance, default=None)
     p.set_defaults(func=cmd_rep_check)
 
     p = sub.add_parser("smatrix", help="solve a bulk two-particle intertwiner")
     common(p, ("--x1", "--x2"))
     p.add_argument("--dual-left", action="store_true")
     p.add_argument("--dual-right", action="store_true")
-    p.add_argument("--tol", type=parse_tolerance, default=1e-9)
+    p.add_argument("--tol", type=parse_tolerance, default=DEFAULT_REL_TOL)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_smatrix)
 
     p = sub.add_parser("kmatrix", help="solve or evaluate a boundary reflection matrix")
     common(p, ("--x",))
     p.add_argument("--eps", type=parse_complex_list, required=True)
-    p.add_argument("--method", choices=("paper", "generic", "closed-form"), default="paper")
+    p.add_argument("--method", choices=tuple(_CONVENTIONS), default="paper")
     p.add_argument("--eps-aggregate", type=parse_complex, default=None)
-    p.add_argument("--tol", type=parse_tolerance, default=1e-9)
+    p.add_argument("--tol", type=parse_tolerance, default=DEFAULT_REL_TOL)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_kmatrix)
 
     p = sub.add_parser("verify", help="run a nonlinear consistency check")
     p.add_argument("check", choices=("ybe", "re", "coideal", "sklyanin", "b-comm"))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=parse_complex, required=True)
+    common(p)
     p.add_argument("--rapidities", type=parse_complex_list, required=True,
                    help="theta values; x = e^theta")
     p.add_argument("--eps", type=parse_complex_list, default=None)
@@ -364,8 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="record nullspace dimensions over a grid")
     p.add_argument("axis", choices=("eps", "theta"))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=parse_complex, required=True)
+    common(p)
     p.add_argument("--x", type=parse_complex, default=None)
     p.add_argument("--eps", type=parse_complex_list, default=None)
     p.add_argument("--grid", required=True,
@@ -391,10 +372,7 @@ def main(argv=None) -> int:
     except Degenerate as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (CliError, ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -207,11 +207,10 @@ def dimension_scan(kind: str, fixed: dict, grid, rel_tol: float = DEFAULT_REL_TO
     """Record intertwiner nullspace dimensions over a grid.
 
     kind="bulk": fixed needs n, q, x_left; grid entries are right spectral
-    parameters.  kind="boundary": fixed needs n, q, x and a ``method`` of
-    "paper" (the explicit printed equation system) or "generic" (the
-    antipode-dual engine system with the conjugate from ``reflection_dual``).
-    Grid entries are eps tuples, or spectral parameters when fixed carries an
-    ``eps`` entry instead.  Degenerate points are recorded, never raised.
+    parameters.  kind="boundary": fixed needs n, q, x and a ``method`` that
+    ``boundary.solve_k`` accepts ("paper" or "generic").  Grid entries are
+    eps tuples, or spectral parameters when fixed carries an ``eps`` entry
+    instead.  Degenerate points are recorded, never raised.
     """
     grid = list(grid)
     if not grid:
@@ -223,24 +222,15 @@ def dimension_scan(kind: str, fixed: dict, grid, rel_tol: float = DEFAULT_REL_TO
         for point in grid:
             dims.append(solve_bulk(left, vector_rep(n, q, point), rel_tol).dimension)
     elif kind == "boundary":
+        from .boundary import solve_k  # local import, boundary builds on this module
+
         method = fixed.get("method", "paper")
         for point in grid:
             if isinstance(point, (tuple, list)):
                 eps, x = point, fixed["x"]
             else:
                 eps, x = fixed["eps"], point
-            dims.append(_boundary_dimension(n, q, x, eps, method, rel_tol))
+            dims.append(solve_k(n, q, x, eps, method, rel_tol).dimension)
     else:
         raise ValueError(f"unknown scan kind {kind!r}")
     return ScanResult(dims=dims)
-
-
-def _boundary_dimension(n, q, x, eps, method, rel_tol) -> int:
-    if method == "paper":
-        from .boundary import solve_paper_k  # local import, boundary builds on this module
-
-        return solve_paper_k(n, q, x, eps, rel_tol).dimension
-    if method == "generic":
-        rep = vector_rep(n, q, x)
-        return solve_boundary(rep, reflection_dual(rep), eps, rel_tol).dimension
-    raise ValueError(f"unknown boundary method {method!r}")

@@ -1,4 +1,4 @@
-"""Dense complex linear algebra helpers.
+"""Dense complex linear algebra helpers and the verification report record.
 
 Everything here operates on 2-d ``numpy`` arrays of ``complex128`` in
 row-major (C) order.  The row-major convention matters: ``vec`` of a
@@ -170,3 +170,32 @@ def relative_defect(lhs, rhs) -> float:
     rhs = np.asarray(rhs)
     scale = max(1.0, float(np.linalg.norm(lhs)), float(np.linalg.norm(rhs)))
     return float(np.linalg.norm(lhs - rhs)) / scale
+
+
+@dataclass
+class VerificationReport:
+    """Outcome of one numerical identity check.
+
+    ``lam`` is the single scalar recovered by a projective comparison
+    (identities hold only up to one overall factor; 1 for direct checks),
+    ``deviation`` the relative mismatch after dividing that scalar out.
+    """
+
+    name: str
+    deviation: float
+    lam: complex
+    tol: float
+    passed: bool
+
+    @classmethod
+    def projective(cls, name: str, lhs, rhs, tol: float) -> "VerificationReport":
+        """Report of ``projective_compare(lhs, rhs, tol)``."""
+        equal, lam, deviation = projective_compare(lhs, rhs, tol)
+        return cls(name=name, deviation=deviation, lam=lam, tol=tol, passed=equal)
+
+    @classmethod
+    def worst_of(cls, name: str, defects, tol: float) -> "VerificationReport":
+        """Report of the worst of ``defects``; a NaN defect propagates and fails."""
+        check_tolerance(tol)
+        worst = float(np.max(defects))
+        return cls(name=name, deviation=worst, lam=1.0, tol=tol, passed=worst <= tol)

@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import check_tolerance, kron, relative_defect
-from .reports import VerificationReport
+from .linalg import VerificationReport, kron, relative_defect
 
 
 def cartan_inner(n: int, i: int, j: int) -> int:
@@ -205,7 +204,6 @@ def check_relations(rep: EvaluationRep, tol: float = 1e-10) -> VerificationRepor
     (a)/(b) are the exponentiated forms of the T-commutators.  Serre
     relations are not checked.
     """
-    check_tolerance(tol)
     q = rep.q
     if abs(q**2 - 1.0) < 1e-12:
         raise ValueError("relation (c) is singular at q^2 = 1")
@@ -225,11 +223,4 @@ def check_relations(rep: EvaluationRep, tol: float = 1e-10) -> VerificationRepor
                     casimir if i == j else np.zeros((dim, dim)),
                 ),
             ]
-    worst = float(np.max(defects))  # a NaN defect propagates and fails the check
-    return VerificationReport(
-        name="algebra-relations",
-        deviation=worst,
-        lam=1.0,
-        tol=tol,
-        passed=worst <= tol,
-    )
+    return VerificationReport.worst_of("algebra-relations", defects, tol)

@@ -9,6 +9,7 @@ from qreflect.boundary import (
     closed_form_k,
     paper_boundary_system,
     reconcile_gauge,
+    solve_k,
     solve_paper_k,
 )
 from qreflect.intertwiners import reflection_dual, solve_boundary
@@ -137,6 +138,23 @@ def test_non_finite_eps_rejected():
         ClosedFormParams((1, np.inf))
 
 
+@pytest.mark.parametrize("aggregate", [np.nan, np.inf, complex(1, np.nan)])
+def test_non_finite_eps_aggregate_rejected(aggregate):
+    with pytest.raises(ValueError, match="finite"):
+        ClosedFormParams((1, 1), eps_aggregate=aggregate)
+
+
+def test_solve_k_dispatches_by_method():
+    rep = vector_rep(2, Q_REF, X_REF)
+    paper = solve_k(2, Q_REF, X_REF, (1, -1, 1))
+    assert np.array_equal(paper.normalized, solve_paper_k(2, Q_REF, X_REF, (1, -1, 1)).normalized)
+    generic = solve_k(2, Q_REF, X_REF, (0, 0, 0), method="generic")
+    engine = solve_boundary(rep, reflection_dual(rep), (0, 0, 0))
+    assert np.array_equal(generic.normalized, engine.normalized)
+    with pytest.raises(ValueError, match="unknown boundary method"):
+        solve_k(2, Q_REF, X_REF, (1, 1, 1), method="closed-form")
+
+
 def test_closed_form_accepts_phase_construction():
     # construction allows any unimodular entries; solvability is separate
     phase = np.exp(0.4j)
@@ -147,7 +165,7 @@ def test_closed_form_accepts_phase_construction():
 def test_reconcile_identity_case():
     thetas = [0.4, 0.8]
     ks = [solve_paper_k(1, Q_REF, np.exp(t), (1, 1)).normalized for t in thetas]
-    report = reconcile_gauge(ks, ks, thetas)
+    report = reconcile_gauge(ks, ks)
     assert report.constant
     assert projective_compare(report.gauge, np.eye(2), 1e-10)[0]
 
@@ -157,7 +175,7 @@ def test_reconcile_constructed_gauge():
     g = np.diag([1.0, 3.0 - 1.0j])
     kp = [solve_paper_k(1, Q_REF, np.exp(t), (1, 1)).normalized for t in thetas]
     kg = [g @ k for k in kp]
-    report = reconcile_gauge(kp, kg, thetas)
+    report = reconcile_gauge(kp, kg)
     assert report.constant
     assert projective_compare(report.gauge, g, 1e-8)[0]
 
@@ -171,7 +189,7 @@ def test_reconcile_engine_vs_paper_n1():
         rep = vector_rep(1, Q_REF, np.exp(t))
         kp.append(solve_paper_k(1, Q_REF, np.exp(t), (1, 1)).normalized)
         kg.append(solve_boundary(rep, reflection_dual(rep), (1, 1)).normalized)
-    report = reconcile_gauge(kp, kg, thetas)
+    report = reconcile_gauge(kp, kg)
     assert report.constant
     assert projective_compare(report.gauge, np.eye(2), 1e-8)[0]
 
@@ -186,20 +204,20 @@ def test_reconcile_cross_locus_n2_not_constant():
         rep = vector_rep(2, Q_REF, np.exp(t))
         kp.append(solve_paper_k(2, Q_REF, np.exp(t), (1, 1, 1)).normalized)
         kg.append(solve_boundary(rep, reflection_dual(rep), (star,) * 3).normalized)
-    report = reconcile_gauge(kp, kg, thetas)
+    report = reconcile_gauge(kp, kg)
     assert not report.constant
 
 
 @pytest.mark.parametrize("tol", [float("nan"), -1.0])
 def test_reconcile_rejects_bad_tolerance(tol):
     with pytest.raises(ValueError, match="positive and finite"):
-        reconcile_gauge([np.eye(2)], [np.eye(2)], [0.1], tol=tol)
+        reconcile_gauge([np.eye(2)], [np.eye(2)], tol=tol)
 
 
 def test_reconcile_input_validation():
     with pytest.raises(ValueError):
-        reconcile_gauge([np.eye(2)], [np.eye(2), np.eye(2)], [0.1])
+        reconcile_gauge([np.eye(2)], [np.eye(2), np.eye(2)])
     with pytest.raises(ValueError):
-        reconcile_gauge([], [], [])
+        reconcile_gauge([], [])
     with pytest.raises(ValueError):
-        reconcile_gauge([np.zeros((2, 2))], [np.eye(2)], [0.1])
+        reconcile_gauge([np.zeros((2, 2))], [np.eye(2)])

@@ -15,6 +15,7 @@ from qreflect.checks import (
     plain_r,
 )
 from qreflect.intertwiners import solve_bulk
+from qreflect.linalg import flip_operator
 from qreflect.reps import vector_rep
 
 Q_REF = 0.8 * np.exp(0.3j)
@@ -221,3 +222,25 @@ def test_plain_and_opposite_r_shape_guards():
         plain_r(np.eye(5), 2, 2)
     with pytest.raises(ValueError):
         opposite_r(np.eye(5), 2, 2)
+
+
+@pytest.mark.parametrize("d_a,d_b", [(2, 3), (3, 2)])
+def test_leg_swaps_match_flip_operator_on_unequal_legs(d_a, d_b, rng):
+    size = d_a * d_b
+    braiding = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    assert np.array_equal(plain_r(braiding, d_a, d_b), flip_operator(d_b, d_a) @ braiding)
+    r_plain = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    expected = flip_operator(d_a, d_b) @ r_plain @ flip_operator(d_b, d_a)
+    assert np.array_equal(opposite_r(r_plain, d_a, d_b), expected)
+
+
+def test_b_commutation_on_a_rectangular_block_grid(rng):
+    # 2 x 3 grid of 2 x 2 blocks with Mbar_ab = K M_ab K^-1: one common scalar
+    k_nu = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    blocks = rng.normal(size=(2, 3, 2, 2)) + 1j * rng.normal(size=(2, 3, 2, 2))
+    bar = k_nu @ blocks @ np.linalg.inv(k_nu)
+    b_nu = blocks.swapaxes(1, 2).reshape(4, 6)
+    b_nubar = bar.swapaxes(1, 2).reshape(4, 6)
+    assert check_b_commutation(b_nu, 2.5 * b_nubar, k_nu).passed
+    b_nubar[0:2, 4:6] *= 3.0  # block (0, 2) alone gets another scalar
+    assert not check_b_commutation(b_nu, b_nubar, k_nu).passed

@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -9,8 +10,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qreflect.boundary import solve_k
+from qreflect.checks import (
+    check_b_commutation,
+    check_coideal_property,
+    check_reflection_equation,
+    check_sklyanin,
+    check_ybe,
+)
 from qreflect.cli import main, parse_complex
 from qreflect.io import deserialize_matrix
+from qreflect.linalg import DEFAULT_REL_TOL
 
 
 def test_parse_complex_forms():
@@ -61,6 +71,64 @@ def test_kmatrix_generic_method_n1_matches_paper(tmp_path):
         outs[method] = doc
     assert outs["generic"].convention == "antipode-dual"
     assert np.allclose(outs["paper"].matrix, outs["generic"].matrix, atol=1e-10)
+
+
+@pytest.mark.parametrize("method, eps, convention", [
+    ("paper", (1, -1, 1), "paper"),
+    ("generic", (0, 0, 0), "antipode-dual"),
+], ids=["paper", "generic"])
+def test_kmatrix_writes_the_solve_k_solution(method, eps, convention, tmp_path):
+    out = tmp_path / "k.json"
+    assert main([
+        "kmatrix", "--n", "2", "--q", "0.8@0.3", "--x", "2.01+0i",
+        "--eps", ",".join(map(str, eps)), "--method", method, "--out", str(out),
+    ]) == 0
+    doc = deserialize_matrix(out.read_bytes())
+    expected = solve_k(2, parse_complex("0.8@0.3"), 2.01, eps, method).normalized
+    assert np.array_equal(doc.matrix, expected)
+    assert doc.convention == convention
+
+
+def test_kmatrix_eps_aggregate_must_be_finite(tmp_path, capsys):
+    out = tmp_path / "k.json"
+    code = main([
+        "kmatrix", "--n", "1", "--q", "2+0i", "--x", "3+0i", "--eps", "1,1",
+        "--method", "closed-form", "--eps-aggregate", "nan", "--out", str(out),
+    ])
+    assert code == 2
+    assert "boundary parameters must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["smatrix", "--x1", "2.01+0i", "--x2", "1.26+0i"],
+    ["kmatrix", "--x", "2.01+0i", "--eps", "1,-1", "--method", "paper"],
+    ["kmatrix", "--x", "2.01+0i", "--eps", "1,-1", "--method", "generic"],
+    ["kmatrix", "--x", "2.01+0i", "--eps", "1,-1", "--method", "closed-form"],
+], ids=["smatrix", "kmatrix-paper", "kmatrix-generic", "kmatrix-closed-form"])
+def test_solve_documents_record_the_default_rel_tol(argv, tmp_path):
+    out = tmp_path / "m.json"
+    assert main(argv + ["--n", "1", "--q", "0.8@0.3", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["meta"]["tol"] == DEFAULT_REL_TOL
+
+
+@pytest.mark.parametrize("mode, rapidities, check, tol", [
+    ("ybe", "0.7,0.23,-0.41", check_ybe, 1e-8),
+    ("re", "0.7,0.23", check_reflection_equation, 1e-8),
+    ("coideal", "0.7,0.23", check_coideal_property, 1e-12),
+    ("sklyanin", "0.7,0.23,-0.41", check_sklyanin, 1e-8),
+    ("b-comm", "0.7,0.23", check_b_commutation, 1e-8),
+], ids=["ybe", "re", "coideal", "sklyanin", "b-comm"])
+def test_verify_records_the_check_default_tol(mode, rapidities, check, tol, tmp_path):
+    assert inspect.signature(check).parameters["tol"].default == tol
+    out = tmp_path / "v.json"
+    assert main([
+        "verify", mode, "--n", "1", "--q", "0.8@0.3", "--rapidities", rapidities,
+        "--eps", "1,1", "--out", str(out),
+    ]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["meta"]["tol"] == tol
+    assert payload["checks"][0]["tol"] == tol
 
 
 def test_kmatrix_generic_method_off_locus_exits_3(tmp_path):
@@ -263,7 +331,9 @@ def test_repeated_invocations_byte_identical(tmp_path):
 
 def test_rep_check(capsys):
     assert main(["rep-check", "--n", "2", "--q", "0.8@0.3", "--x", "2.01+0i"]) == 0
-    assert "algebra-relations" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "algebra-relations" in out
+    assert out.count("tol=1.0e-10") == 2  # check_relations' own default
 
 
 def test_smatrix_writes_document(tmp_path):

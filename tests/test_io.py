@@ -15,7 +15,7 @@ from qreflect.io import (
     serialize_report,
     serialize_scan,
 )
-from qreflect.reports import VerificationReport
+from qreflect.linalg import VerificationReport
 
 
 def _doc(matrix=None):
