@@ -31,6 +31,7 @@ from .reps import (
 from .intertwiners import (
     IntertwinerSolution,
     ScanResult,
+    closed_form_s,
     dimension_scan,
     engine_point,
     reflection_dual,
@@ -77,6 +78,7 @@ __all__ = [
     "check_sklyanin",
     "check_ybe",
     "closed_form_k",
+    "closed_form_s",
     "coideal_generators",
     "coproduct_matrix",
     "dimension_scan",

@@ -1,34 +1,23 @@
 """Intertwining equations posed as homogeneous linear systems.
 
 Bulk S-matrices, boundary K-matrices, and representation equivalences are
-all nullspace problems: stack one vectorized Sylvester block
-X -> X @ M_in - M_out @ X per generator and feed the stack to the SVD.
-Blocks are stacked kind-major (Q, Qbar, qT), node index minor; q^{-T_i}
-rows are implied by invertibility and never stacked.
+all nullspace problems: stack the rows of X -> X @ M_in - M_out @ X per
+generator on the entries of X that may be nonzero and feed the stack to the
+SVD.  Blocks are stacked kind-major (Q, Qbar, qT), node index minor;
+q^{-T_i} rows are implied by invertibility and never stacked.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .linalg import (
-    DEFAULT_REL_TOL,
-    NullspaceResult,
-    normalize_solution,
-    nullspace,
-)
-from .reps import (
-    GENERATOR_ORDER,
-    EvaluationRep,
-    as_boundary_params,
-    coideal_generators,
-    coproduct_matrix,
-    dual_rep,
-    vector_rep,
-)
+from .linalg import DEFAULT_REL_TOL, NullspaceResult, normalize_solution, nullspace
+from .reps import GENERATOR_ORDER, EvaluationRep, as_boundary_params, check_point
+from .reps import coideal_generators, coproduct_matrix, dual_rep, vector_rep
 
 
 @dataclass
@@ -50,34 +39,49 @@ class IntertwinerSolution:
         return self.nullspace.dimension
 
 
-def _sylvester_block(m_in: np.ndarray, m_out: np.ndarray) -> np.ndarray:
-    """Matrix of X -> X @ m_in - m_out @ X acting on vec(X), row-major."""
-    rows_x = m_out.shape[0]
-    cols_x = m_in.shape[0]
-    eye_r = np.eye(rows_x, dtype=np.complex128)
-    eye_c = np.eye(cols_x, dtype=np.complex128)
-    return np.kron(eye_r, m_in.T) - np.kron(m_out, eye_c)
+def sylvester_rows(pairs, support) -> np.ndarray:
+    """Rows of X -> X @ m_in - m_out @ X per pair, on the unknowns X[support] (a mask).
+
+    A pair's equations (r, c) come in row-major order; all-zero rows are dropped.
+    """
+    out_idx, in_idx = np.nonzero(support)
+    cols_x = support.shape[1]
+    blocks = []
+    for m_in, m_out in pairs:
+        # X[o, i] m_in[i, c] enters equation (o, c); m_out[r, o] X[o, i] enters (r, i)
+        k_in, c = np.nonzero(m_in[in_idx, :])
+        r, k_out = np.nonzero(m_out[:, out_idx])
+        equation = np.concatenate([out_idx[k_in] * cols_x + c, r * cols_x + in_idx[k_out]])
+        coeff = np.concatenate([m_in[in_idx[k_in], c], -m_out[r, out_idx[k_out]]])
+        labels, row = np.unique(equation, return_inverse=True)  # only the touched equations
+        block = np.zeros((labels.size, out_idx.size), dtype=np.complex128)
+        np.add.at(block, (row, np.concatenate([k_in, k_out])), coeff)
+        blocks.append(block[block.any(axis=1)])
+    return np.vstack(blocks)
 
 
-def solve_system(rows, shape, rel_tol, residual, flags=()):
+def solve_system(rows, shape, rel_tol, residual, flags=(), support=None):
     """Common tail of every solve: nullspace of ``rows``, normalize, score.
 
-    ``residual`` maps the normalized solution (present only when the space
-    is one-dimensional) to its worst relative defect.
+    ``rows`` act on ``support`` (a mask; all entries when None) of an unknown of
+    ``shape``, where the basis is scattered back; ``residual`` scores a 1-d solution.
     """
-    ns = nullspace(rows, rel_tol=rel_tol, unknown_shape=shape)
+    ns = nullspace(rows, rel_tol=rel_tol)
+    full = np.zeros((ns.dimension, *shape), dtype=np.complex128)
+    full[:, np.ones(shape, dtype=bool) if support is None else support] = ns.basis
+    ns.basis = full
     solution = IntertwinerSolution(nullspace=ns, flags=tuple(flags))
     if ns.dimension == 1:
-        candidate = normalize_solution(ns.basis[0])
-        solution.normalized = candidate
-        solution.residual = residual(candidate)
+        solution.normalized = normalize_solution(ns.basis[0])
+        solution.residual = residual(solution.normalized)
     return solution
 
 
-def _solve_stacked(pairs, shape, rel_tol, flags=()):
-    """Stack one Sylvester block per generator pair and solve."""
-    rows = np.vstack([_sylvester_block(m_in, m_out) for m_in, m_out in pairs])
-    return solve_system(rows, shape, rel_tol, lambda x: intertwining_residual(x, pairs), flags)
+def _solve_stacked(pairs, shape, rel_tol, flags=(), support=None):
+    """Solve every generator pair's rows on ``support`` (all entries when None)."""
+    support = np.ones(shape, dtype=bool) if support is None else support
+    residual = partial(intertwining_residual, pairs=pairs)  # full pairs, full X
+    return solve_system(sylvester_rows(pairs, support), shape, rel_tol, residual, flags, support)
 
 
 def intertwining_residual(x: np.ndarray, pairs) -> float:
@@ -91,16 +95,11 @@ def intertwining_residual(x: np.ndarray, pairs) -> float:
 
 
 def _bulk_pairs(rep_a: EvaluationRep, rep_b: EvaluationRep):
-    pairs = []
-    for kind in GENERATOR_ORDER:
-        for i in range(rep_a.nodes):
-            pairs.append(
-                (
-                    coproduct_matrix(rep_a, rep_b, kind, i),
-                    coproduct_matrix(rep_b, rep_a, kind, i),
-                )
-            )
-    return pairs
+    return [
+        (coproduct_matrix(rep_a, rep_b, kind, i), coproduct_matrix(rep_b, rep_a, kind, i))
+        for kind in GENERATOR_ORDER
+        for i in range(rep_a.nodes)
+    ]
 
 
 def solve_bulk(
@@ -109,16 +108,53 @@ def solve_bulk(
     """Braiding intertwiner S : V_a x V_b -> V_b x V_a.
 
     Solves S (pi_a x pi_b)(Delta g) = (pi_b x pi_a)(Delta g) S over all
-    generators.  Equal spectral parameters are permitted but flagged, since
-    uniqueness claims hold only at generic points.
+    generators; only entries that conserve weight are unknowns, but the
+    residual covers every entry.  Equal spectral parameters are permitted
+    but flagged, since uniqueness claims hold only at generic points.
     """
     if not rep_a.same_algebra(rep_b):
         raise ValueError("bulk channels require matching (n, q)")
-    flags = []
-    if np.isclose(rep_a.x, rep_b.x, atol=0.0) and rep_a.is_dual == rep_b.is_dual:
-        flags.append("equal-rapidity")
+    equal = np.isclose(rep_a.x, rep_b.x, atol=0.0) and rep_a.is_dual == rep_b.is_dual
+    flags = ("equal-rapidity",) if equal else ()
     shape = (rep_b.dim * rep_a.dim, rep_a.dim * rep_b.dim)
-    return _solve_stacked(_bulk_pairs(rep_a, rep_b), shape, rel_tol, flags)
+    pairs = _bulk_pairs(rep_a, rep_b)
+    # Unknowns: the entries whose qT eigenvalues agree at every node (kind-major order puts
+    # the qT pairs last).  Relative, so scale-free, and generous: a kept near-coincident
+    # entry still meets its qT rows.
+    support = np.logical_and.reduce([
+        np.isclose(np.diag(m_out)[:, None], np.diag(m_in), rtol=1e-4, atol=0.0)
+        for m_in, m_out in pairs[-rep_a.nodes:]
+    ])
+    return _solve_stacked(pairs, shape, rel_tol, flags, support)
+
+
+def closed_form_s(n: int, q: complex, theta_a: complex, theta_b: complex) -> np.ndarray:
+    """Closed-form braiding S : V_a x V_b -> V_b x V_a of two vector representations.
+
+    Shares no code with ``solve_bulk``, which it backs as an oracle.  With
+    N = n+1, u = theta_a - theta_b, z^p = e^{p u} and w = z^{N/2}, on the
+    basis index a*N + b:
+      S[iN+i, iN+i] = q w - 1/(q w)
+      S[jN+i, iN+j] = w - 1/w                              (i != j)
+      S[iN+j, iN+j] = (q - 1/q) z^{((j-i) mod N) - N/2}    (i != j)
+    and every other entry is 0.  Rapidities, not x = e^theta, fix the
+    branch of w.
+    """
+    n, q, _ = check_point(n, q, 1.0)
+    u = complex(theta_a) - complex(theta_b)
+    if not cmath.isfinite(u):
+        raise ValueError("rapidities must be finite")
+    dim = n + 1
+    w = cmath.exp(dim * u / 2)
+    out = np.zeros((dim * dim, dim * dim), dtype=np.complex128)
+    for i in range(dim):
+        out[i * dim + i, i * dim + i] = q * w - 1 / (q * w)
+        for j in range(dim):
+            if j != i:
+                out[j * dim + i, i * dim + j] = w - 1 / w
+                power = (j - i) % dim - dim / 2
+                out[i * dim + j, i * dim + j] = (q - 1 / q) * cmath.exp(power * u)
+    return out
 
 
 def solve_boundary(

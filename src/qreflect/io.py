@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .linalg import DEFAULT_REL_TOL
+
 SCHEMA_VERSION = "1"
 
 CONVENTIONS = ("paper", "antipode-dual", "n/a")
@@ -65,7 +67,7 @@ class MatrixDocument:
     rapidities: list = field(default_factory=list)  # or as theta values
     eps: list | None = None
     normalization: str = "max-modulus-1"
-    tol: float = 1e-9
+    tol: float = DEFAULT_REL_TOL
 
     def __post_init__(self):
         if self.convention not in CONVENTIONS:
@@ -133,7 +135,7 @@ def deserialize_matrix(raw: bytes) -> MatrixDocument:
         rapidities=[_unpair(p) for p in meta.get("rapidities", [])],
         eps=None if eps is None else [_unpair(p) for p in eps],
         normalization=str(meta.get("normalization", "max-modulus-1")),
-        tol=float(meta.get("tol", 1e-9)),
+        tol=float(meta.get("tol", DEFAULT_REL_TOL)),
     )
 
 
@@ -149,7 +151,7 @@ class ReportDocument:
     x: list = field(default_factory=list)
     rapidities: list = field(default_factory=list)
     eps: list | None = None
-    tol: float = 1e-8
+    tol: float = 1e-8  # the checks' default tol; a test ties the two together
 
     def __post_init__(self):
         if self.convention not in CONVENTIONS:

@@ -2,14 +2,14 @@
 
 Everything here operates on 2-d ``numpy`` arrays of ``complex128`` in
 row-major (C) order.  The row-major convention matters: ``vec`` of a
-matrix is its flattened rows, so ``vec(A @ X @ B) = (A kron B.T) vec(X)``,
-which is how the intertwining systems are stacked.
+matrix is its flattened rows, so ``vec(A @ X @ B) = (A kron B.T) vec(X)``;
+the intertwining systems number their unknowns in this order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,36 +88,27 @@ class NullspaceResult:
     """Right nullspace of a matrix, from an SVD rank decision."""
 
     dimension: int
-    basis: list = field(default_factory=list)  # vectors reshaped to the unknown's shape
+    basis: np.ndarray  # one basis vector per row
     sigma_max: float = 0.0
     degenerate: bool = False  # all-zero input matrix
 
 
-def nullspace(m, rel_tol: float = DEFAULT_REL_TOL, unknown_shape=None) -> NullspaceResult:
+def nullspace(m, rel_tol: float = DEFAULT_REL_TOL) -> NullspaceResult:
     """Orthonormal basis of the right nullspace of ``m``.
 
-    A singular value counts as zero iff it is < rel_tol * sigma_max.  Basis
-    vectors are reshaped (row-major) to ``unknown_shape`` when given.  An
-    all-zero matrix yields the full space with the ``degenerate`` flag set.
+    A singular value counts as zero iff it is < rel_tol * sigma_max.  An
+    all-zero matrix, also one with no rows, yields the full space with the
+    ``degenerate`` flag set.  No square U of a tall matrix is formed.
     """
     check_tolerance(rel_tol)
     m = as_matrix(m)
     rows, cols = m.shape
-    if rows == 0:
-        raise ValueError("matrix must have at least one row")
-    shape = (cols,) if unknown_shape is None else tuple(unknown_shape)
-    if int(np.prod(shape)) != cols:
-        raise ValueError(f"unknown_shape {shape} incompatible with {cols} columns")
-
-    _, s, vh = np.linalg.svd(m, full_matrices=True)
-    sigma_max = float(s[0]) if s.size else 0.0
-    if sigma_max == 0.0:
-        basis = [np.eye(cols, dtype=np.complex128)[:, k].reshape(shape) for k in range(cols)]
-        return NullspaceResult(cols, basis, 0.0, degenerate=True)
-
-    rank = int(np.sum(s >= rel_tol * sigma_max))
-    basis = [vh[k].conj().reshape(shape) for k in range(rank, cols)]
-    return NullspaceResult(cols - rank, basis, sigma_max)
+    if not m.any():
+        return NullspaceResult(cols, np.eye(cols, dtype=np.complex128), 0.0, degenerate=True)
+    # a wide matrix needs the full V^H for its complement; a tall one has it thin
+    _, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
+    rank = int(np.sum(s >= rel_tol * s[0]))
+    return NullspaceResult(cols - rank, vh[rank:].conj(), float(s[0]))
 
 
 def projective_compare(a, b, tol: float):

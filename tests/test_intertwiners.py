@@ -1,17 +1,23 @@
+import cmath
+
 import numpy as np
 import pytest
 
 from conftest import generic_point
+from qreflect import intertwiners
 from qreflect.intertwiners import (
+    _bulk_pairs,
     _solve_stacked,
+    closed_form_s,
     dimension_scan,
     intertwining_residual,
     reflection_dual,
     solve_boundary,
     solve_bulk,
     solve_equivalence,
+    sylvester_rows,
 )
-from qreflect.linalg import projective_compare
+from qreflect.linalg import DEFAULT_REL_TOL, projective_compare
 from qreflect.reps import coideal_generators, dual_rep, vector_rep
 
 Q_REF = 0.8 * np.exp(0.3j)
@@ -240,3 +246,106 @@ def test_intertwining_residual_propagates_nan():
     eye = np.eye(2)
     assert np.isnan(intertwining_residual(eye, [(eye, np.full((2, 2), np.nan))]))
     assert np.isnan(intertwining_residual(eye, [(eye, eye), (eye, np.full((2, 2), np.nan))]))
+
+
+def _record_systems(monkeypatch) -> list:
+    """Collect every matrix the solvers hand to ``nullspace``."""
+    systems = []
+    original = intertwiners.nullspace
+
+    def spy(m, **kwargs):
+        systems.append(m)
+        return original(m, **kwargs)
+
+    monkeypatch.setattr(intertwiners, "nullspace", spy)
+    return systems
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_closed_form_s_matches_solve_bulk(n, monkeypatch):
+    # the bulk system has one unknown per weight-allowed entry: 2N^2 - N of N^4
+    systems = _record_systems(monkeypatch)
+    rng = np.random.default_rng(300 + n)
+    for _ in range(2):
+        q, _ = generic_point(rng)
+        theta_a, theta_b = rng.uniform(-0.9, 0.9, 2) + 1j * rng.uniform(-0.7, 0.7, 2)
+        rep_a = vector_rep(n, q, cmath.exp(theta_a))
+        sol = solve_bulk(rep_a, vector_rep(n, q, cmath.exp(theta_b)))
+        assert sol.dimension == 1
+        assert sol.residual < 1e-10
+        oracle = closed_form_s(n, q, theta_a, theta_b)
+        equal, _, dev = projective_compare(oracle, sol.normalized, 1e-12)
+        assert equal, dev
+    dim = n + 1
+    assert [m.shape[1] for m in systems] == [2 * dim * dim - dim] * 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_closed_form_s_braiding_unitarity(n):
+    rng = np.random.default_rng(17 + n)
+    q, _ = generic_point(rng)
+    theta_a, theta_b = rng.normal(size=2) + 1j * rng.normal(size=2)
+    square = closed_form_s(n, q, theta_b, theta_a) @ closed_form_s(n, q, theta_a, theta_b)
+    equal, _, dev = projective_compare(square, np.eye((n + 1) ** 2), 1e-12)
+    assert equal, dev
+
+
+def test_closed_form_s_rejects_bad_input():
+    for n, q, theta in ((0, Q_REF, 0.1), (1, 0.0, 0.1), (1, Q_REF, float("nan"))):
+        with pytest.raises(ValueError):
+            closed_form_s(n, q, theta, 0.2)
+
+
+def _kept_margin(rows):
+    """Smallest singular value counted in the rank, relative to the largest."""
+    s = np.linalg.svd(rows, compute_uv=False)
+    return s[s >= DEFAULT_REL_TOL * s[0]][-1] / s[0]
+
+
+@pytest.mark.filterwarnings("ignore:q is")
+@pytest.mark.parametrize("k", [2, 3, 4, 6])
+@pytest.mark.parametrize("flavour", ["vector", "dual"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_weight_support_matches_full_support(n, flavour, k, monkeypatch):
+    # near low roots of unity, where weights that differ coincide as q-numbers
+    systems = _record_systems(monkeypatch)
+    for delta in (0.0, 1e-12, 1e-10, 1e-8, 1e-6):
+        q = cmath.exp(2j * cmath.pi / k) * (1 + delta)
+        for theta_b in (0.23, 0.7):
+            a = vector_rep(n, q, np.exp(0.7))
+            b = vector_rep(n, q, np.exp(theta_b))
+            b = dual_rep(b) if flavour == "dual" else b
+            shape = (a.dim * b.dim,) * 2
+            full = np.ones(shape, dtype=bool)
+            masked = solve_bulk(a, b)
+            dense = _solve_stacked(_bulk_pairs(a, b), shape, DEFAULT_REL_TOL, support=full)
+            case = (delta, theta_b)
+            assert masked.dimension == dense.dimension, case
+            if dense.dimension == 1:
+                _, _, dev = projective_compare(masked.normalized, dense.normalized, 1)
+                if dev > 1e-12:
+                    # first-order perturbation bound: ~50 ulp over the relative gap
+                    # that separates the null vector from the next singular vector
+                    margin = min(_kept_margin(rows) for rows in systems[-2:])
+                    assert dev <= 1e-14 / margin, (case, dev, margin)
+
+
+def test_sylvester_rows_match_the_kronecker_form(rng):
+    # oracle: vec(X m_in - m_out X) = (1 kron m_in^T - m_out kron 1) vec(X), row-major
+    m_in = rng.normal(size=(3, 3)) * (rng.random((3, 3)) < 0.5)
+    m_out = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    m_out[0, 1] = 0.0
+    dense = np.kron(np.eye(2), m_in.T) - np.kron(m_out, np.eye(3))
+    for support in (np.ones((2, 3), dtype=bool), np.array([[1, 0, 1], [0, 1, 0]], dtype=bool)):
+        expected = dense[:, support.ravel()]
+        expected = expected[expected.any(axis=1)]
+        assert np.array_equal(sylvester_rows([(m_in, m_out)], support), expected)
+
+
+def test_all_zero_rows_give_the_degenerate_full_space():
+    eye = np.eye(2)
+    assert sylvester_rows([(eye, eye)], np.ones((2, 2), dtype=bool)).shape == (0, 4)
+    sol = _solve_stacked([(eye, eye)], (2, 2), 1e-9)  # X - X = 0: every row drops
+    assert sol.dimension == 4
+    assert sol.nullspace.degenerate
+    assert sol.nullspace.basis.shape == (4, 2, 2)

@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import numpy as np
@@ -15,7 +16,8 @@ from qreflect.io import (
     serialize_report,
     serialize_scan,
 )
-from qreflect.linalg import VerificationReport
+from qreflect.checks import check_ybe
+from qreflect.linalg import DEFAULT_REL_TOL, VerificationReport
 
 
 def _doc(matrix=None):
@@ -102,3 +104,13 @@ def test_scan_serialization_handles_tuples():
     payload = json.loads(raw)
     assert payload["grid"][0] == [[1.0, 0.0], [-1.0, 0.0]]
     assert payload["dims"] == [1, 1]
+
+
+def test_default_tolerances_come_from_their_owners():
+    doc = MatrixDocument(kind="smatrix", n=1, q=0.5, matrix=np.eye(2), convention="paper")
+    assert doc.tol == DEFAULT_REL_TOL
+    payload = json.loads(serialize_matrix(doc))
+    del payload["meta"]["tol"]
+    assert deserialize_matrix(json.dumps(payload).encode()).tol == DEFAULT_REL_TOL
+    report = ReportDocument(kind="verify", n=1, q=0.5, checks=[], convention="n/a")
+    assert report.tol == inspect.signature(check_ybe).parameters["tol"].default

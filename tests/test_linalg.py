@@ -121,15 +121,25 @@ def test_nullspace_basis_orthonormal_and_bounded(rng):
         assert np.linalg.norm(m @ v.ravel()) <= 1e-9 * res.sigma_max
 
 
+def test_nullspace_wide_matrix_keeps_its_full_complement():
+    # rank 2 with 2 rows and 6 columns: the complement needs all of V^H
+    m = np.array([[1.0, 2.0, 0.0, 1j, 0.0, -1.0], [0.0, 1.0, 3.0, 0.0, 1.0, 2j]])
+    res = nullspace(m)
+    assert res.dimension == 4
+    assert np.allclose(res.basis @ res.basis.conj().T, np.eye(4), atol=1e-12)
+    assert np.linalg.norm(m @ res.basis.T) < 1e-12 * res.sigma_max
+
+
+def test_nullspace_without_rows_is_the_degenerate_full_space():
+    res = nullspace(np.zeros((0, 3)))
+    assert res.dimension == 3 and res.degenerate
+    assert np.array_equal(res.basis, np.eye(3))
+
+
 @pytest.mark.parametrize("rel_tol", [0.0, -1e-9, float("nan"), float("inf")])
 def test_nullspace_rejects_bad_tolerance(rel_tol):
     with pytest.raises(ValueError):
         nullspace(np.eye(2), rel_tol=rel_tol)
-
-
-def test_nullspace_reshapes_to_unknown_shape():
-    res = nullspace(np.zeros((2, 6)), unknown_shape=(2, 3))
-    assert res.basis[0].shape == (2, 3)
 
 
 def test_projective_scalar_multiple(rng):
