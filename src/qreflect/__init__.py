@@ -23,6 +23,7 @@ from .reps import (
     cartan_inner,
     check_relations,
     coideal_generators,
+    coproduct,
     coproduct_matrix,
     dual_rep,
     q_from_hbar,
@@ -80,6 +81,7 @@ __all__ = [
     "closed_form_k",
     "closed_form_s",
     "coideal_generators",
+    "coproduct",
     "coproduct_matrix",
     "dimension_scan",
     "dual_rep",

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import VerificationReport, as_matrix, embed_on_legs, kron, relative_defect
-from .reps import EvaluationRep, as_boundary_params, coideal_generators, coproduct_matrix
+from .reps import EvaluationRep, as_boundary_params, coideal_generators, coproduct
 
 
 def plain_r(braiding, d_a: int, d_b: int) -> np.ndarray:
@@ -101,13 +101,10 @@ def check_coideal_property(
     params = as_boundary_params(eps, rep_a.n)
     hats_b = coideal_generators(rep_b, params)
     eye_b = np.eye(rep_b.dim, dtype=np.complex128)
+    delta, k = coproduct(rep_a, rep_b), rep_a.nodes  # Q, Qbar and q^T images, kind-major
     defects = []
-    for i in range(rep_a.nodes):
-        lhs = (
-            coproduct_matrix(rep_a, rep_b, "Q", i)
-            + coproduct_matrix(rep_a, rep_b, "Qbar", i)
-            + params[i] * coproduct_matrix(rep_a, rep_b, "qT", i)
-        )
+    for i in range(k):
+        lhs = delta[i] + delta[k + i] + params[i] * delta[2 * k + i]
         rhs = kron(rep_a.Q[i] + rep_a.Qbar[i], eye_b) + kron(rep_a.D[i], hats_b[i])
         defects.append(relative_defect(lhs, rhs))
     return VerificationReport.worst_of("coideal-property", defects, tol)

@@ -3,8 +3,8 @@
 Bulk S-matrices, boundary K-matrices, and representation equivalences are
 all nullspace problems: stack the rows of X -> X @ M_in - M_out @ X per
 generator on the entries of X that may be nonzero and feed the stack to the
-SVD.  Blocks are stacked kind-major (Q, Qbar, qT), node index minor;
-q^{-T_i} rows are implied by invertibility and never stacked.
+SVD.  Generators come as (k, d, d) stacks, kind-major (Q, Qbar, qT) and node
+index minor; q^{-T_i} rows are implied by invertibility and never stacked.
 """
 
 from __future__ import annotations
@@ -15,9 +15,12 @@ from functools import partial
 
 import numpy as np
 
-from .linalg import DEFAULT_REL_TOL, NullspaceResult, normalize_solution, nullspace
-from .reps import GENERATOR_ORDER, EvaluationRep, as_boundary_params, check_point
-from .reps import coideal_generators, coproduct_matrix, dual_rep, vector_rep
+from .linalg import DEFAULT_REL_TOL, NullspaceResult, isclose, normalize_solution, nullspace
+from .reps import EvaluationRep, as_boundary_params, check_point
+from .reps import coideal_generators, coproduct, dual_rep, vector_rep
+
+# A rank decision whose cut lies within this factor of a singular value is flagged.
+NEAR_THRESHOLD_MARGIN = 1e3
 
 
 @dataclass
@@ -26,7 +29,8 @@ class IntertwinerSolution:
 
     ``normalized`` is the canonically scaled solution, present only when the
     space is one-dimensional; ``residual`` is its worst relative defect over
-    the defining equations; ``flags`` marks non-generic inputs.
+    the defining equations; ``flags`` marks non-generic inputs
+    ("equal-rapidity") and doubtful ranks ("near-threshold").
     """
 
     nullspace: NullspaceResult
@@ -39,25 +43,25 @@ class IntertwinerSolution:
         return self.nullspace.dimension
 
 
-def sylvester_rows(pairs, support) -> np.ndarray:
-    """Rows of X -> X @ m_in - m_out @ X per pair, on the unknowns X[support] (a mask).
+def sylvester_rows(m_in, m_out, support) -> np.ndarray:
+    """Rows of X -> X @ m_in[g] - m_out[g] @ X over two stacks, on the unknowns X[support].
 
-    A pair's equations (r, c) come in row-major order; all-zero rows are dropped.
+    ``support`` is a boolean mask.  Equations come in order of g, then (r, c)
+    row-major; all-zero rows are dropped.
     """
     out_idx, in_idx = np.nonzero(support)
-    cols_x = support.shape[1]
-    blocks = []
-    for m_in, m_out in pairs:
-        # X[o, i] m_in[i, c] enters equation (o, c); m_out[r, o] X[o, i] enters (r, i)
-        k_in, c = np.nonzero(m_in[in_idx, :])
-        r, k_out = np.nonzero(m_out[:, out_idx])
-        equation = np.concatenate([out_idx[k_in] * cols_x + c, r * cols_x + in_idx[k_out]])
-        coeff = np.concatenate([m_in[in_idx[k_in], c], -m_out[r, out_idx[k_out]]])
-        labels, row = np.unique(equation, return_inverse=True)  # only the touched equations
-        block = np.zeros((labels.size, out_idx.size), dtype=np.complex128)
-        np.add.at(block, (row, np.concatenate([k_in, k_out])), coeff)
-        blocks.append(block[block.any(axis=1)])
-    return np.vstack(blocks)
+    rows_x, cols_x = support.shape
+    # X[o, i] m_in[g, i, c] enters equation (g, o, c); m_out[g, r, o] X[o, i] enters (g, r, i)
+    g_in, k_in, c = np.nonzero(m_in[:, in_idx, :])
+    g_out, r, k_out = np.nonzero(m_out[:, :, out_idx])
+    equation = np.concatenate([
+        (g_in * rows_x + out_idx[k_in]) * cols_x + c, (g_out * rows_x + r) * cols_x + in_idx[k_out]
+    ])
+    coeff = np.concatenate([m_in[g_in, in_idx[k_in], c], -m_out[g_out, r, out_idx[k_out]]])
+    labels, row = np.unique(equation, return_inverse=True)  # only the touched equations
+    system = np.zeros((labels.size, out_idx.size), dtype=np.complex128)
+    np.add.at(system, (row, np.concatenate([k_in, k_out])), coeff)
+    return system[system.any(axis=1)]
 
 
 def solve_system(rows, shape, rel_tol, residual, flags=(), support=None):
@@ -65,41 +69,35 @@ def solve_system(rows, shape, rel_tol, residual, flags=(), support=None):
 
     ``rows`` act on ``support`` (a mask; all entries when None) of an unknown of
     ``shape``, where the basis is scattered back; ``residual`` scores a 1-d solution.
+    ``flags`` gains "near-threshold" when the rank cut lies near a singular value.
     """
     ns = nullspace(rows, rel_tol=rel_tol)
     full = np.zeros((ns.dimension, *shape), dtype=np.complex128)
     full[:, np.ones(shape, dtype=bool) if support is None else support] = ns.basis
     ns.basis = full
-    solution = IntertwinerSolution(nullspace=ns, flags=tuple(flags))
+    near = ("near-threshold",) if ns.margin < NEAR_THRESHOLD_MARGIN else ()
+    solution = IntertwinerSolution(nullspace=ns, flags=tuple(flags) + near)
     if ns.dimension == 1:
         solution.normalized = normalize_solution(ns.basis[0])
         solution.residual = residual(solution.normalized)
     return solution
 
 
-def _solve_stacked(pairs, shape, rel_tol, flags=(), support=None):
-    """Solve every generator pair's rows on ``support`` (all entries when None)."""
+def _solve_stacked(m_in, m_out, rel_tol, flags=(), support=None):
+    """Solve X m_in[g] = m_out[g] X for every g on ``support`` (all entries when None)."""
+    shape = (m_out.shape[1], m_in.shape[1])
     support = np.ones(shape, dtype=bool) if support is None else support
-    residual = partial(intertwining_residual, pairs=pairs)  # full pairs, full X
-    return solve_system(sylvester_rows(pairs, support), shape, rel_tol, residual, flags, support)
+    residual = partial(intertwining_residual, m_in=m_in, m_out=m_out)  # full stacks, full X
+    rows = sylvester_rows(m_in, m_out, support)
+    return solve_system(rows, shape, rel_tol, residual, flags, support)
 
 
-def intertwining_residual(x: np.ndarray, pairs) -> float:
-    """Worst relative defect of X @ m_in - m_out @ X over the given pairs."""
-    norm_x = float(np.linalg.norm(x))
-    defects = []
-    for m_in, m_out in pairs:
-        scale = norm_x * max(1.0, float(np.linalg.norm(m_in)), float(np.linalg.norm(m_out)))
-        defects.append(float(np.linalg.norm(x @ m_in - m_out @ x)) / scale)
+def intertwining_residual(x: np.ndarray, m_in, m_out) -> float:
+    """Worst relative defect of X @ m_in[g] - m_out[g] @ X over two generator stacks."""
+    norms = np.maximum(np.linalg.norm(m_in, axis=(1, 2)), np.linalg.norm(m_out, axis=(1, 2)))
+    scale = float(np.linalg.norm(x)) * np.maximum(1.0, norms)
+    defects = np.linalg.norm(x @ m_in - m_out @ x, axis=(1, 2)) / scale
     return float(np.max(defects))  # NaN propagates
-
-
-def _bulk_pairs(rep_a: EvaluationRep, rep_b: EvaluationRep):
-    return [
-        (coproduct_matrix(rep_a, rep_b, kind, i), coproduct_matrix(rep_b, rep_a, kind, i))
-        for kind in GENERATOR_ORDER
-        for i in range(rep_a.nodes)
-    ]
 
 
 def solve_bulk(
@@ -114,18 +112,15 @@ def solve_bulk(
     """
     if not rep_a.same_algebra(rep_b):
         raise ValueError("bulk channels require matching (n, q)")
-    equal = np.isclose(rep_a.x, rep_b.x, atol=0.0) and rep_a.is_dual == rep_b.is_dual
+    equal = isclose(rep_a.x, rep_b.x) and rep_a.is_dual == rep_b.is_dual
     flags = ("equal-rapidity",) if equal else ()
-    shape = (rep_b.dim * rep_a.dim, rep_a.dim * rep_b.dim)
-    pairs = _bulk_pairs(rep_a, rep_b)
+    m_in, m_out = coproduct(rep_a, rep_b), coproduct(rep_b, rep_a)
     # Unknowns: the entries whose qT eigenvalues agree at every node (kind-major order puts
-    # the qT pairs last).  Relative, so scale-free, and generous: a kept near-coincident
+    # the qT images last).  Relative, so scale-free, and generous: a kept near-coincident
     # entry still meets its qT rows.
-    support = np.logical_and.reduce([
-        np.isclose(np.diag(m_out)[:, None], np.diag(m_in), rtol=1e-4, atol=0.0)
-        for m_in, m_out in pairs[-rep_a.nodes:]
-    ])
-    return _solve_stacked(pairs, shape, rel_tol, flags, support)
+    d_in, d_out = (np.diagonal(m[-rep_a.nodes:], axis1=1, axis2=2) for m in (m_in, m_out))
+    support = np.isclose(d_out[:, :, None], d_in[:, None, :], rtol=1e-4, atol=0.0).all(axis=0)
+    return _solve_stacked(m_in, m_out, rel_tol, flags, support)
 
 
 def closed_form_s(n: int, q: complex, theta_a: complex, theta_b: complex) -> np.ndarray:
@@ -176,8 +171,8 @@ def solve_boundary(
     if rep.dim != dual.dim:
         raise ValueError("boundary system requires equal dimensions")
     params = as_boundary_params(eps, rep.n)
-    pairs = list(zip(coideal_generators(rep, params), coideal_generators(dual, params)))
-    return _solve_stacked(pairs, (dual.dim, rep.dim), rel_tol)
+    m_in, m_out = coideal_generators(rep, params), coideal_generators(dual, params)
+    return _solve_stacked(m_in, m_out, rel_tol)
 
 
 def solve_equivalence(
@@ -188,11 +183,7 @@ def solve_equivalence(
         raise ValueError("equivalence requires matching (n, q)")
     if rep_a.dim != rep_b.dim:
         raise ValueError("equivalence requires equal dimensions")
-    pairs = []
-    for kind in GENERATOR_ORDER:
-        for i in range(rep_a.nodes):
-            pairs.append((rep_a.generator(kind, i), rep_b.generator(kind, i)))
-    return _solve_stacked(pairs, (rep_b.dim, rep_a.dim), rel_tol)
+    return _solve_stacked(rep_a.generators(), rep_b.generators(), rel_tol)
 
 
 def reflection_dual(rep: EvaluationRep) -> EvaluationRep:

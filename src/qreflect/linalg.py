@@ -37,6 +37,11 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def isclose(a: complex, b: complex) -> bool:
+    """``np.isclose(a, b, atol=0)`` for two scalars: |a - b| <= 1e-5 |b|, relative to b."""
+    return abs(a - b) <= 1e-5 * abs(b)
+
+
 def kron(a, b) -> np.ndarray:
     """Kronecker product; dimensions multiply."""
     return np.kron(as_matrix(a), as_matrix(b))
@@ -91,14 +96,17 @@ class NullspaceResult:
     basis: np.ndarray  # one basis vector per row
     sigma_max: float = 0.0
     degenerate: bool = False  # all-zero input matrix
+    margin: float = math.inf  # min(kept sigma_min / cut, cut / dropped sigma_max)
 
 
 def nullspace(m, rel_tol: float = DEFAULT_REL_TOL) -> NullspaceResult:
     """Orthonormal basis of the right nullspace of ``m``.
 
-    A singular value counts as zero iff it is < rel_tol * sigma_max.  An
-    all-zero matrix, also one with no rows, yields the full space with the
-    ``degenerate`` flag set.  No square U of a tall matrix is formed.
+    A singular value counts as zero iff it is < cut = rel_tol * sigma_max;
+    ``margin`` is the factor between the cut and the nearest singular value
+    on either side (inf for a side that has none).  An all-zero matrix, also
+    one with no rows, yields the full space with the ``degenerate`` flag
+    set.  No square U of a tall matrix is formed.
     """
     check_tolerance(rel_tol)
     m = as_matrix(m)
@@ -107,8 +115,13 @@ def nullspace(m, rel_tol: float = DEFAULT_REL_TOL) -> NullspaceResult:
         return NullspaceResult(cols, np.eye(cols, dtype=np.complex128), 0.0, degenerate=True)
     # a wide matrix needs the full V^H for its complement; a tall one has it thin
     _, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
-    rank = int(np.sum(s >= rel_tol * s[0]))
-    return NullspaceResult(cols - rank, vh[rank:].conj(), float(s[0]))
+    cut = rel_tol * float(s[0])
+    rank = int(np.sum(s >= cut))
+    # Python floats, so no numpy error state applies; a side without singular values,
+    # or with exact zeros only, is infinitely far from the cut
+    kept = float(s[rank - 1]) / cut if rank and cut > 0 else math.inf
+    dropped = cut / float(s[rank]) if rank < s.size and s[rank] > 0 else math.inf
+    return NullspaceResult(cols - rank, vh[rank:].conj(), float(s[0]), margin=min(kept, dropped))
 
 
 def projective_compare(a, b, tol: float):

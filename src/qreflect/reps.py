@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import VerificationReport, kron, relative_defect
+from .linalg import VerificationReport, isclose, relative_defect
 
 
 def cartan_inner(n: int, i: int, j: int) -> int:
@@ -59,6 +59,11 @@ def _elementary(dim: int, row: int, col: int) -> np.ndarray:
     return e
 
 
+#: Stacking order of generator kinds for intertwining systems (kind-major,
+#: node index minor).  Fixed so residual reports are reproducible.
+GENERATOR_ORDER = ("Q", "Qbar", "qT")
+
+
 @dataclass
 class EvaluationRep:
     """Generator matrices of one evaluation representation.
@@ -86,14 +91,12 @@ class EvaluationRep:
         """Dimension of the carrier space (read off the matrices)."""
         return self.Q[0].shape[0] if self.Q else self.n + 1
 
-    def generator(self, kind: str, i: int) -> np.ndarray:
-        table = {"Q": self.Q, "Qbar": self.Qbar, "qT": self.D}
-        if kind not in table:
-            raise ValueError(f"unknown generator kind {kind!r}")
-        return table[kind][i]
+    def generators(self) -> np.ndarray:
+        """Every generator matrix as one (3 * nodes, dim, dim) stack in GENERATOR_ORDER."""
+        return np.array(self.Q + self.Qbar + self.D, dtype=np.complex128)
 
     def same_algebra(self, other: "EvaluationRep") -> bool:
-        return self.n == other.n and np.isclose(self.q, other.q, atol=0.0)
+        return self.n == other.n and isclose(self.q, other.q)
 
 
 def check_point(n: int, q: complex, x: complex) -> tuple:
@@ -166,31 +169,40 @@ def as_boundary_params(eps, n: int) -> tuple:
     return params
 
 
-def coideal_generators(rep: EvaluationRep, eps) -> list:
-    """Matrices Qhat_i = Q_i + Qbar_i + eps_i q^{T_i} of the boundary algebra."""
-    params = as_boundary_params(eps, rep.n)
-    return [rep.Q[i] + rep.Qbar[i] + params[i] * rep.D[i] for i in range(rep.nodes)]
+def coideal_generators(rep: EvaluationRep, eps) -> np.ndarray:
+    """Stack of the matrices Qhat_i = Q_i + Qbar_i + eps_i q^{T_i} of the boundary algebra."""
+    params = np.array(as_boundary_params(eps, rep.n))[:, None, None]
+    return np.array(rep.Q) + np.array(rep.Qbar) + params * np.array(rep.D)
 
 
-def coproduct_matrix(rep_a: EvaluationRep, rep_b: EvaluationRep, kind: str, i: int) -> np.ndarray:
-    """Image of the coproduct of one generator on the tensor product.
+def coproduct(rep_a: EvaluationRep, rep_b: EvaluationRep) -> np.ndarray:
+    """Coproduct images of all generators on V_a x V_b, one stack in GENERATOR_ORDER.
 
     Delta(Q_i) -> Q_i x 1 + q^{T_i} x Q_i (same for Qbar_i), and the
-    group-like Delta(q^{T_i}) -> q^{T_i} x q^{T_i}.
+    group-like Delta(q^{T_i}) -> q^{T_i} x q^{T_i}.  The stack has shape
+    (3 * nodes, d_a * d_b, d_a * d_b).
     """
     if not rep_a.same_algebra(rep_b):
         raise ValueError("coproduct requires matching (n, q) on both factors")
-    id_b = np.eye(rep_b.dim, dtype=np.complex128)
-    if kind in ("Q", "Qbar"):
-        return kron(rep_a.generator(kind, i), id_b) + kron(rep_a.D[i], rep_b.generator(kind, i))
-    if kind == "qT":
-        return kron(rep_a.D[i], rep_b.D[i])
-    raise ValueError(f"unknown generator kind {kind!r}")
+    a, b = rep_a.generators(), rep_b.generators()
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("matrix has non-finite entries")
+    size, charges = rep_a.dim * rep_b.dim, 2 * rep_a.nodes
+
+    def pairwise_kron(x, y):  # x[k] kron y[k] for every k, by broadcasting
+        return (x[:, :, None, :, None] * y[:, None, :, None, :]).reshape(-1, size, size)
+
+    eye_b = np.eye(rep_b.dim, dtype=np.complex128)[None]
+    out = pairwise_kron(np.tile(a[charges:], (3, 1, 1)), b)  # q^{T_i} x g_i for every g_i
+    out[:charges] = pairwise_kron(a[:charges], eye_b) + out[:charges]
+    return out
 
 
-#: Stacking order of generator kinds for intertwining systems (kind-major,
-#: node index minor).  Fixed so residual reports are reproducible.
-GENERATOR_ORDER = ("Q", "Qbar", "qT")
+def coproduct_matrix(rep_a: EvaluationRep, rep_b: EvaluationRep, kind: str, i: int) -> np.ndarray:
+    """Image of the coproduct of one generator on the tensor product (see ``coproduct``)."""
+    delta = coproduct(rep_a, rep_b)
+    by_kind = delta.reshape(len(GENERATOR_ORDER), rep_a.nodes, *delta.shape[1:])
+    return by_kind[GENERATOR_ORDER.index(kind), i]
 
 
 def check_relations(rep: EvaluationRep, tol: float = 1e-10) -> VerificationReport:

@@ -3,10 +3,10 @@ import cmath
 import numpy as np
 import pytest
 
-from conftest import generic_point
+from conftest import eps_star, generic_point
+from qreflect.boundary import solve_k, solve_paper_k
 from qreflect import intertwiners
 from qreflect.intertwiners import (
-    _bulk_pairs,
     _solve_stacked,
     closed_form_s,
     dimension_scan,
@@ -18,7 +18,7 @@ from qreflect.intertwiners import (
     sylvester_rows,
 )
 from qreflect.linalg import DEFAULT_REL_TOL, projective_compare
-from qreflect.reps import coideal_generators, dual_rep, vector_rep
+from qreflect.reps import coideal_generators, coproduct, dual_rep, vector_rep
 
 Q_REF = 0.8 * np.exp(0.3j)
 
@@ -146,9 +146,9 @@ def test_boundary_generator_order_immaterial(rng):
     dual = reflection_dual(rep)
     star = 1 / np.sqrt((1 - q) * (1 - 1 / q))
     eps = (star, star, star)
-    pairs = list(zip(coideal_generators(rep, eps), coideal_generators(dual, eps)))
-    fwd = _solve_stacked(pairs, (3, 3), 1e-9)
-    rev = _solve_stacked(pairs[::-1], (3, 3), 1e-9)
+    m_in, m_out = coideal_generators(rep, eps), coideal_generators(dual, eps)
+    fwd = _solve_stacked(m_in, m_out, 1e-9)
+    rev = _solve_stacked(m_in[::-1], m_out[::-1], 1e-9)
     assert fwd.dimension == rev.dimension == 1
     assert np.allclose(fwd.normalized, rev.normalized, atol=1e-10)
 
@@ -243,9 +243,25 @@ def test_scan_rejects_empty_grid():
 
 
 def test_intertwining_residual_propagates_nan():
-    eye = np.eye(2)
-    assert np.isnan(intertwining_residual(eye, [(eye, np.full((2, 2), np.nan))]))
-    assert np.isnan(intertwining_residual(eye, [(eye, eye), (eye, np.full((2, 2), np.nan))]))
+    eye, nan = np.eye(2), np.full((2, 2), np.nan)
+    assert np.isnan(intertwining_residual(eye, np.array([eye]), np.array([nan])))
+    assert np.isnan(intertwining_residual(eye, np.array([eye, eye]), np.array([eye, nan])))
+
+
+def test_intertwining_residual_matches_the_per_pair_loop(rng):
+    # reference: the defect of each pair on its own; the stacked norms sum in another
+    # order, so agreement is to a few ulp, not bit for bit
+    x = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+    m_in = rng.normal(size=(5, 4, 4)) * np.array([0.1, 1, 10, 100, 1e-3])[:, None, None]
+    m_out = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+    for scale in (1e-4, 1.0):  # generators of norm below 1 are scored against 1
+        worst = max(
+            np.linalg.norm(x @ a - b @ x)
+            / (np.linalg.norm(x) * max(1.0, np.linalg.norm(a), np.linalg.norm(b)))
+            for a, b in zip(scale * m_in, scale * m_out)
+        )
+        residual = intertwining_residual(x, scale * m_in, scale * m_out)
+        assert residual == pytest.approx(worst, rel=64 * 2.0**-52)
 
 
 def _record_systems(monkeypatch) -> list:
@@ -315,10 +331,9 @@ def test_weight_support_matches_full_support(n, flavour, k, monkeypatch):
             a = vector_rep(n, q, np.exp(0.7))
             b = vector_rep(n, q, np.exp(theta_b))
             b = dual_rep(b) if flavour == "dual" else b
-            shape = (a.dim * b.dim,) * 2
-            full = np.ones(shape, dtype=bool)
+            full = np.ones((a.dim * b.dim,) * 2, dtype=bool)
             masked = solve_bulk(a, b)
-            dense = _solve_stacked(_bulk_pairs(a, b), shape, DEFAULT_REL_TOL, support=full)
+            dense = _solve_stacked(coproduct(a, b), coproduct(b, a), DEFAULT_REL_TOL, support=full)
             case = (delta, theta_b)
             assert masked.dimension == dense.dimension, case
             if dense.dimension == 1:
@@ -330,22 +345,66 @@ def test_weight_support_matches_full_support(n, flavour, k, monkeypatch):
                     assert dev <= 1e-14 / margin, (case, dev, margin)
 
 
+def _kronecker_rows(m_in, m_out, support):
+    """vec(X m_in - m_out X) = (1 kron m_in^T - m_out kron 1) vec(X), row-major, on support."""
+    dense = np.kron(np.eye(len(m_out)), m_in.T) - np.kron(m_out, np.eye(len(m_in)))
+    dense = dense[:, support.ravel()]
+    return dense[dense.any(axis=1)]
+
+
 def test_sylvester_rows_match_the_kronecker_form(rng):
-    # oracle: vec(X m_in - m_out X) = (1 kron m_in^T - m_out kron 1) vec(X), row-major
     m_in = rng.normal(size=(3, 3)) * (rng.random((3, 3)) < 0.5)
     m_out = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     m_out[0, 1] = 0.0
-    dense = np.kron(np.eye(2), m_in.T) - np.kron(m_out, np.eye(3))
+    # a stack of pairs: the one above, a dense one, the identity pair (X - X = 0, so all
+    # its rows cancel) and a sparse one
+    stack_in = np.array([m_in, rng.normal(size=(3, 3)), np.eye(3), np.diag([0.0, 2.0, 0.0])])
+    stack_out = np.array([m_out, rng.normal(size=(2, 2)) * 1j, np.eye(2), np.eye(2)])
     for support in (np.ones((2, 3), dtype=bool), np.array([[1, 0, 1], [0, 1, 0]], dtype=bool)):
-        expected = dense[:, support.ravel()]
-        expected = expected[expected.any(axis=1)]
-        assert np.array_equal(sylvester_rows([(m_in, m_out)], support), expected)
+        expected = _kronecker_rows(m_in, m_out, support)
+        assert np.array_equal(sylvester_rows(m_in[None], m_out[None], support), expected)
+        blocks = [_kronecker_rows(*pair, support) for pair in zip(stack_in, stack_out)]
+        assert np.array_equal(sylvester_rows(stack_in, stack_out, support), np.vstack(blocks))
+        assert blocks[2].shape == (0, support.sum())
 
 
 def test_all_zero_rows_give_the_degenerate_full_space():
-    eye = np.eye(2)
-    assert sylvester_rows([(eye, eye)], np.ones((2, 2), dtype=bool)).shape == (0, 4)
-    sol = _solve_stacked([(eye, eye)], (2, 2), 1e-9)  # X - X = 0: every row drops
+    eye = np.eye(2)[None]
+    assert sylvester_rows(eye, eye, np.ones((2, 2), dtype=bool)).shape == (0, 4)
+    sol = _solve_stacked(eye, eye, 1e-9)  # X - X = 0: every row drops
     assert sol.dimension == 4
     assert sol.nullspace.degenerate
     assert sol.nullspace.basis.shape == (4, 2, 2)
+
+
+def test_near_threshold_rank_decisions_are_flagged():
+    # paper K: sigma_min / sigma_max = 5.6e-10 sits just under the 1e-9 cut; the generic
+    # method at the same point reports another dimension, and both are flagged
+    q, eps = 0.8 * np.exp(0.3j), (1 + 1e-8, 1, -1)
+    paper = solve_paper_k(2, q, 2.0, eps)
+    generic = solve_k(2, q, 2.0, tuple(eps_star(q) * e for e in eps), "generic")
+    assert (paper.dimension, generic.dimension) == (1, 0)
+    for sol in (paper, generic):
+        assert sol.nullspace.margin < 1e3
+        assert "near-threshold" in sol.flags
+    # bulk S near q = -1 with equal rapidities: the smallest kept value is 3.5e-9 sigma_max
+    q = -(1 + 1e-8)
+    sol = solve_bulk(vector_rep(2, q, np.exp(0.7)), vector_rep(2, q, np.exp(0.7)))
+    assert sol.dimension == 1
+    assert sol.nullspace.margin < 1e3
+    assert set(sol.flags) == {"equal-rapidity", "near-threshold"}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_generic_points_are_far_from_the_rank_cut(n):
+    rng = np.random.default_rng(500 + n)
+    q, x = generic_point(rng)
+    _, y = generic_point(rng)
+    a = vector_rep(n, q, x)
+    signs = tuple(rng.choice([1.0, -1.0], size=n + 1))
+    solutions = [solve_bulk(a, vector_rep(n, q, y)), solve_bulk(a, dual_rep(vector_rep(n, q, y))),
+                 solve_paper_k(n, q, x, signs), solve_paper_k(n, q, x, (0,) * (n + 1)),
+                 solve_k(n, q, x, tuple(eps_star(q) * e for e in signs), "generic")]
+    for sol in solutions:
+        assert sol.nullspace.margin >= 1e5
+        assert "near-threshold" not in sol.flags

@@ -136,6 +136,21 @@ def test_nullspace_without_rows_is_the_degenerate_full_space():
     assert np.array_equal(res.basis, np.eye(3))
 
 
+def test_nullspace_margin_is_the_factor_to_the_nearest_singular_value():
+    # cut = 1e-9: the kept 1e-7 sits 100x above it, the dropped 1e-13 10^4x below
+    res = nullspace(np.diag([1.0, 1e-7, 1e-13]))
+    assert res.dimension == 1
+    assert res.margin == pytest.approx(100.0, rel=1e-12)
+    assert nullspace(np.diag([1.0, 1e-3, 1e-15])).margin == pytest.approx(1e6, rel=1e-12)
+    # a side without singular values, or with exact zeros only, is infinitely far
+    assert nullspace(np.diag([2.0, 1.0])).margin == pytest.approx(5e8, rel=1e-12)
+    assert nullspace(np.diag([1.0, 0.0])).margin == pytest.approx(1e9, rel=1e-12)
+    assert nullspace(np.ones((1, 3))).margin == pytest.approx(1e9, rel=1e-12)
+    assert nullspace(np.zeros((2, 2))).margin == float("inf")
+    with np.errstate(all="raise"):  # the CLI's error state: computing a margin never raises
+        assert nullspace(np.diag([1.0, 0.0]), rel_tol=1e-320).margin == float("inf")
+
+
 @pytest.mark.parametrize("rel_tol", [0.0, -1e-9, float("nan"), float("inf")])
 def test_nullspace_rejects_bad_tolerance(rel_tol):
     with pytest.raises(ValueError):

@@ -8,7 +8,9 @@ from qreflect.reps import (
     cartan_inner,
     cartan_matrix,
     check_relations,
+    GENERATOR_ORDER,
     coideal_generators,
+    coproduct,
     coproduct_matrix,
     dual_rep,
     q_from_hbar,
@@ -168,6 +170,53 @@ def test_coproduct_requires_same_algebra(rng):
         coproduct_matrix(vector_rep(1, q, x), vector_rep(1, q * 1.1, x), "Q", 0)
     # q is compared relatively, so tiny but distinct q are different algebras
     assert not vector_rep(1, 1e-9, x).same_algebra(vector_rep(1, 2e-9, x))
+
+
+def test_same_algebra_uses_the_relative_isclose_rule():
+    # |q_a - q_b| <= 1e-5 |q_b|, no absolute term, exactly np.isclose(q_a, q_b, atol=0)
+    q = 0.8 * np.exp(0.3j)
+    assert vector_rep(1, q, 2.0).same_algebra(vector_rep(1, q * (1 + 1e-6), 2.0))
+    assert not vector_rep(1, q, 2.0).same_algebra(vector_rep(1, q * (1 + 1e-4), 2.0))
+    assert not vector_rep(1, 1e-9, 2.0).same_algebra(vector_rep(1, 2e-9, 2.0))
+    # relative to the second argument: within 1e-5 of the larger q, not of the smaller
+    near, far = vector_rep(1, q, 2.0), vector_rep(1, q * (1 + 1.000005e-5), 2.0)
+    assert near.same_algebra(far) and not far.same_algebra(near)
+    assert not vector_rep(1, q, 2.0).same_algebra(vector_rep(2, q, 2.0))
+
+
+@pytest.mark.parametrize("flavours", [(0, 0), (0, 1), (1, 0), (1, 1)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_coproduct_stack_is_the_kronecker_formula(n, flavours):
+    rng = np.random.default_rng(60 + n)
+    q, x = generic_point(rng)
+    _, y = generic_point(rng)
+    a, b = vector_rep(n, q, x), vector_rep(n, q, y)
+    a, b = (dual_rep(r) if flip else r for r, flip in zip((a, b), flavours))
+    delta = coproduct(a, b)
+    assert delta.shape == (3 * (n + 1), (n + 1) ** 2, (n + 1) ** 2)
+    eye = np.eye(n + 1, dtype=np.complex128)
+    for k, kind in enumerate(GENERATOR_ORDER):
+        for i in range(n + 1):
+            if kind == "qT":
+                expected = np.kron(a.D[i], b.D[i])
+            else:
+                g_a, g_b = (getattr(r, kind)[i] for r in (a, b))
+                expected = np.kron(g_a, eye) + np.kron(a.D[i], g_b)
+            assert np.array_equal(delta[k * (n + 1) + i], expected), (kind, i)
+            assert np.array_equal(coproduct_matrix(a, b, kind, i), expected), (kind, i)
+
+
+def test_coproduct_rejects_non_finite_or_mismatched_reps(rng):
+    q, x = generic_point(rng)
+    good = vector_rep(1, q, x)
+    for side in (0, 1):
+        bad = vector_rep(1, q, x)
+        bad.Qbar[1] = np.full((2, 2), np.nan)
+        with pytest.raises(ValueError, match="non-finite"):
+            coproduct(*((good, bad) if side else (bad, good)))
+    for other in (vector_rep(2, q, x), vector_rep(1, q * 1.1, x)):
+        with pytest.raises(ValueError, match="matching"):
+            coproduct(good, other)
 
 
 def test_coproduct_is_algebra_map():
