@@ -26,6 +26,7 @@ from .linalg import DEFAULT_REL_TOL, as_matrix, check_tolerance, normalize_solut
 from .linalg import projective_compare
 from .linalg import nullspace  # noqa: F401  (bench/test_bench.py traces it in this namespace)
 from .intertwiners import IntertwinerSolution, reflection_dual, solve_boundary, solve_system
+from .intertwiners import sylvester_rows
 from .reps import as_boundary_params, check_point, vector_rep
 
 
@@ -37,45 +38,66 @@ def paper_boundary_system(n: int, q: complex, x: complex, eps) -> np.ndarray:
     4 with rows ordered by (i, j).  Total row count is (n+1)(2N-2).
     """
     n, q, x = check_point(n, q, x)
-    params = as_boundary_params(eps, n)
+    return _paper_rows(n, q, [x], [as_boundary_params(eps, n)])[0]
+
+
+def _paper_rows(n: int, q: complex, x, eps) -> np.ndarray:
+    """The family rows at the validated points (x[p], eps[p]), as one (points, rows, N*N) stack."""
     dim = n + 1
+    i = np.arange(dim)
+    up = (i + 1) % dim
+    # families 3 and 4 run over the pairs (i, j), j not in {i, i+1}, in row-major order
+    pi, pj = np.nonzero((i != i[:, None]) & (i != up[:, None]))
+    f3 = 2 * dim + np.arange(pi.size)
+    f4 = f3 + pi.size
+    # one (row, a, b, c) per term: coefficient c at entry K^a_b; c = 0..4 are 1, -1, x, -1/x,
+    # 1/x, then come eps_i (1/q - q), eps_i q and eps_i / q
+    row, a, b, c = (np.concatenate(parts) for parts in zip(
+        (i, i, i, 5 + i), (i, i, up, 2 + 0 * i), (i, up, i, 3 + 0 * i),  # family 1
+        (dim + i, up, up, 0 * i), (dim + i, i, i, 1 + 0 * i),  # family 2
+        (f3, pi, pj, 5 + dim + pi), (f3, up[pi], pj, 4 + 0 * pi),  # family 3
+        (f4, pj, pi, 5 + 2 * dim + pi), (f4, pj, up[pi], 2 + 0 * pi),  # family 4
+    ))
+    # Python complex arithmetic, as the families are written: numpy's complex kernels
+    # round differently in the last bit
+    diag = 1.0 / q - q
+    coefficients = np.array([
+        [1.0, -1.0, xp, -1.0 / xp, 1.0 / xp, *(e * diag for e in ep), *(e * q for e in ep),
+         *(e / q for e in ep)]
+        for xp, ep in zip(x, eps)
+    ], dtype=np.complex128)
+    rows = np.zeros((len(coefficients), 2 * dim * (dim - 1), dim * dim), dtype=np.complex128)
+    # every term has its own entry, so this adds each coefficient to an exact zero
+    rows.reshape(len(rows), -1)[:, (row * dim + a) * dim + b] += coefficients[:, c]
+    return rows
 
-    def entry(a: int, b: int) -> int:
-        return (a % dim) * dim + (b % dim)
 
-    rows = []
+def k_scan_rows(n: int, q: complex, x, eps, method: str = "paper"):
+    """The rows ``solve_k`` ranks by ``method`` at the validated points (x[p], eps[p]).
 
-    def add_row(coeffs):
-        row = np.zeros(dim * dim, dtype=np.complex128)
-        for index, value in coeffs:
-            row[index] += value
-        rows.append(row)
+    Returns a function from a slice of the points to their (points, rows,
+    cols) stack.  "paper" writes the family rows.  "generic" builds the
+    representation at x = 1 and its ``reflection_dual`` once: at x the
+    representation carries x Q_i and Qbar_i / x, and its conjugate, built at
+    -q/x, carries Q_i / x and x Qbar_i.  The points' coideal stacks share one
+    Sylvester row set.
+    """
+    if method == "paper":
+        return lambda chunk: _paper_rows(n, q, x[chunk], eps[chunk])
+    if method != "generic":
+        raise ValueError(f"unknown boundary method {method!r}")
+    rep = vector_rep(n, q, 1.0)
+    (q_in, qbar_in, d_in), (q_out, qbar_out, d_out) = (
+        r.generators().reshape(3, n + 1, r.dim, r.dim) for r in (rep, reflection_dual(rep)))
+    x, eps = np.array(x)[:, None, None, None], np.array(eps)[:, :, None, None]
+    full = np.ones((n + 1, n + 1), dtype=bool)
 
-    for i in range(dim):
-        add_row(
-            [
-                (entry(i, i), params[i] * (1.0 / q - q)),
-                (entry(i, i + 1), x),
-                (entry(i + 1, i), -1.0 / x),
-            ]
-        )
-    for i in range(dim):
-        add_row([(entry(i + 1, i + 1), 1.0), (entry(i, i), -1.0)])
-    for i in range(dim):
-        for j in range(dim):
-            if j in (i, (i + 1) % dim):
-                continue
-            add_row([(entry(i, j), params[i] * q), (entry(i + 1, j), 1.0 / x)])
-    for i in range(dim):
-        for j in range(dim):
-            if j in (i, (i + 1) % dim):
-                continue
-            add_row([(entry(j, i), params[i] / q), (entry(j, i + 1), x)])
+    def rows(chunk):
+        xc, ec = x[chunk], eps[chunk]
+        return sylvester_rows(xc * q_in + qbar_in / xc + ec * d_in,
+                              qbar_out * xc + q_out / xc + ec * d_out, full)
 
-    stacked = np.array(rows, dtype=np.complex128)
-    expected = (n + 1) * (2 * dim - 2)
-    assert stacked.shape == (expected, dim * dim)
-    return stacked
+    return rows
 
 
 def solve_paper_k(

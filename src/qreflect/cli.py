@@ -21,7 +21,9 @@ verify.
 Exit codes: 0 success / verification passed, 1 verification failed,
 2 invalid input, 3 degenerate solution space (dimension != 1 where a
 unique matrix was requested).  Output files are written only after the
-computation has fully succeeded.
+computation has fully succeeded.  smatrix, kmatrix and scan print one
+``warning:`` line on stderr when a rank decision lies within a factor
+``NEAR_THRESHOLD_MARGIN`` of the cutoff; it changes no exit code or output.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .checks import (
     check_ybe,
     engine_blocks,
 )
-from .intertwiners import dimension_scan, engine_point, solve_bulk
+from .intertwiners import NEAR_THRESHOLD_MARGIN, dimension_scan, engine_point, solve_bulk
 from .linalg import DEFAULT_REL_TOL, check_tolerance, normalize_solution
 from .reps import check_relations, dual_rep, vector_rep
 
@@ -112,6 +114,15 @@ class Degenerate(RuntimeError):
     pass
 
 
+def _warn_near_threshold(margins) -> None:
+    """One stderr line when a rank decision lies near the cutoff; exit codes never change."""
+    near = sum(m < NEAR_THRESHOLD_MARGIN for m in margins)
+    if near:
+        print(f"warning: {near} of {len(margins)} rank decisions lie within a factor "
+              f"{NEAR_THRESHOLD_MARGIN:g} of the cutoff; their dimensions are doubtful",
+              file=sys.stderr)
+
+
 def _check_tol(args) -> dict:
     """The ``tol`` keyword for a check: --tol if given, else the check's own default."""
     return {} if args.tol is None else {"tol": args.tol}
@@ -138,6 +149,7 @@ def cmd_smatrix(args) -> int:
     if args.dual_right:
         right = dual_rep(right)
     solution = solve_bulk(left, right, rel_tol=args.tol)
+    _warn_near_threshold([solution.nullspace.margin])
     matrix = _require_unique(solution, "bulk intertwiner")
     doc = qio.MatrixDocument(
         kind="smatrix",
@@ -161,6 +173,7 @@ def cmd_kmatrix(args) -> int:
         note = "closed form"
     else:
         solution = solve_k(args.n, args.q, args.x, args.eps, args.method, args.tol)
+        _warn_near_threshold([solution.nullspace.margin])
         matrix = _require_unique(solution, f"{args.method} boundary system")
         note = f"residual {solution.residual:.3e}"
     doc = qio.MatrixDocument(
@@ -289,6 +302,7 @@ def cmd_scan(args) -> int:
                 "method": args.method,
                 "convention": _CONVENTIONS[args.method],
             }
+    _warn_near_threshold(result.margins)
     Path(args.out).write_bytes(qio.serialize_scan(meta, grid, result.dims))
     print(f"scan: {len(result.dims)} points, dims "
           f"min={min(result.dims)} max={max(result.dims)}, wrote {args.out}")

@@ -10,12 +10,13 @@ index minor; q^{-T_i} rows are implied by invertibility and never stacked.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
 from .linalg import DEFAULT_REL_TOL, NullspaceResult, isclose, normalize_solution, nullspace
+from .linalg import stack_nullities
 from .reps import EvaluationRep, as_boundary_params, check_point
 from .reps import coideal_generators, coproduct, dual_rep, vector_rep
 
@@ -47,21 +48,31 @@ def sylvester_rows(m_in, m_out, support) -> np.ndarray:
     """Rows of X -> X @ m_in[g] - m_out[g] @ X over two stacks, on the unknowns X[support].
 
     ``support`` is a boolean mask.  Equations come in order of g, then (r, c)
-    row-major; all-zero rows are dropped.
+    row-major; all-zero rows are dropped.  Stacks with leading axes,
+    (..., G, d, d), give one system per leading index, (..., rows, cols), on
+    a shared row set: the equations that are nonzero in some system.
     """
-    out_idx, in_idx = np.nonzero(support)
+    lead = m_in.shape[:-3]
+    m_in, m_out = (m.reshape(-1, *m.shape[-3:]) for m in (m_in, m_out))
     rows_x, cols_x = support.shape
-    # X[o, i] m_in[g, i, c] enters equation (g, o, c); m_out[g, r, o] X[o, i] enters (g, r, i)
-    g_in, k_in, c = np.nonzero(m_in[:, in_idx, :])
-    g_out, r, k_out = np.nonzero(m_out[:, :, out_idx])
-    equation = np.concatenate([
-        (g_in * rows_x + out_idx[k_in]) * cols_x + c, (g_out * rows_x + r) * cols_x + in_idx[k_out]
-    ])
-    coeff = np.concatenate([m_in[g_in, in_idx[k_in], c], -m_out[g_out, r, out_idx[k_out]]])
-    labels, row = np.unique(equation, return_inverse=True)  # only the touched equations
-    system = np.zeros((labels.size, out_idx.size), dtype=np.complex128)
-    np.add.at(system, (row, np.concatenate([k_in, k_out])), coeff)
-    return system[system.any(axis=1)]
+    column = np.cumsum(support).reshape(support.shape) - 1  # unknown index of X[o, i] on support
+    # X[o, i] m_in[g, i, c] enters equation (g, o, c) for every o; m_out[g, r, o] X[o, i]
+    # enters (g, r, i) for every i; only the unknowns on the support take part
+    p, g, i, c = np.nonzero(m_in)
+    o, e = np.nonzero(support[:, i])
+    terms_in = (p[e], (g[e] * rows_x + o) * cols_x + c[e], column[o, i[e]], m_in[p, g, i, c][e])
+    p, g, r, o = np.nonzero(m_out)
+    e, i = np.nonzero(support[o, :])
+    terms_out = (p[e], (g[e] * rows_x + r[e]) * cols_x + i, column[o[e], i], -m_out[p, g, r, o][e])
+    touched = np.zeros(m_in.shape[1] * rows_x * cols_x, dtype=bool)
+    touched[terms_in[1]] = touched[terms_out[1]] = True
+    row = np.cumsum(touched) - 1  # rank among the touched equations, in label order
+    system = np.zeros((len(m_in), row[-1] + 1, np.count_nonzero(support)), dtype=np.complex128)
+    # a cell takes at most one term of each kind, so two buffered adds accumulate it exactly
+    for part, equation, unknown, value in (terms_in, terms_out):
+        system[part, row[equation], unknown] += value
+    nonzero = system.any(axis=(0, 2))
+    return (system if nonzero.all() else system[:, nonzero]).reshape(*lead, -1, system.shape[2])
 
 
 def solve_system(rows, shape, rel_tol, residual, flags=(), support=None):
@@ -115,12 +126,17 @@ def solve_bulk(
     equal = isclose(rep_a.x, rep_b.x) and rep_a.is_dual == rep_b.is_dual
     flags = ("equal-rapidity",) if equal else ()
     m_in, m_out = coproduct(rep_a, rep_b), coproduct(rep_b, rep_a)
-    # Unknowns: the entries whose qT eigenvalues agree at every node (kind-major order puts
-    # the qT images last).  Relative, so scale-free, and generous: a kept near-coincident
-    # entry still meets its qT rows.
-    d_in, d_out = (np.diagonal(m[-rep_a.nodes:], axis1=1, axis2=2) for m in (m_in, m_out))
-    support = np.isclose(d_out[:, :, None], d_in[:, None, :], rtol=1e-4, atol=0.0).all(axis=0)
-    return _solve_stacked(m_in, m_out, rel_tol, flags, support)
+    return _solve_stacked(m_in, m_out, rel_tol, flags, _weight_support(m_in, m_out, rep_a.nodes))
+
+
+def _weight_support(m_in, m_out, nodes: int) -> np.ndarray:
+    """Mask of the bulk unknowns S[out, in] whose qT eigenvalues agree at every node.
+
+    Kind-major order puts the qT images last.  Relative, so scale-free, and
+    generous: a kept near-coincident entry still meets its qT rows.
+    """
+    d_in, d_out = (np.diagonal(m[-nodes:], axis1=1, axis2=2) for m in (m_in, m_out))
+    return np.isclose(d_out[:, :, None], d_in[:, None, :], rtol=1e-4, atol=0.0).all(axis=0)
 
 
 def closed_form_s(n: int, q: complex, theta_a: complex, theta_b: complex) -> np.ndarray:
@@ -223,11 +239,31 @@ def engine_point(n: int, q: complex, thetas, eps, rel_tol: float = DEFAULT_REL_T
     return solved
 
 
+# Points per batched SVD in a scan, so that its memory does not grow with the grid.
+SCAN_CHUNK = 32
+
+
 @dataclass
 class ScanResult:
-    """Nullspace dimensions recorded over a parameter grid, in grid order."""
+    """Nullspace dimensions and rank margins (see ``linalg.rank_decision``), in grid order."""
 
     dims: list
+    margins: list
+
+
+def _bulk_parts(left: EvaluationRep, right: EvaluationRep):
+    """Coproduct stacks of ``solve_bulk(left, right at x)`` as parts (constant, x, 1/x).
+
+    ``right`` is built at x = 1.  An evaluation representation at x carries
+    x Q_i, Qbar_i / x and a constant q^{T_i}, so in Delta(Q_i) = Q_i x 1 +
+    q^{T_i} x Q_i only the right factor's Q_i carries x (Qbar_i alike).
+    """
+    zero = [np.zeros_like(d) for d in left.D]
+    cartan, charges = replace(right, Q=zero, Qbar=zero), replace(right, D=zero)
+    by_kind = np.repeat(np.eye(3)[:2], left.nodes, axis=1)[:, :, None, None]  # Q, then Qbar
+    m_in = [coproduct(left, cartan), *(by_kind * coproduct(replace(left, Q=zero, Qbar=zero), right))]
+    m_out = [coproduct(cartan, left), *(by_kind * coproduct(charges, left))]
+    return np.array(m_in), np.array(m_out)
 
 
 def dimension_scan(kind: str, fixed: dict, grid, rel_tol: float = DEFAULT_REL_TOL) -> ScanResult:
@@ -238,26 +274,38 @@ def dimension_scan(kind: str, fixed: dict, grid, rel_tol: float = DEFAULT_REL_TO
     ``boundary.solve_k`` accepts ("paper" or "generic").  Grid entries are
     eps tuples, or spectral parameters when fixed carries an ``eps`` entry
     instead.  Degenerate points are recorded, never raised.
+
+    The systems are those of ``solve_bulk`` and ``boundary.solve_k``, built
+    from parts assembled once per scan and ranked from their singular values
+    alone, ``SCAN_CHUNK`` points at a time.
     """
     grid = list(grid)
     if not grid:
         raise ValueError("grid must be nonempty")
     n, q = fixed["n"], fixed["q"]
-    dims = []
     if kind == "bulk":
+        xs = np.array([check_point(n, q, x)[2] for x in grid])[:, None, None, None]
         left = vector_rep(n, q, fixed["x_left"])
-        for point in grid:
-            dims.append(solve_bulk(left, vector_rep(n, q, point), rel_tol).dimension)
-    elif kind == "boundary":
-        from .boundary import solve_k  # local import, boundary builds on this module
+        (c_in, x_in, xinv_in), (c_out, x_out, xinv_out) = _bulk_parts(left, vector_rep(n, q, 1.0))
+        support = _weight_support(c_in, c_out, left.nodes)
 
-        method = fixed.get("method", "paper")
-        for point in grid:
-            if isinstance(point, (tuple, list)):
-                eps, x = point, fixed["x"]
-            else:
-                eps, x = fixed["eps"], point
-            dims.append(solve_k(n, q, x, eps, method, rel_tol).dimension)
+        def rows(chunk):
+            xc = xs[chunk]
+            return sylvester_rows(c_in + xc * x_in + xinv_in / xc, c_out + xc * x_out + xinv_out / xc,
+                                  support)
+    elif kind == "boundary":
+        from .boundary import k_scan_rows  # local import, boundary builds on this module
+
+        points = [(point, fixed["x"]) if isinstance(point, (tuple, list)) else (fixed["eps"], point)
+                  for point in grid]
+        eps = [as_boundary_params(e, n) for e, _ in points]
+        xs = [check_point(n, q, x)[2] for _, x in points]
+        rows = k_scan_rows(n, q, xs, eps, fixed.get("method", "paper"))
     else:
         raise ValueError(f"unknown scan kind {kind!r}")
-    return ScanResult(dims=dims)
+    dims, margins = [], []
+    for start in range(0, len(grid), SCAN_CHUNK):
+        nullity, margin = stack_nullities(rows(slice(start, start + SCAN_CHUNK)), rel_tol)
+        dims += nullity.tolist()
+        margins += margin.tolist()
+    return ScanResult(dims=dims, margins=margins)

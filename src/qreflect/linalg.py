@@ -99,29 +99,55 @@ class NullspaceResult:
     margin: float = math.inf  # min(kept sigma_min / cut, cut / dropped sigma_max)
 
 
-def nullspace(m, rel_tol: float = DEFAULT_REL_TOL) -> NullspaceResult:
-    """Orthonormal basis of the right nullspace of ``m``.
+def rank_decision(s, rel_tol: float = DEFAULT_REL_TOL):
+    """Rank of one matrix or a stack of them, read off singular values alone.
 
-    A singular value counts as zero iff it is < cut = rel_tol * sigma_max;
-    ``margin`` is the factor between the cut and the nearest singular value
-    on either side (inf for a side that has none).  An all-zero matrix, also
-    one with no rows, yields the full space with the ``degenerate`` flag
-    set.  No square U of a tall matrix is formed.
+    ``s`` holds each matrix's singular values in descending order along its
+    last axis.  A singular value counts iff it is >= cut = rel_tol * sigma_max,
+    and a matrix with sigma_max = 0 (all zero, or without rows) has rank 0.
+    The margin is min(kept sigma_min / cut, cut / dropped sigma_max): the
+    factor between the cut and the nearest singular value, inf for a side
+    that has none or only exact zeros.  Returns (rank, sigma_max, margin),
+    each shaped like ``s[..., 0]``.
     """
     check_tolerance(rel_tol)
+    s = np.asarray(s, dtype=float)
+    if not s.shape[-1]:  # a matrix without rows: one zero singular value
+        s = np.zeros(s.shape[:-1] + (1,))
+    sigma_max = s[..., 0]
+    cut = rel_tol * sigma_max
+    kept = (s >= cut[..., None]) & (s > 0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # no caller's state applies
+        low = np.where(kept, s, math.inf).min(axis=-1) / cut  # inf: nothing kept
+        high = cut / np.where(kept, 0.0, s).max(axis=-1)  # inf: only zeros dropped
+    return kept.sum(axis=-1), sigma_max, np.fmin(low, high)  # fmin skips a zero matrix's 0/0
+
+
+def nullspace(m, rel_tol: float = DEFAULT_REL_TOL) -> NullspaceResult:
+    """Orthonormal basis of the right nullspace of ``m``, ranked by ``rank_decision``.
+
+    An all-zero matrix, also one with no rows, yields the full space with
+    the ``degenerate`` flag set.  No square U of a tall matrix is formed.
+    """
     m = as_matrix(m)
     rows, cols = m.shape
-    if not m.any():
-        return NullspaceResult(cols, np.eye(cols, dtype=np.complex128), 0.0, degenerate=True)
-    # a wide matrix needs the full V^H for its complement; a tall one has it thin
-    _, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
-    cut = rel_tol * float(s[0])
-    rank = int(np.sum(s >= cut))
-    # Python floats, so no numpy error state applies; a side without singular values,
-    # or with exact zeros only, is infinitely far from the cut
-    kept = float(s[rank - 1]) / cut if rank and cut > 0 else math.inf
-    dropped = cut / float(s[rank]) if rank < s.size and s[rank] > 0 else math.inf
-    return NullspaceResult(cols - rank, vh[rank:].conj(), float(s[0]), margin=min(kept, dropped))
+    if m.any():
+        # a wide matrix needs the full V^H for its complement; a tall one has it thin
+        _, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
+    else:
+        s, vh = np.zeros(0), np.eye(cols, dtype=np.complex128)
+    rank, sigma_max, margin = (x.item() for x in rank_decision(s, rel_tol))
+    return NullspaceResult(cols - rank, vh[rank:].conj(), sigma_max, degenerate=sigma_max == 0,
+                           margin=margin)
+
+
+def stack_nullities(stack, rel_tol: float = DEFAULT_REL_TOL):
+    """Nullspace dimensions and margins of a (points, rows, cols) stack, from singular values only."""
+    if not np.isfinite(stack).all():
+        raise ValueError("matrix has non-finite entries")
+    s = np.linalg.svd(stack, compute_uv=False)
+    rank, _, margin = rank_decision(s, rel_tol)
+    return stack.shape[2] - rank, margin
 
 
 def projective_compare(a, b, tol: float):

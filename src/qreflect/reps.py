@@ -42,21 +42,11 @@ def cartan_inner(n: int, i: int, j: int) -> int:
     return -1 if d in (1, n) else 0
 
 
-def cartan_matrix(n: int) -> np.ndarray:
-    return np.array([[cartan_inner(n, i, j) for j in range(n + 1)] for i in range(n + 1)])
-
-
 def q_from_hbar(hbar: float) -> complex:
     """Deformation parameter as a function of the effective Planck constant."""
     if hbar == 0:
         raise ValueError("hbar must be nonzero")
     return cmath.exp(2j * cmath.pi * (1.0 - hbar) / hbar)
-
-
-def _elementary(dim: int, row: int, col: int) -> np.ndarray:
-    e = np.zeros((dim, dim), dtype=np.complex128)
-    e[row, col] = 1.0
-    return e
 
 
 #: Stacking order of generator kinds for intertwining systems (kind-major,
@@ -96,7 +86,8 @@ class EvaluationRep:
         return np.array(self.Q + self.Qbar + self.D, dtype=np.complex128)
 
     def same_algebra(self, other: "EvaluationRep") -> bool:
-        return self.n == other.n and isclose(self.q, other.q)
+        """Same rank and q, with ``linalg.isclose`` holding in both directions (so symmetric)."""
+        return self.n == other.n and isclose(self.q, other.q) and isclose(other.q, self.q)
 
 
 def check_point(n: int, q: complex, x: complex) -> tuple:
@@ -121,16 +112,18 @@ def vector_rep(n: int, q: complex, x: complex) -> EvaluationRep:
     n, q, x = check_point(n, q, x)
     _warn_if_low_root_of_unity(q)
     dim = n + 1
-    Q, Qbar, D = [], [], []
-    for i in range(dim):
-        up = (i + 1) % dim
-        Q.append(x * _elementary(dim, up, i))
-        Qbar.append((1.0 / x) * _elementary(dim, i, up))
-        d = np.ones(dim, dtype=np.complex128)
-        d[i] = 1.0 / q
-        d[up] = q
-        D.append(np.diag(d))
-    return EvaluationRep(n=n, q=q, x=x, is_dual=False, Q=Q, Qbar=Qbar, D=D)
+    i = np.arange(dim)
+    up = (i + 1) % dim
+    unit = np.zeros((2, dim, dim, dim), dtype=np.complex128)  # e^{i+1}_i and e^i_{i+1} per node i
+    unit[0, i, up, i] = 1.0
+    unit[1, i, i, up] = 1.0
+    d = np.ones((dim, dim), dtype=np.complex128)  # row i: the diagonal of D_i
+    d[i, i] = 1.0 / q
+    d[i, up] = q
+    D = np.zeros((dim, dim, dim), dtype=np.complex128)
+    D[:, i, i] = d
+    return EvaluationRep(n=n, q=q, x=x, is_dual=False, Q=list(x * unit[0]),
+                         Qbar=list((1.0 / x) * unit[1]), D=list(D))
 
 
 def _warn_if_low_root_of_unity(q: complex) -> None:
@@ -152,11 +145,12 @@ def dual_rep(rep: EvaluationRep) -> EvaluationRep:
     antipode images.  The dual at another spectral parameter is the dual of
     a vector representation built there.
     """
-    dinv = [np.diag(1.0 / np.diag(d)) for d in rep.D]  # every D_i is diagonal
-    Q = [-(di @ qi).T for di, qi in zip(dinv, rep.Q)]
-    Qbar = [-(di @ qb).T for di, qb in zip(dinv, rep.Qbar)]
-    D = [di.T for di in dinv]
-    return EvaluationRep(n=rep.n, q=rep.q, x=rep.x, is_dual=not rep.is_dual, Q=Q, Qbar=Qbar, D=D)
+    diagonal = np.arange(rep.dim)
+    dinv = np.zeros((rep.nodes, rep.dim, rep.dim), dtype=np.complex128)
+    dinv[:, diagonal, diagonal] = 1.0 / np.array(rep.D)[:, diagonal, diagonal]  # every D_i is diagonal
+    Q, Qbar = (-(dinv @ np.array(m)).transpose(0, 2, 1) for m in (rep.Q, rep.Qbar))
+    return EvaluationRep(n=rep.n, q=rep.q, x=rep.x, is_dual=not rep.is_dual, Q=list(Q),
+                         Qbar=list(Qbar), D=list(dinv.transpose(0, 2, 1)))
 
 
 def as_boundary_params(eps, n: int) -> tuple:

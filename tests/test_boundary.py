@@ -7,6 +7,7 @@ from conftest import generic_point
 from qreflect.boundary import (
     ClosedFormParams,
     closed_form_k,
+    k_scan_rows,
     paper_boundary_system,
     reconcile_gauge,
     solve_k,
@@ -36,6 +37,47 @@ def test_system_family_two_rows():
     rows = paper_boundary_system(1, 2.0, 3.0, (1.0, 1.0))
     assert np.allclose(rows[2], [-1, 0, 0, 1])
     assert np.allclose(rows[3], [1, 0, 0, -1])
+
+
+def _family_rows_by_loop(n, q, x, eps):
+    """The four families written out row by row, as the module docstring reads them."""
+    dim = n + 1
+    rows = []
+
+    def add_row(*coeffs):
+        row = np.zeros(dim * dim, dtype=np.complex128)
+        for (a, b), value in coeffs:
+            row[(a % dim) * dim + b % dim] += value
+        rows.append(row)
+
+    for i in range(dim):
+        add_row(((i, i), eps[i] * (1.0 / q - q)), ((i, i + 1), x), ((i + 1, i), -1.0 / x))
+    for i in range(dim):
+        add_row(((i + 1, i + 1), 1.0), ((i, i), -1.0))
+    pairs = [(i, j) for i in range(dim) for j in range(dim) if j not in (i, (i + 1) % dim)]
+    for i, j in pairs:
+        add_row(((i, j), eps[i] * q), ((i + 1, j), 1.0 / x))
+    for i, j in pairs:
+        add_row(((j, i), eps[i] / q), ((j, i + 1), x))
+    return np.array(rows)
+
+
+def test_paper_rows_are_the_family_loop_bit_for_bit():
+    # signed zeros, units, real and complex values: every coefficient is computed and placed
+    # as the families are written, one point at a time or as one stack
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 3, 5):
+        q = complex(rng.uniform(0.3, 2), rng.choice([0.0, -0.0, rng.normal()]))
+        xs = [complex(rng.choice([-1, 1]) * rng.uniform(0.3, 3), rng.choice([0.0, -0.0, rng.normal()]))
+              for _ in range(6)]
+        eps = [tuple(complex(rng.choice([0.0, -0.0, 1.0, -1.0, 2.0, rng.normal()]),
+                             rng.choice([0.0, -0.0, rng.normal()])) for _ in range(n + 1))
+               for _ in range(6)]
+        stack = k_scan_rows(n, q, xs, eps, "paper")(slice(None))
+        for k, (x, e) in enumerate(zip(xs, eps)):
+            reference = _family_rows_by_loop(n, q, x, e).tobytes()
+            assert paper_boundary_system(n, q, x, e).tobytes() == reference
+            assert stack[k].tobytes() == reference
 
 
 def test_solve_anchor_plus_plus():

@@ -1,6 +1,7 @@
 import contextlib
 import inspect
 import io
+import itertools
 import json
 import os
 import tempfile
@@ -19,6 +20,7 @@ from qreflect.checks import (
     check_ybe,
 )
 from qreflect.cli import main, parse_complex
+from qreflect.intertwiners import NEAR_THRESHOLD_MARGIN, dimension_scan
 from qreflect.io import deserialize_matrix
 from qreflect.linalg import DEFAULT_REL_TOL
 
@@ -391,3 +393,42 @@ def test_scan_bad_grid(tmp_path):
 
 def test_unknown_arguments_exit_2(capsys):
     assert main(["kmatrix", "--bogus"]) == 2
+
+
+def _cli_complex(z) -> str:
+    z = complex(z)
+    return f"{z.real!r}{'+' if z.imag >= 0 else '-'}{abs(z.imag)!r}i"
+
+
+@pytest.mark.parametrize("method, code", [("paper", 0), ("generic", 3)])
+def test_near_threshold_rank_decisions_warn_on_stderr(method, code, tmp_path, capsys):
+    # n = 2, x = 2, eps = (1+1e-8, 1, -1) (times eps* for the engine): the rank cut lies
+    # within a factor 2 of a singular value, and the two methods report different dimensions
+    q = 0.8 * np.exp(0.3j)
+    scale = 1 / np.sqrt((1 - q) * (1 - 1 / q)) if method == "generic" else 1
+    eps = "=" + ",".join(_cli_complex(scale * e) for e in (1 + 1e-8, 1, -1))
+    point = ["--n", "2", "--q", "0.8@0.3", "--x", "2+0i", "--method", method]
+    assert main(["kmatrix", *point, "--eps" + eps, "--out", str(tmp_path / "k.json")]) == code
+    out, err = capsys.readouterr()
+    assert err.count("warning:") == 1 and "1 of 1 rank decisions" in err
+    assert "warning" not in out
+    assert main(["scan", "eps", *point, "--grid" + eps, "--out", str(tmp_path / "s.json")]) == 0
+    out, err = capsys.readouterr()
+    grid = itertools.product([scale * e for e in (1 + 1e-8, 1, -1)], repeat=3)
+    fixed = {"n": 2, "q": q, "x": 2.0, "method": method}
+    near = sum(m < NEAR_THRESHOLD_MARGIN for m in dimension_scan("boundary", fixed, grid).margins)
+    assert near > 1 and err.count("warning:") == 1 and f"{near} of 27 rank decisions" in err
+    assert out.startswith("scan: 27 points") and "warning" not in out
+    # far from the cut: no warning
+    far = "=" + ",".join(_cli_complex(scale * e) for e in (1, 1, -1))
+    assert main(["kmatrix", *point, "--eps" + far, "--out", str(tmp_path / "k.json")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_near_threshold_bulk_solve_warns_on_stderr(tmp_path, capsys):
+    # q = -(1 + 1e-8) with equal rapidities: the smallest kept singular value is 3.5e-9 sigma_max
+    argv = ["smatrix", "--n", "2", "--q=-1.00000001+0i", "--x1", "2.01+0i", "--x2", "2.01+0i",
+            "--out", str(tmp_path / "s.json")]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err.count("warning:") == 1 and out.startswith("smatrix: dimension 1")

@@ -1,7 +1,10 @@
 import cmath
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import eps_star, generic_point
 from qreflect.boundary import solve_k, solve_paper_k
@@ -60,6 +63,15 @@ def test_bulk_equal_rapidity_flagged():
 def test_bulk_rejects_mismatched_algebra():
     with pytest.raises(ValueError):
         solve_bulk(vector_rep(1, Q_REF, 1.2), vector_rep(1, 1.1 * Q_REF, 1.7))
+
+
+def test_bulk_rejects_a_near_q_in_either_order():
+    # q_b = q_a (1 + 1.000005e-5) is within 1e-5 of |q_b| but not of |q_a|: solve_bulk's own
+    # check rejects the pair whichever side comes first
+    a, b = vector_rep(1, Q_REF, 1.2), vector_rep(1, Q_REF * (1 + 1.000005e-5), 1.7)
+    for left, right in ((a, b), (b, a)):
+        with pytest.raises(ValueError, match="bulk channels require matching"):
+            solve_bulk(left, right)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -235,6 +247,123 @@ def test_scan_boundary_over_spectral_parameter():
     assert result.dims == [1, 1]
 
 
+def assert_same_rank_decision(dim, margin, solution):
+    """A scan point's rank decision is the per-point solve's.
+
+    Dimensions and the near-threshold flag agree.  Margins agree to a relative
+    1e-6 plus what last-bit differences between the two assemblies can do: they
+    move a singular value by up to about 64 eps sigma_max, so a margin m, the
+    factor between the cut and a singular value, by a relative 64 eps max(m, 1/m)
+    / rel_tol.  That slack swamps margins set by roundoff-level singular values.
+    """
+    ns = solution.nullspace
+    assert dim == ns.dimension
+    assert (margin < intertwiners.NEAR_THRESHOLD_MARGIN) == ("near-threshold" in solution.flags)
+    if np.isinf(ns.margin):
+        assert margin == ns.margin
+        return
+    slack = 64 * np.finfo(float).eps * max(ns.margin, 1 / ns.margin) / DEFAULT_REL_TOL
+    assert margin == pytest.approx(ns.margin, rel=1e-6 + slack)
+
+
+def assert_scan_matches_solves(fixed, grid):
+    """dimension_scan over ``grid`` against one solve_k / solve_bulk per point."""
+    result = dimension_scan("bulk" if "x_left" in fixed else "boundary", fixed, grid)
+    assert len(result.dims) == len(result.margins) == len(grid)
+    n, q = fixed["n"], fixed["q"]
+    for point, dim, margin in zip(grid, result.dims, result.margins):
+        if "x_left" in fixed:
+            solution = solve_bulk(vector_rep(n, q, fixed["x_left"]), vector_rep(n, q, point))
+        elif isinstance(point, tuple):
+            solution = solve_k(n, q, fixed["x"], point, fixed["method"])
+        else:
+            solution = solve_k(n, q, point, fixed["eps"], fixed["method"])
+        assert_same_rank_decision(dim, margin, solution)
+    return result
+
+
+@pytest.mark.parametrize("axis", ["eps", "theta"])
+@pytest.mark.parametrize("method", ["paper", "generic"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_scan_matches_the_per_point_solves_on_the_bench_grids(n, method, axis):
+    # the boundary_scan grids: every eps in {0, 1, -1, 2}^(n+1) (times eps* for the engine),
+    # and 20 rapidities at a fixed sign pattern
+    rng = np.random.default_rng(700 + 10 * n + (method == "generic"))
+    q, x = generic_point(rng)
+    scale = eps_star(q) if method == "generic" else 1.0
+    if axis == "eps":
+        grid = [tuple(scale * v for v in p) for p in itertools.product((0, 1, -1, 2), repeat=n + 1)]
+        fixed = {"n": n, "q": q, "x": x, "method": method}
+    else:
+        signs = rng.choice([1.0, -1.0], size=n + 1)
+        grid = list(np.exp(np.linspace(-1.0, 0.5, 20) + 0.3j))
+        fixed = {"n": n, "q": q, "eps": tuple(scale * signs), "method": method}
+    result = assert_scan_matches_solves(fixed, grid)
+    if axis == "eps" and n >= 2:
+        assert len(grid) > intertwiners.SCAN_CHUNK  # several chunks, ranked one at a time
+        assert set(result.dims) == {0, 1}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_bulk_scan_matches_the_per_point_solves(n):
+    rng = np.random.default_rng(800 + n)
+    q, x = generic_point(rng)
+    grid = list(np.exp(np.linspace(0.1, 1.5, 20) + 0.2j))
+    assert assert_scan_matches_solves({"n": n, "q": q, "x_left": x}, grid).dims == [1] * 20
+
+
+def test_one_point_scans_match_their_solve():
+    q, x = 0.8 * np.exp(0.3j), np.exp(0.7)
+    assert_scan_matches_solves({"n": 2, "q": q, "x": x, "method": "paper"}, [(1, -1, 1)])
+    assert_scan_matches_solves({"n": 2, "q": q, "x": x, "method": "generic"}, [(0, 0, 0)])
+    assert_scan_matches_solves({"n": 2, "q": q, "x_left": x}, [np.exp(0.23)])
+
+
+def test_scan_flags_the_documented_near_threshold_points():
+    # paper and generic K at eps = (1+1e-8, 1, -1) (times eps* for the engine), and the bulk
+    # S at q = -(1+1e-8) with equal rapidities: the cut lies within a factor 4 of a value
+    q, eps, x = 0.8 * np.exp(0.3j), (1 + 1e-8, 1, -1), np.exp(0.7)
+    eps_g, q_bulk = tuple(eps_star(q) * e for e in eps), -(1 + 1e-8)
+    cases = [
+        ({"n": 2, "q": q, "x": 2.0, "method": "paper"}, eps, solve_paper_k(2, q, 2.0, eps), 1),
+        ({"n": 2, "q": q, "x": 2.0, "method": "generic"}, eps_g,
+         solve_k(2, q, 2.0, eps_g, "generic"), 0),
+        ({"n": 2, "q": q_bulk, "x_left": x}, x,
+         solve_bulk(vector_rep(2, q_bulk, x), vector_rep(2, q_bulk, x)), 1),
+    ]
+    for fixed, point, solution, dim in cases:
+        result = assert_scan_matches_solves(fixed, [point])
+        assert result.dims == [dim]
+        assert result.margins[0] < intertwiners.NEAR_THRESHOLD_MARGIN
+        assert result.margins[0] == pytest.approx(solution.nullspace.margin, rel=1e-6)
+
+
+@settings(derandomize=True, database=None, deadline=2000, max_examples=40)
+@given(
+    n=st.integers(1, 3),
+    method=st.sampled_from(["paper", "generic", "bulk"]),
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(1, 40),
+    axis=st.sampled_from(["eps", "theta"]),
+)
+def test_scan_matches_the_per_point_solves_on_random_grids(n, method, seed, size, axis):
+    rng = np.random.default_rng(seed)
+    q, x = generic_point(rng)
+    if method == "bulk":
+        fixed = {"n": n, "q": q, "x_left": x}
+        grid = list(np.exp(rng.uniform(-1, 1, size) + 1j * rng.uniform(-2, 2, size)))
+    elif axis == "eps":  # solvable sign patterns and arbitrary complex eps, mixed
+        fixed = {"n": n, "q": q, "x": x, "method": method}
+        scale = eps_star(q) if method == "generic" else 1.0
+        grid = [tuple(scale * rng.choice([1.0, -1.0], size=n + 1)) if rng.random() < 0.5 else
+                tuple(rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)) for _ in range(size)]
+    else:
+        fixed = {"n": n, "q": q, "method": method, "eps": tuple(rng.choice([0.0, 1.0, -1.0, 2.0],
+                                                                          size=n + 1))}
+        grid = list(np.exp(rng.uniform(-1, 1, size) + 1j * rng.uniform(-2, 2, size)))
+    assert_scan_matches_solves(fixed, grid)
+
+
 def test_scan_rejects_empty_grid():
     with pytest.raises(ValueError):
         dimension_scan("bulk", {"n": 1, "q": Q_REF, "x_left": 1.0}, [])
@@ -366,6 +495,17 @@ def test_sylvester_rows_match_the_kronecker_form(rng):
         blocks = [_kronecker_rows(*pair, support) for pair in zip(stack_in, stack_out)]
         assert np.array_equal(sylvester_rows(stack_in, stack_out, support), np.vstack(blocks))
         assert blocks[2].shape == (0, support.sum())
+
+
+def test_stacked_systems_share_the_rows_any_of_them_needs(rng):
+    # the first system cancels to zero; the stack keeps every row the second one needs
+    gens = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
+    eye = np.broadcast_to(np.eye(3, dtype=complex), (2, 3, 3))
+    full = np.ones((3, 3), dtype=bool)
+    both = sylvester_rows(np.array([eye, gens]), np.array([eye, gens[::-1]]), full)
+    alone = sylvester_rows(gens, gens[::-1], full)
+    assert both.shape == (2, *alone.shape)
+    assert not both[0].any() and np.array_equal(both[1], alone)
 
 
 def test_all_zero_rows_give_the_degenerate_full_space():

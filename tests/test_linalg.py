@@ -8,6 +8,8 @@ from qreflect.linalg import (
     normalize_solution,
     nullspace,
     projective_compare,
+    rank_decision,
+    stack_nullities,
 )
 
 
@@ -149,6 +151,31 @@ def test_nullspace_margin_is_the_factor_to_the_nearest_singular_value():
     assert nullspace(np.zeros((2, 2))).margin == float("inf")
     with np.errstate(all="raise"):  # the CLI's error state: computing a margin never raises
         assert nullspace(np.diag([1.0, 0.0]), rel_tol=1e-320).margin == float("inf")
+
+
+def test_rank_decision_decides_a_stack_as_nullspace_decides_each_matrix():
+    # rank-deficient, near-cut, full-rank and all-zero 4 x 3 matrices with exact singular
+    # values, so that roundoff sets no margin
+    mats = [np.vstack([np.diag(d)[::-1], np.zeros((1, 3))])
+            for d in ([1, 1, 0], [1, 2e-9, 1e-15], [3, 2, 1], [0, 0, 0])]
+    stack = np.array(mats)
+    s = np.linalg.svd(stack, compute_uv=False)
+    rank, sigma_max, margin = rank_decision(s)
+    nullity, scan_margin = stack_nullities(stack)
+    for k, m in enumerate(mats):
+        ns = nullspace(m)
+        assert (3 - rank[k], 3 - rank[k]) == (ns.dimension, nullity[k])
+        assert sigma_max[k] == pytest.approx(ns.sigma_max, rel=1e-12)
+        assert margin[k] == scan_margin[k] == pytest.approx(ns.margin, rel=1e-12)
+    assert list(rank) == [2, 2, 3, 0] and margin[3] == float("inf")
+    # matrices without rows have no singular values: rank 0, infinitely far from the cut
+    rank, sigma_max, margin = rank_decision(np.zeros((2, 0)))
+    assert list(rank) == [0, 0] and list(sigma_max) == [0, 0] and list(margin) == [np.inf] * 2
+    with np.errstate(all="raise"):  # the CLI's error state: deciding a rank never raises
+        # cut / dropped overflows to inf; the kept side decides
+        assert rank_decision(np.array([[1e300, 1e-320]]))[2][0] == pytest.approx(1e9)
+    with pytest.raises(ValueError, match="non-finite"):
+        stack_nullities(np.full((1, 2, 2), np.nan))
 
 
 @pytest.mark.parametrize("rel_tol", [0.0, -1e-9, float("nan"), float("inf")])

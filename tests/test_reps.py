@@ -6,7 +6,6 @@ from qreflect.linalg import kron
 from qreflect.reps import (
     EvaluationRep,
     cartan_inner,
-    cartan_matrix,
     check_relations,
     GENERATOR_ORDER,
     coideal_generators,
@@ -27,8 +26,9 @@ def test_cartan_inner_values():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_cartan_rows_sum_to_zero(n):
-    assert np.all(cartan_matrix(n).sum(axis=1) == 0)
-    assert np.array_equal(cartan_matrix(n), cartan_matrix(n).T)
+    cartan = np.array([[cartan_inner(n, i, j) for j in range(n + 1)] for i in range(n + 1)])
+    assert np.all(cartan.sum(axis=1) == 0)
+    assert np.array_equal(cartan, cartan.T)
 
 
 def test_cartan_inner_range_check():
@@ -178,9 +178,10 @@ def test_same_algebra_uses_the_relative_isclose_rule():
     assert vector_rep(1, q, 2.0).same_algebra(vector_rep(1, q * (1 + 1e-6), 2.0))
     assert not vector_rep(1, q, 2.0).same_algebra(vector_rep(1, q * (1 + 1e-4), 2.0))
     assert not vector_rep(1, 1e-9, 2.0).same_algebra(vector_rep(1, 2e-9, 2.0))
-    # relative to the second argument: within 1e-5 of the larger q, not of the smaller
+    # symmetric: isclose must hold both ways, and q (1 + 1.000005e-5) is within 1e-5 of the
+    # larger q only
     near, far = vector_rep(1, q, 2.0), vector_rep(1, q * (1 + 1.000005e-5), 2.0)
-    assert near.same_algebra(far) and not far.same_algebra(near)
+    assert not near.same_algebra(far) and not far.same_algebra(near)
     assert not vector_rep(1, q, 2.0).same_algebra(vector_rep(2, q, 2.0))
 
 
