@@ -27,7 +27,7 @@ from .linalg import projective_compare
 from .linalg import nullspace  # noqa: F401  (bench/test_bench.py traces it in this namespace)
 from .intertwiners import IntertwinerSolution, reflection_dual, solve_boundary, solve_system
 from .intertwiners import sylvester_rows
-from .reps import as_boundary_params, check_point, vector_rep
+from .reps import as_boundary_params, check_point, coideal_generators, vector_rep
 
 
 def paper_boundary_system(n: int, q: complex, x: complex, eps) -> np.ndarray:
@@ -76,26 +76,31 @@ def k_scan_rows(n: int, q: complex, x, eps, method: str = "paper"):
     """The rows ``solve_k`` ranks by ``method`` at the validated points (x[p], eps[p]).
 
     Returns a function from a slice of the points to their (points, rows,
-    cols) stack.  "paper" writes the family rows.  "generic" builds the
-    representation at x = 1 and its ``reflection_dual`` once: at x the
-    representation carries x Q_i and Qbar_i / x, and its conjugate, built at
-    -q/x, carries Q_i / x and x Qbar_i.  The points' coideal stacks share one
-    Sylvester row set.
+    cols) stack.  "paper" writes the family rows.  "generic" takes each
+    point's coideal stacks on the representation at x and its
+    ``reflection_dual``, as ``solve_k`` does, and the points share one
+    Sylvester row set.  Consecutive points at one x share one
+    representation, so an eps scan builds it once.
     """
     if method == "paper":
         return lambda chunk: _paper_rows(n, q, x[chunk], eps[chunk])
     if method != "generic":
         raise ValueError(f"unknown boundary method {method!r}")
-    rep = vector_rep(n, q, 1.0)
-    (q_in, qbar_in, d_in), (q_out, qbar_out, d_out) = (
-        r.generators().reshape(3, n + 1, r.dim, r.dim) for r in (rep, reflection_dual(rep)))
-    x, eps = np.array(x)[:, None, None, None], np.array(eps)[:, :, None, None]
+    built = {}  # bits of the latest x -> (representation, conjugate)
     full = np.ones((n + 1, n + 1), dtype=bool)
 
+    def reps_at(xp):
+        key = np.complex128(xp).tobytes()  # bitwise: 1+0j and 1-0j build their own
+        if key not in built:
+            rep = vector_rep(n, q, xp)
+            built.clear()
+            built[key] = rep, reflection_dual(rep)
+        return built[key]
+
     def rows(chunk):
-        xc, ec = x[chunk], eps[chunk]
-        return sylvester_rows(xc * q_in + qbar_in / xc + ec * d_in,
-                              qbar_out * xc + q_out / xc + ec * d_out, full)
+        systems = [[coideal_generators(r, ep) for r in reps_at(xp)]
+                   for xp, ep in zip(x[chunk], eps[chunk])]
+        return sylvester_rows(*np.array(systems).swapaxes(0, 1), full)
 
     return rows
 

@@ -10,7 +10,7 @@ index minor; q^{-T_i} rows are implied by invertibility and never stacked.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -125,18 +125,23 @@ def solve_bulk(
         raise ValueError("bulk channels require matching (n, q)")
     equal = isclose(rep_a.x, rep_b.x) and rep_a.is_dual == rep_b.is_dual
     flags = ("equal-rapidity",) if equal else ()
-    m_in, m_out = coproduct(rep_a, rep_b), coproduct(rep_b, rep_a)
-    return _solve_stacked(m_in, m_out, rel_tol, flags, _weight_support(m_in, m_out, rep_a.nodes))
+    m_in, m_out, support = _bulk_system(rep_a, rep_b)
+    return _solve_stacked(m_in, m_out, rel_tol, flags, support)
 
 
-def _weight_support(m_in, m_out, nodes: int) -> np.ndarray:
-    """Mask of the bulk unknowns S[out, in] whose qT eigenvalues agree at every node.
+def _bulk_system(rep_a: EvaluationRep, rep_b: EvaluationRep, support=None):
+    """Stacks and unknowns of ``solve_bulk(rep_a, rep_b)``: (m_in, m_out, support).
 
-    Kind-major order puts the qT images last.  Relative, so scale-free, and
-    generous: a kept near-coincident entry still meets its qT rows.
+    ``support`` masks the S[out, in] whose qT eigenvalues agree at every node,
+    to a relative 1e-4: scale-free, and generous, as a kept near-coincident
+    entry still meets its qT rows.  It depends on the qT images alone, so a
+    caller that varies only x may pass it back in.
     """
-    d_in, d_out = (np.diagonal(m[-nodes:], axis1=1, axis2=2) for m in (m_in, m_out))
-    return np.isclose(d_out[:, :, None], d_in[:, None, :], rtol=1e-4, atol=0.0).all(axis=0)
+    m_in, m_out = coproduct(rep_a, rep_b), coproduct(rep_b, rep_a)
+    if support is None:
+        d_in, d_out = (np.diagonal(m[-rep_a.nodes:], axis1=1, axis2=2) for m in (m_in, m_out))
+        support = np.isclose(d_out[:, :, None], d_in[:, None, :], rtol=1e-4, atol=0.0).all(axis=0)
+    return m_in, m_out, support
 
 
 def closed_form_s(n: int, q: complex, theta_a: complex, theta_b: complex) -> np.ndarray:
@@ -186,8 +191,7 @@ def solve_boundary(
         raise ValueError("boundary system requires matching (n, q)")
     if rep.dim != dual.dim:
         raise ValueError("boundary system requires equal dimensions")
-    params = as_boundary_params(eps, rep.n)
-    m_in, m_out = coideal_generators(rep, params), coideal_generators(dual, params)
+    m_in, m_out = coideal_generators(rep, eps), coideal_generators(dual, eps)
     return _solve_stacked(m_in, m_out, rel_tol)
 
 
@@ -251,21 +255,6 @@ class ScanResult:
     margins: list
 
 
-def _bulk_parts(left: EvaluationRep, right: EvaluationRep):
-    """Coproduct stacks of ``solve_bulk(left, right at x)`` as parts (constant, x, 1/x).
-
-    ``right`` is built at x = 1.  An evaluation representation at x carries
-    x Q_i, Qbar_i / x and a constant q^{T_i}, so in Delta(Q_i) = Q_i x 1 +
-    q^{T_i} x Q_i only the right factor's Q_i carries x (Qbar_i alike).
-    """
-    zero = [np.zeros_like(d) for d in left.D]
-    cartan, charges = replace(right, Q=zero, Qbar=zero), replace(right, D=zero)
-    by_kind = np.repeat(np.eye(3)[:2], left.nodes, axis=1)[:, :, None, None]  # Q, then Qbar
-    m_in = [coproduct(left, cartan), *(by_kind * coproduct(replace(left, Q=zero, Qbar=zero), right))]
-    m_out = [coproduct(cartan, left), *(by_kind * coproduct(charges, left))]
-    return np.array(m_in), np.array(m_out)
-
-
 def dimension_scan(kind: str, fixed: dict, grid, rel_tol: float = DEFAULT_REL_TOL) -> ScanResult:
     """Record intertwiner nullspace dimensions over a grid.
 
@@ -275,24 +264,25 @@ def dimension_scan(kind: str, fixed: dict, grid, rel_tol: float = DEFAULT_REL_TO
     eps tuples, or spectral parameters when fixed carries an ``eps`` entry
     instead.  Degenerate points are recorded, never raised.
 
-    The systems are those of ``solve_bulk`` and ``boundary.solve_k``, built
-    from parts assembled once per scan and ranked from their singular values
-    alone, ``SCAN_CHUNK`` points at a time.
+    Each point's system is the one ``solve_bulk`` or ``boundary.solve_k``
+    assembles there, from the same generator stacks; a chunk of
+    ``SCAN_CHUNK`` points shares one row set and is ranked from its singular
+    values alone.
     """
     grid = list(grid)
     if not grid:
         raise ValueError("grid must be nonempty")
-    n, q = fixed["n"], fixed["q"]
+    n, q, _ = check_point(fixed["n"], fixed["q"], 1.0)  # as the solves take them
     if kind == "bulk":
-        xs = np.array([check_point(n, q, x)[2] for x in grid])[:, None, None, None]
-        left = vector_rep(n, q, fixed["x_left"])
-        (c_in, x_in, xinv_in), (c_out, x_out, xinv_out) = _bulk_parts(left, vector_rep(n, q, 1.0))
-        support = _weight_support(c_in, c_out, left.nodes)
+        left, support = vector_rep(n, q, fixed["x_left"]), None
 
         def rows(chunk):
-            xc = xs[chunk]
-            return sylvester_rows(c_in + xc * x_in + xinv_in / xc, c_out + xc * x_out + xinv_out / xc,
-                                  support)
+            nonlocal support  # the first point's, as the qT images do not vary with x
+            systems = []
+            for x in grid[chunk]:
+                m_in, m_out, support = _bulk_system(left, vector_rep(n, q, x), support)
+                systems.append((m_in, m_out))
+            return sylvester_rows(*np.array(systems).swapaxes(0, 1), support)
     elif kind == "boundary":
         from .boundary import k_scan_rows  # local import, boundary builds on this module
 

@@ -38,8 +38,8 @@ def as_matrix(a) -> np.ndarray:
 
 
 def isclose(a: complex, b: complex) -> bool:
-    """``np.isclose(a, b, atol=0)`` for two scalars: |a - b| <= 1e-5 |b|, relative to b."""
-    return abs(a - b) <= 1e-5 * abs(b)
+    """``np.isclose(a, b, atol=0)`` in both directions: |a - b| <= 1e-5 min(|a|, |b|), symmetric."""
+    return abs(a - b) <= 1e-5 * min(abs(a), abs(b))
 
 
 def kron(a, b) -> np.ndarray:

@@ -5,10 +5,11 @@ group-like Cartan elements q^{T_i}, i = 0..n, with all node indices cyclic
 mod N = n+1 (the affine node participates on equal footing).  Only the
 group-like q^{+-T_i} are ever represented; T_i itself never appears.
 
-A representation is stored as the three lists of generator matrices
-(Q, Qbar, D = image of q^{T_i}) together with the deformation parameter q
-and the spectral parameter x = e^theta.  The D_i are diagonal, so their
-inverses are read off the diagonal where needed.
+A representation is stored as one complex (3, N, d, d) stack of generator
+matrices in GENERATOR_ORDER (Q, Qbar, D = image of q^{T_i}; node index
+minor) together with the deformation parameter q and the spectral
+parameter x = e^theta.  The D_i are diagonal, so their inverses are read
+off the diagonal where needed.
 """
 
 from __future__ import annotations
@@ -58,18 +59,24 @@ GENERATOR_ORDER = ("Q", "Qbar", "qT")
 class EvaluationRep:
     """Generator matrices of one evaluation representation.
 
-    ``x`` always records the spectral parameter of the underlying vector
-    representation; ``is_dual`` marks whether the matrices have been passed
-    through the antipode-transpose construction.
+    ``gens`` is the (3, nodes, dim, dim) stack in GENERATOR_ORDER; ``Q``,
+    ``Qbar`` and ``D`` are views of its three kinds.  ``x`` always records
+    the spectral parameter of the underlying vector representation;
+    ``is_dual`` marks whether the matrices have been passed through the
+    antipode-transpose construction.
     """
 
     n: int
     q: complex
     x: complex
     is_dual: bool
-    Q: list = field(repr=False, default_factory=list)
-    Qbar: list = field(repr=False, default_factory=list)
-    D: list = field(repr=False, default_factory=list)
+    gens: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        self.gens = np.ascontiguousarray(self.gens, dtype=np.complex128)
+        shape = self.gens.shape
+        if len(shape) != 4 or shape[:3] != (len(GENERATOR_ORDER), self.n + 1, shape[-1]):
+            raise ValueError(f"generator stack must have shape (3, {self.n + 1}, d, d), got {shape}")
 
     @property
     def nodes(self) -> int:
@@ -78,16 +85,20 @@ class EvaluationRep:
 
     @property
     def dim(self) -> int:
-        """Dimension of the carrier space (read off the matrices)."""
-        return self.Q[0].shape[0] if self.Q else self.n + 1
+        """Dimension of the carrier space."""
+        return self.gens.shape[-1]
+
+    Q = property(lambda self: self.gens[0], doc="The Q_i, a view of ``gens``.")
+    Qbar = property(lambda self: self.gens[1], doc="The Qbar_i, a view of ``gens``.")
+    D = property(lambda self: self.gens[2], doc="The q^{T_i} images, a view of ``gens``.")
 
     def generators(self) -> np.ndarray:
-        """Every generator matrix as one (3 * nodes, dim, dim) stack in GENERATOR_ORDER."""
-        return np.array(self.Q + self.Qbar + self.D, dtype=np.complex128)
+        """Every generator matrix as one (3 * nodes, dim, dim) view of ``gens``."""
+        return self.gens.reshape(-1, self.dim, self.dim)
 
     def same_algebra(self, other: "EvaluationRep") -> bool:
-        """Same rank and q, with ``linalg.isclose`` holding in both directions (so symmetric)."""
-        return self.n == other.n and isclose(self.q, other.q) and isclose(other.q, self.q)
+        """Same rank and q by ``linalg.isclose`` (symmetric)."""
+        return self.n == other.n and isclose(self.q, other.q)
 
 
 def check_point(n: int, q: complex, x: complex) -> tuple:
@@ -114,16 +125,13 @@ def vector_rep(n: int, q: complex, x: complex) -> EvaluationRep:
     dim = n + 1
     i = np.arange(dim)
     up = (i + 1) % dim
-    unit = np.zeros((2, dim, dim, dim), dtype=np.complex128)  # e^{i+1}_i and e^i_{i+1} per node i
-    unit[0, i, up, i] = 1.0
-    unit[1, i, i, up] = 1.0
-    d = np.ones((dim, dim), dtype=np.complex128)  # row i: the diagonal of D_i
-    d[i, i] = 1.0 / q
-    d[i, up] = q
-    D = np.zeros((dim, dim, dim), dtype=np.complex128)
-    D[:, i, i] = d
-    return EvaluationRep(n=n, q=q, x=x, is_dual=False, Q=list(x * unit[0]),
-                         Qbar=list((1.0 / x) * unit[1]), D=list(D))
+    gens = np.zeros((3, dim, dim, dim), dtype=np.complex128)
+    gens[0, i, up, i] = gens[1, i, i, up] = 1.0  # e^{i+1}_i and e^i_{i+1} per node i
+    gens[:2] *= np.array([x, 1.0 / x])[:, None, None, None]  # whole blocks: zeros take x's signs
+    gens[2, :, i, i] = 1.0  # D_i: q^{-1} in slot i, q in slot i+1, 1 elsewhere
+    gens[2, i, i, i] = 1.0 / q
+    gens[2, i, up, up] = q
+    return EvaluationRep(n=n, q=q, x=x, is_dual=False, gens=gens)
 
 
 def _warn_if_low_root_of_unity(q: complex) -> None:
@@ -147,10 +155,11 @@ def dual_rep(rep: EvaluationRep) -> EvaluationRep:
     """
     diagonal = np.arange(rep.dim)
     dinv = np.zeros((rep.nodes, rep.dim, rep.dim), dtype=np.complex128)
-    dinv[:, diagonal, diagonal] = 1.0 / np.array(rep.D)[:, diagonal, diagonal]  # every D_i is diagonal
-    Q, Qbar = (-(dinv @ np.array(m)).transpose(0, 2, 1) for m in (rep.Q, rep.Qbar))
-    return EvaluationRep(n=rep.n, q=rep.q, x=rep.x, is_dual=not rep.is_dual, Q=list(Q),
-                         Qbar=list(Qbar), D=list(dinv.transpose(0, 2, 1)))
+    dinv[:, diagonal, diagonal] = 1.0 / rep.D[:, diagonal, diagonal]  # every D_i is diagonal
+    gens = np.empty_like(rep.gens)
+    gens[:2] = -(dinv @ rep.gens[:2]).swapaxes(-1, -2)
+    gens[2] = dinv  # diagonal, so its own transpose
+    return EvaluationRep(n=rep.n, q=rep.q, x=rep.x, is_dual=not rep.is_dual, gens=gens)
 
 
 def as_boundary_params(eps, n: int) -> tuple:
@@ -166,7 +175,7 @@ def as_boundary_params(eps, n: int) -> tuple:
 def coideal_generators(rep: EvaluationRep, eps) -> np.ndarray:
     """Stack of the matrices Qhat_i = Q_i + Qbar_i + eps_i q^{T_i} of the boundary algebra."""
     params = np.array(as_boundary_params(eps, rep.n))[:, None, None]
-    return np.array(rep.Q) + np.array(rep.Qbar) + params * np.array(rep.D)
+    return rep.Q + rep.Qbar + params * rep.D
 
 
 def coproduct(rep_a: EvaluationRep, rep_b: EvaluationRep) -> np.ndarray:
@@ -178,25 +187,19 @@ def coproduct(rep_a: EvaluationRep, rep_b: EvaluationRep) -> np.ndarray:
     """
     if not rep_a.same_algebra(rep_b):
         raise ValueError("coproduct requires matching (n, q) on both factors")
-    a, b = rep_a.generators(), rep_b.generators()
+    a, b = rep_a.gens, rep_b.gens
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("matrix has non-finite entries")
-    size, charges = rep_a.dim * rep_b.dim, 2 * rep_a.nodes
-
-    def pairwise_kron(x, y):  # x[k] kron y[k] for every k, by broadcasting
-        return (x[:, :, None, :, None] * y[:, None, :, None, :]).reshape(-1, size, size)
-
-    eye_b = np.eye(rep_b.dim, dtype=np.complex128)[None]
-    out = pairwise_kron(np.tile(a[charges:], (3, 1, 1)), b)  # q^{T_i} x g_i for every g_i
-    out[:charges] = pairwise_kron(a[:charges], eye_b) + out[:charges]
-    return out
+    # x[..., r, c] kron y[..., s, t] sits at [..., r, s, c, t]; axes 0, 1 are kind and node
+    out = a[2, :, :, None, :, None] * b[:, :, None, :, None, :]  # q^{T_i} x g_i for every g_i
+    out[:2] += a[:2, :, :, None, :, None] * np.eye(rep_b.dim)[:, None, :]  # Q_i x 1, Qbar_i x 1
+    size = rep_a.dim * rep_b.dim
+    return out.reshape(-1, size, size)
 
 
 def coproduct_matrix(rep_a: EvaluationRep, rep_b: EvaluationRep, kind: str, i: int) -> np.ndarray:
     """Image of the coproduct of one generator on the tensor product (see ``coproduct``)."""
-    delta = coproduct(rep_a, rep_b)
-    by_kind = delta.reshape(len(GENERATOR_ORDER), rep_a.nodes, *delta.shape[1:])
-    return by_kind[GENERATOR_ORDER.index(kind), i]
+    return coproduct(rep_a, rep_b)[GENERATOR_ORDER.index(kind) * rep_a.nodes + i]
 
 
 def check_relations(rep: EvaluationRep, tol: float = 1e-10) -> VerificationReport:

@@ -80,6 +80,24 @@ def test_paper_rows_are_the_family_loop_bit_for_bit():
             assert stack[k].tobytes() == reference
 
 
+def test_generic_scan_rows_build_one_representation_per_run_of_equal_x(monkeypatch):
+    # an eps scan builds its representation once; a change of x, even of a zero's sign, rebuilds
+    from qreflect import boundary
+
+    built = []
+
+    def counted(n, q, x):
+        built.append(x)
+        return vector_rep(n, q, x)
+
+    monkeypatch.setattr(boundary, "vector_rep", counted)
+    x, runs = complex(X_REF), [2 + 0j, complex(2, -0.0)]
+    xs = [x] * 5 + runs + [x]
+    eps = [(1 + 0j, -1 + 0j, 1 + 0j)] * len(xs)
+    assert k_scan_rows(2, complex(Q_REF), xs, eps, "generic")(slice(None)).shape[0] == len(xs)
+    assert [str(b) for b in built] == [str(b) for b in [x, *runs, x]]  # str tells -0.0 apart
+
+
 def test_solve_anchor_plus_plus():
     sol = solve_paper_k(1, 2.0, 3.0, (1, 1))
     assert sol.dimension == 1

@@ -74,6 +74,15 @@ def test_bulk_rejects_a_near_q_in_either_order():
             solve_bulk(left, right)
 
 
+def test_equal_rapidity_flag_does_not_depend_on_argument_order():
+    # x_b = x_a (1 + 1.000005e-5) is within 1e-5 of |x_b| but not of |x_a|; the flag follows
+    # the symmetric rule of same_algebra, whichever side comes first
+    x = np.exp(0.7)
+    for factor, flags in ((1 + 1.000005e-5, ()), (1 + 0.99e-5, ("equal-rapidity",))):
+        a, b = vector_rep(1, Q_REF, x), vector_rep(1, Q_REF, x * factor)
+        assert solve_bulk(a, b).flags == solve_bulk(b, a).flags == flags, factor
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_bulk_dimension_one_generic(n):
     rng = np.random.default_rng(80 + n)
@@ -250,11 +259,9 @@ def test_scan_boundary_over_spectral_parameter():
 def assert_same_rank_decision(dim, margin, solution):
     """A scan point's rank decision is the per-point solve's.
 
-    Dimensions and the near-threshold flag agree.  Margins agree to a relative
-    1e-6 plus what last-bit differences between the two assemblies can do: they
-    move a singular value by up to about 64 eps sigma_max, so a margin m, the
-    factor between the cut and a singular value, by a relative 64 eps max(m, 1/m)
-    / rel_tol.  That slack swamps margins set by roundoff-level singular values.
+    Dimensions and the near-threshold flag agree, and margins agree to a
+    relative 1e-12: a scan point's system is the solve's, bit for bit, so
+    only the two SVD drivers (values only, or with a basis) differ.
     """
     ns = solution.nullspace
     assert dim == ns.dimension
@@ -262,8 +269,7 @@ def assert_same_rank_decision(dim, margin, solution):
     if np.isinf(ns.margin):
         assert margin == ns.margin
         return
-    slack = 64 * np.finfo(float).eps * max(ns.margin, 1 / ns.margin) / DEFAULT_REL_TOL
-    assert margin == pytest.approx(ns.margin, rel=1e-6 + slack)
+    assert margin == pytest.approx(ns.margin, rel=1e-12)
 
 
 def assert_scan_matches_solves(fixed, grid):
@@ -362,6 +368,51 @@ def test_scan_matches_the_per_point_solves_on_random_grids(n, method, seed, size
                                                                           size=n + 1))}
         grid = list(np.exp(rng.uniform(-1, 1, size) + 1j * rng.uniform(-2, 2, size)))
     assert_scan_matches_solves(fixed, grid)
+
+
+def _record_scan_stacks(monkeypatch) -> list:
+    """Collect every (points, rows, cols) stack ``dimension_scan`` ranks."""
+    stacks = []
+    original = intertwiners.stack_nullities
+
+    def spy(stack, rel_tol):
+        stacks.append(stack)
+        return original(stack, rel_tol)
+
+    monkeypatch.setattr(intertwiners, "stack_nullities", spy)
+    return stacks
+
+
+@pytest.mark.parametrize("case", ["paper-eps", "generic-eps", "generic-theta", "bulk-theta"])
+def test_scan_stacks_hold_the_per_point_systems_bit_for_bit(case, monkeypatch):
+    # each point's slice of a chunk, without its all-zero rows, is the system its solve ranks;
+    # q and x are numpy scalars, which scans and solves alike take as Python complex
+    rng = np.random.default_rng(900)
+    q, x = generic_point(rng)
+    star = eps_star(q)
+    thetas = list(np.exp(np.linspace(-1.0, 0.5, 40) + 0.3j))
+    if case.endswith("eps"):
+        method = case.split("-")[0]
+        fixed = {"n": 2, "q": q, "x": x, "method": method}
+        scale = star if method == "generic" else 1.0
+        grid = [tuple(scale * v for v in p) for p in itertools.product((0, 1, -1, 2), repeat=3)]
+        solve = lambda eps: solve_k(2, q, x, eps, method)  # noqa: E731
+    elif case == "generic-theta":
+        eps = (star, -star, star)
+        fixed, grid = {"n": 2, "q": q, "eps": eps, "method": "generic"}, thetas
+        solve = lambda y: solve_k(2, q, y, eps, "generic")  # noqa: E731
+    else:
+        fixed, grid = {"n": 2, "q": q, "x_left": x}, thetas
+        solve = lambda y: solve_bulk(vector_rep(2, q, x), vector_rep(2, q, y))  # noqa: E731
+    stacks = _record_scan_stacks(monkeypatch)
+    dimension_scan("bulk" if case == "bulk-theta" else "boundary", fixed, grid)
+    chunk = intertwiners.SCAN_CHUNK
+    assert len(stacks) == -(-len(grid) // chunk) > 1
+    systems = _record_systems(monkeypatch)
+    for p, point in enumerate(grid):
+        solve(point)
+        rows = stacks[p // chunk][p % chunk]
+        assert np.array_equal(rows[rows.any(axis=1)], systems[-1]), p
 
 
 def test_scan_rejects_empty_grid():

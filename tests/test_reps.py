@@ -173,7 +173,7 @@ def test_coproduct_requires_same_algebra(rng):
 
 
 def test_same_algebra_uses_the_relative_isclose_rule():
-    # |q_a - q_b| <= 1e-5 |q_b|, no absolute term, exactly np.isclose(q_a, q_b, atol=0)
+    # |q_a - q_b| <= 1e-5 min(|q_a|, |q_b|), no absolute term: np.isclose(atol=0) both ways
     q = 0.8 * np.exp(0.3j)
     assert vector_rep(1, q, 2.0).same_algebra(vector_rep(1, q * (1 + 1e-6), 2.0))
     assert not vector_rep(1, q, 2.0).same_algebra(vector_rep(1, q * (1 + 1e-4), 2.0))
@@ -230,11 +230,27 @@ def test_coproduct_is_algebra_map():
         q=q,
         x=a.x * b.x,
         is_dual=False,
-        Q=[coproduct_matrix(a, b, "Q", i) for i in range(2)],
-        Qbar=[coproduct_matrix(a, b, "Qbar", i) for i in range(2)],
-        D=[coproduct_matrix(a, b, "qT", i) for i in range(2)],
+        gens=[[coproduct_matrix(a, b, kind, i) for i in range(2)] for kind in GENERATOR_ORDER],
     )
     assert check_relations(tensor, tol=1e-10).passed
+
+
+def test_representation_is_one_generator_stack():
+    rep = vector_rep(2, 0.8 * np.exp(0.3j), 2.0)
+    assert rep.gens.shape == (3, 3, 3, 3) and rep.gens.dtype == np.complex128
+    for k, view in enumerate((rep.Q, rep.Qbar, rep.D)):
+        assert np.shares_memory(view, rep.gens) and np.array_equal(view, rep.gens[k])
+    stack = rep.generators()
+    assert stack.shape == (9, 3, 3) and np.shares_memory(stack, rep.gens)
+    assert np.array_equal(stack, rep.gens.reshape(9, 3, 3))
+
+
+@pytest.mark.parametrize("shape", [(3, 3, 3, 3), (2, 2, 2, 2), (3, 2, 2, 3), (3, 2, 4), (6, 2, 2)])
+def test_evaluation_rep_rejects_a_misshapen_stack(shape):
+    # n = 1 needs a (3, 2, d, d) stack
+    with pytest.raises(ValueError, match="generator stack must have shape"):
+        EvaluationRep(n=1, q=0.8, x=2.0, is_dual=False, gens=np.zeros(shape))
+    assert EvaluationRep(n=1, q=0.8, x=2.0, is_dual=False, gens=np.zeros((3, 2, 4, 4))).dim == 4
 
 
 def test_check_relations_vector_anchor():
