@@ -18,6 +18,7 @@ assumed, by the test suite.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,13 @@ from .linalg import nullspace  # noqa: F401  (bench/test_bench.py traces it in t
 from .intertwiners import IntertwinerSolution, reflection_dual, solve_boundary, solve_system
 from .intertwiners import sylvester_rows
 from .reps import as_boundary_params, check_point, coideal_generators, vector_rep
+
+
+# Every K method and the ``convention`` label of its documents.  ``solve_k`` and scans
+# take all but "closed-form", which ``closed_form_k`` evaluates.  The CLI and ``io`` read
+# the names, labels and default from here.
+K_METHODS = {"paper": "paper", "generic": "antipode-dual", "closed-form": "paper"}
+DEFAULT_K_METHOD = "paper"
 
 
 def paper_boundary_system(n: int, q: complex, x: complex, eps) -> np.ndarray:
@@ -72,34 +80,41 @@ def _paper_rows(n: int, q: complex, x, eps) -> np.ndarray:
     return rows
 
 
-def k_scan_rows(n: int, q: complex, x, eps, method: str = "paper"):
-    """The rows ``solve_k`` ranks by ``method`` at the validated points (x[p], eps[p]).
+def k_scan_rows(n: int, q: complex, fixed: dict, grid: list):
+    """The rows ``solve_k`` ranks at each point of a boundary scan, by a slice of ``grid``.
 
-    Returns a function from a slice of the points to their (points, rows,
-    cols) stack.  "paper" writes the family rows.  "generic" takes each
-    point's coideal stacks on the representation at x and its
-    ``reflection_dual``, as ``solve_k`` does, and the points share one
-    Sylvester row set.  Consecutive points at one x share one
-    representation, so an eps scan builds it once.
+    The axis is read from ``fixed`` once: with an ``eps`` entry the grid
+    holds x values at that eps (a theta axis), otherwise eps tuples at
+    ``fixed["x"]`` (an eps axis).  Every point is validated before any rows
+    are built.  ``fixed["method"]`` (default ``DEFAULT_K_METHOD``) picks the
+    rows: "paper" writes the family rows; "generic" takes each point's
+    coideal stacks on the representation at x and its ``reflection_dual``,
+    as ``solve_k`` does, and the points of a slice share one Sylvester row
+    set.  An eps axis has one x, so it builds that pair once.
     """
+    method = fixed.get("method", DEFAULT_K_METHOD)
+    theta_axis = "eps" in fixed
+    if theta_axis:
+        eps = [as_boundary_params(fixed["eps"], n)] * len(grid)
+        xs = [check_point(n, q, x)[2] for x in grid]
+    else:
+        eps = [as_boundary_params(e, n) for e in grid]
+        xs = [check_point(n, q, fixed["x"])[2]] * len(grid)
     if method == "paper":
-        return lambda chunk: _paper_rows(n, q, x[chunk], eps[chunk])
+        return lambda chunk: _paper_rows(n, q, xs[chunk], eps[chunk])
     if method != "generic":
         raise ValueError(f"unknown boundary method {method!r}")
-    built = {}  # bits of the latest x -> (representation, conjugate)
     full = np.ones((n + 1, n + 1), dtype=bool)
 
-    def reps_at(xp):
-        key = np.complex128(xp).tobytes()  # bitwise: 1+0j and 1-0j build their own
-        if key not in built:
-            rep = vector_rep(n, q, xp)
-            built.clear()
-            built[key] = rep, reflection_dual(rep)
-        return built[key]
+    def conjugates(x):
+        rep = vector_rep(n, q, x)
+        return rep, reflection_dual(rep)
+
+    one = None if theta_axis else conjugates(xs[0])
 
     def rows(chunk):
-        systems = [[coideal_generators(r, ep) for r in reps_at(xp)]
-                   for xp, ep in zip(x[chunk], eps[chunk])]
+        systems = [[coideal_generators(r, ep) for r in one or conjugates(xp)]
+                   for xp, ep in zip(xs[chunk], eps[chunk])]
         return sylvester_rows(*np.array(systems).swapaxes(0, 1), full)
 
     return rows
@@ -121,14 +136,8 @@ def solve_paper_k(
     return solve_system(rows, (n + 1, n + 1), rel_tol, residual)
 
 
-# The ``convention`` label that documents carry for each K method; the CLI
-# reads its method names and labels from here.
-_CONVENTIONS = {"paper": "paper", "generic": "antipode-dual", "closed-form": "paper"}
-
-
-def solve_k(
-    n: int, q: complex, x: complex, eps, method: str = "paper", rel_tol: float = DEFAULT_REL_TOL
-) -> IntertwinerSolution:
+def solve_k(n: int, q: complex, x: complex, eps, method: str = DEFAULT_K_METHOD,
+            rel_tol: float = DEFAULT_REL_TOL) -> IntertwinerSolution:
     """Solve for the boundary K at one point by the named method.
 
     "paper" solves the explicit family system (``solve_paper_k``);
@@ -145,14 +154,9 @@ def solve_k(
 
 @dataclass(frozen=True)
 class ClosedFormParams:
-    """Inputs of the closed-form reflection matrix.
-
-    ``eps_aggregate`` defaults to the product of all eps_i (the rule the
-    n = 1 elimination fixes and the n = 2 nullspace confirms).
-    """
+    """Inputs of the closed-form reflection matrix: the eps_i, each of modulus 1."""
 
     eps: tuple
-    eps_aggregate: complex | None = None
 
     def __post_init__(self):
         eps = tuple(self.eps)
@@ -161,23 +165,13 @@ class ClosedFormParams:
         if bad:
             raise ValueError(f"closed form requires |eps_i| = 1, got {bad}")
         object.__setattr__(self, "eps", params)
-        if self.eps_aggregate is not None:
-            (aggregate,) = as_boundary_params((self.eps_aggregate,), 0)  # one finite value
-            object.__setattr__(self, "eps_aggregate", aggregate)
-
-    def aggregate(self) -> complex:
-        if self.eps_aggregate is not None:
-            return self.eps_aggregate
-        product = 1.0 + 0j
-        for e in self.eps:
-            product *= e
-        return product
 
 
 def closed_form_k(n: int, q: complex, x: complex, params: ClosedFormParams) -> np.ndarray:
     """Evaluate the closed-form reflection matrix at one spectral point.
 
-    With w a square root of -q x and W = w^{n+1}:
+    With w a square root of -q x, W = w^{n+1} and eps_agg = eps_0 ... eps_n
+    (the rule the n = 1 elimination fixes and the n = 2 nullspace confirms):
       K^i_i = (q^{-1} W - eps_agg q W^{-1}) / (q^{-1} - q)
       K^i_j = eps_i ... eps_{j-1}           w^{2(i-j)+n+1}   (j > i)
       K^j_i = eps_i ... eps_{j-1} eps_agg   w^{2(j-i)-n-1}   (j > i)
@@ -186,7 +180,7 @@ def closed_form_k(n: int, q: complex, x: complex, params: ClosedFormParams) -> n
     if abs(q**2 - 1.0) < 1e-12:
         raise ValueError("closed form is singular at q^2 = 1")
     eps = as_boundary_params(params.eps, n)
-    agg = params.aggregate()
+    agg = math.prod(eps, start=1 + 0j)
     w = cmath.sqrt(-q * x)
     cap_w = w ** (n + 1)
     dim = n + 1

@@ -2,28 +2,29 @@
 
   rep-check --n --q --x [--tol]
   smatrix   --n --q --x1 --x2 [--dual-left] [--dual-right] --out FILE
-  kmatrix   --n --q --x --eps LIST --method {paper,generic,closed-form}
-            [--eps-aggregate C] --out FILE
+  kmatrix   --n --q --x --eps LIST [--method {paper,generic,closed-form}] --out FILE
   verify    {ybe,re,coideal,sklyanin,b-comm} --n --q --rapidities LIST
             [--eps LIST] [--tol T] [--out FILE]
   scan      {eps,theta} --n --q ... --grid SPEC [--method M] --out FILE
 
-Complex values are written "a+bi" or polar "r@phi"; --rapidities takes
-theta values (x = e^theta internally), --x flags take x directly.  Valid
-input: n >= 1, finite nonzero q and x, finite eps, positive finite --tol.
+Complex values are written "a+bi" or polar "r@phi", and lists are
+comma-separated with no empty field.  --rapidities takes theta values
+(x = e^theta internally), --x flags take x directly.  Valid input: n >= 1,
+finite nonzero q and x, finite eps, positive finite --tol, and at most
+MAX_SCAN_POINTS scan points.
 
-The CLI decides nothing the library owns: kmatrix and scan solve
-through ``boundary.solve_k``, whose table also gives each method's
-``convention`` label; --tol defaults to ``linalg.DEFAULT_REL_TOL`` for
-solves and, when omitted, to each check's own default for rep-check and
-verify.
+The CLI decides nothing the library owns: ``boundary.K_METHODS`` names the
+K methods, their ``convention`` labels and the default; --tol defaults to
+``linalg.DEFAULT_REL_TOL`` for solves and, when omitted, to each check's
+own default for rep-check and verify.
 
 Exit codes: 0 success / verification passed, 1 verification failed,
-2 invalid input, 3 degenerate solution space (dimension != 1 where a
-unique matrix was requested).  Output files are written only after the
-computation has fully succeeded.  smatrix, kmatrix and scan print one
-``warning:`` line on stderr when a rank decision lies within a factor
-``NEAR_THRESHOLD_MARGIN`` of the cutoff; it changes no exit code or output.
+2 invalid input or a size too large to allocate, 3 degenerate solution
+space (dimension != 1 where a unique matrix was requested).  Output files
+are written only after the computation has fully succeeded.  smatrix,
+kmatrix and scan print one ``warning:`` line on stderr when a rank decision
+lies within a factor ``NEAR_THRESHOLD_MARGIN`` of the cutoff; it changes no
+exit code or output.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as qio
-from .boundary import _CONVENTIONS, ClosedFormParams, closed_form_k, solve_k
+from .boundary import DEFAULT_K_METHOD, K_METHODS, ClosedFormParams, closed_form_k, solve_k
 from .checks import (
     check_b_commutation,
     check_coideal_property,
@@ -55,6 +56,9 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_INVALID = 2
 EXIT_DEGENERATE = 3
+
+# Points a scan may have; the grid is sized against it before it is built.
+MAX_SCAN_POINTS = 200_000
 
 
 def parse_complex(text: str) -> complex:
@@ -75,7 +79,7 @@ def parse_complex(text: str) -> complex:
 
 
 def parse_complex_list(text: str) -> list:
-    return [parse_complex(part) for part in text.split(",") if part.strip()]
+    return [parse_complex(part) for part in text.split(",")]
 
 
 def parse_tolerance(text: str) -> float:
@@ -168,7 +172,7 @@ def cmd_smatrix(args) -> int:
 
 def cmd_kmatrix(args) -> int:
     if args.method == "closed-form":
-        params = ClosedFormParams(args.eps, eps_aggregate=args.eps_aggregate)
+        params = ClosedFormParams(args.eps)
         matrix = normalize_solution(closed_form_k(args.n, args.q, args.x, params))
         note = "closed form"
     else:
@@ -181,7 +185,7 @@ def cmd_kmatrix(args) -> int:
         n=args.n,
         q=args.q,
         matrix=matrix,
-        convention=_CONVENTIONS[args.method],
+        convention=K_METHODS[args.method],
         x=[args.x],
         eps=list(args.eps),
         tol=args.tol,
@@ -234,13 +238,18 @@ def cmd_verify(args) -> int:
             n=n,
             q=q,
             checks=[report],
-            convention="n/a" if mode in ("ybe", "coideal") else _CONVENTIONS["generic"],
+            convention="n/a" if mode in ("ybe", "coideal") else K_METHODS["generic"],
             rapidities=[complex(t) for t in thetas],
             eps=None if eps is None else list(eps),
             tol=report.tol,
         )
         Path(args.out).write_bytes(qio.serialize_report(doc))
     return EXIT_OK if report.passed else EXIT_FAILED
+
+
+def _check_scan_size(points: int) -> None:
+    if points > MAX_SCAN_POINTS:
+        raise ValueError(f"scan grid has more than {MAX_SCAN_POINTS} points")
 
 
 def _parse_theta_grid(spec: str) -> list:
@@ -254,54 +263,49 @@ def _parse_theta_grid(spec: str) -> list:
         raise ValueError(f"bad grid count {parts[2]!r}") from exc
     if count < 1:
         raise ValueError("grid count must be >= 1")
+    _check_scan_size(count)
     if count == 1:
         return [start]
     return [start + (stop - start) * k / (count - 1) for k in range(count)]
 
 
+def _scan_value(value):
+    """A ``fixed`` entry as the scan document records it."""
+    if isinstance(value, tuple):
+        return [qio._pair(v) for v in value]
+    return value if isinstance(value, (int, str)) else qio._pair(value)
+
+
 def cmd_scan(args) -> int:
-    n, q = args.n, args.q
+    fixed = {"n": args.n, "q": args.q}
     if args.axis == "eps":
+        kind, meta = "boundary", {"scan": "eps"}
         if args.x is None:
             raise ValueError("scan eps requires --x")
+        fixed["x"] = args.x
         values = parse_complex_list(args.grid)
-        if len(values) ** (n + 1) > 200_000:
-            raise ValueError("eps grid too large")
-        grid = [tuple(p) for p in itertools.product(values, repeat=n + 1)]
-        fixed = {"n": n, "q": q, "x": args.x, "method": args.method}
-        result = dimension_scan("boundary", fixed, grid)
-        meta = {
-            "scan": "eps",
-            "n": n,
-            "q": qio._pair(q),
-            "x": qio._pair(args.x),
-            "method": args.method,
-            "convention": _CONVENTIONS[args.method],
-        }
-    else:  # theta
+        # past this exponent two or more values stay over the limit; it keeps the power small
+        _check_scan_size(len(values) ** min(args.n + 1, MAX_SCAN_POINTS.bit_length()))
+        grid = points = [tuple(p) for p in itertools.product(values, repeat=args.n + 1)]
+    else:
+        kind = args.kind
+        meta = {"scan": "theta", "kind": kind}
         grid = _parse_theta_grid(args.grid)  # the document records the thetas, not x = e^theta
-        xs = [cmath.exp(t) for t in grid]
-        if args.kind == "bulk":
+        points = [cmath.exp(t) for t in grid]
+        if kind == "bulk":
             if args.x is None:
                 raise ValueError("scan theta --kind bulk requires --x (left parameter)")
-            fixed = {"n": n, "q": q, "x_left": args.x}
-            result = dimension_scan("bulk", fixed, xs)
-            meta = {"scan": "theta", "kind": "bulk", "n": n, "q": qio._pair(q),
-                    "x_left": qio._pair(args.x)}
+            fixed["x_left"] = args.x
         else:
             if args.eps is None:
                 raise ValueError("scan theta --kind boundary requires --eps")
-            fixed = {"n": n, "q": q, "eps": tuple(args.eps), "method": args.method}
-            result = dimension_scan("boundary", fixed, xs)
-            meta = {
-                "scan": "theta",
-                "kind": "boundary",
-                "n": n,
-                "q": qio._pair(q),
-                "eps": [qio._pair(e) for e in args.eps],
-                "method": args.method,
-                "convention": _CONVENTIONS[args.method],
-            }
+            fixed["eps"] = tuple(args.eps)
+    if kind == "boundary":
+        fixed["method"] = args.method
+    result = dimension_scan(kind, fixed, points)
+    meta.update((key, _scan_value(value)) for key, value in fixed.items())
+    if kind == "boundary":
+        meta["convention"] = K_METHODS[args.method]
     _warn_near_threshold(result.margins)
     Path(args.out).write_bytes(qio.serialize_scan(meta, grid, result.dims))
     print(f"scan: {len(result.dims)} points, dims "
@@ -342,8 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kmatrix", help="solve or evaluate a boundary reflection matrix")
     common(p, ("--x",))
     p.add_argument("--eps", type=parse_complex_list, required=True)
-    p.add_argument("--method", choices=tuple(_CONVENTIONS), default="paper")
-    p.add_argument("--eps-aggregate", type=parse_complex, default=None)
+    p.add_argument("--method", choices=tuple(K_METHODS), default=DEFAULT_K_METHOD)
     p.add_argument("--tol", type=parse_tolerance, default=DEFAULT_REL_TOL)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_kmatrix)
@@ -366,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True,
                    help="eps: comma-separated values; theta: start:stop:count")
     p.add_argument("--kind", choices=("bulk", "boundary"), default="boundary")
-    p.add_argument("--method", choices=("paper", "generic"), default="paper")
+    p.add_argument("--method", choices=[m for m in K_METHODS if m != "closed-form"],
+                   default=DEFAULT_K_METHOD)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_scan)
 
@@ -386,7 +390,7 @@ def main(argv=None) -> int:
     except Degenerate as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (ValueError, ArithmeticError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

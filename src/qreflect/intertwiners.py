@@ -17,7 +17,7 @@ import numpy as np
 
 from .linalg import DEFAULT_REL_TOL, NullspaceResult, isclose, normalize_solution, nullspace
 from .linalg import stack_nullities
-from .reps import EvaluationRep, as_boundary_params, check_point
+from .reps import EvaluationRep, check_point
 from .reps import coideal_generators, coproduct, dual_rep, vector_rep
 
 # A rank decision whose cut lies within this factor of a singular value is flagged.
@@ -259,10 +259,11 @@ def dimension_scan(kind: str, fixed: dict, grid, rel_tol: float = DEFAULT_REL_TO
     """Record intertwiner nullspace dimensions over a grid.
 
     kind="bulk": fixed needs n, q, x_left; grid entries are right spectral
-    parameters.  kind="boundary": fixed needs n, q, x and a ``method`` that
-    ``boundary.solve_k`` accepts ("paper" or "generic").  Grid entries are
-    eps tuples, or spectral parameters when fixed carries an ``eps`` entry
-    instead.  Degenerate points are recorded, never raised.
+    parameters.  kind="boundary": fixed needs n, q, a ``method`` that
+    ``boundary.solve_k`` solves (default ``boundary.DEFAULT_K_METHOD``), and
+    the point the axis leaves fixed: an ``eps`` entry makes the grid spectral
+    parameters at that eps, otherwise the grid holds eps tuples at ``fixed["x"]``.
+    Degenerate points are recorded, never raised.
 
     Each point's system is the one ``solve_bulk`` or ``boundary.solve_k``
     assembles there, from the same generator stacks; a chunk of
@@ -274,23 +275,16 @@ def dimension_scan(kind: str, fixed: dict, grid, rel_tol: float = DEFAULT_REL_TO
         raise ValueError("grid must be nonempty")
     n, q, _ = check_point(fixed["n"], fixed["q"], 1.0)  # as the solves take them
     if kind == "bulk":
-        left, support = vector_rep(n, q, fixed["x_left"]), None
+        left = vector_rep(n, q, fixed["x_left"])
+        support = _bulk_system(left, vector_rep(n, q, grid[0]))[2]  # the qT images ignore x
 
         def rows(chunk):
-            nonlocal support  # the first point's, as the qT images do not vary with x
-            systems = []
-            for x in grid[chunk]:
-                m_in, m_out, support = _bulk_system(left, vector_rep(n, q, x), support)
-                systems.append((m_in, m_out))
+            systems = [_bulk_system(left, vector_rep(n, q, x), support)[:2] for x in grid[chunk]]
             return sylvester_rows(*np.array(systems).swapaxes(0, 1), support)
     elif kind == "boundary":
         from .boundary import k_scan_rows  # local import, boundary builds on this module
 
-        points = [(point, fixed["x"]) if isinstance(point, (tuple, list)) else (fixed["eps"], point)
-                  for point in grid]
-        eps = [as_boundary_params(e, n) for e, _ in points]
-        xs = [check_point(n, q, x)[2] for _, x in points]
-        rows = k_scan_rows(n, q, xs, eps, fixed.get("method", "paper"))
+        rows = k_scan_rows(n, q, fixed, grid)
     else:
         raise ValueError(f"unknown scan kind {kind!r}")
     dims, margins = [], []

@@ -6,9 +6,9 @@ order with Python's shortest round-trip float repr, so identical inputs
 produce byte-identical output and every file produced here survives a
 deserialize/serialize round trip unchanged.
 
-Every document carries a mandatory ``convention`` field ("paper" or
-"antipode-dual") so matrices from the two conjugation conventions can
-never be silently mixed.
+Every document carries a mandatory ``convention`` field, a label of
+``boundary.K_METHODS`` or "n/a", so matrices from the two conjugation
+conventions can never be silently mixed.
 """
 
 from __future__ import annotations
@@ -18,11 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .boundary import K_METHODS
 from .linalg import DEFAULT_REL_TOL
 
 SCHEMA_VERSION = "1"
 
-CONVENTIONS = ("paper", "antipode-dual", "n/a")
+_LABELS = {*K_METHODS.values(), "n/a"}
 
 
 class DocumentError(ValueError):
@@ -70,7 +71,7 @@ class MatrixDocument:
     tol: float = DEFAULT_REL_TOL
 
     def __post_init__(self):
-        if self.convention not in CONVENTIONS:
+        if self.convention not in _LABELS:
             raise DocumentError(f"unknown convention {self.convention!r}")
         self.matrix = np.asarray(self.matrix, dtype=np.complex128)
         if self.matrix.ndim != 2:
@@ -154,7 +155,7 @@ class ReportDocument:
     tol: float = 1e-8  # the checks' default tol; a test ties the two together
 
     def __post_init__(self):
-        if self.convention not in CONVENTIONS:
+        if self.convention not in _LABELS:
             raise DocumentError(f"unknown convention {self.convention!r}")
         for chk in self.checks:
             if bool(chk.passed) != (chk.deviation <= chk.tol):

@@ -55,7 +55,7 @@ def q_from_hbar(hbar: float) -> complex:
 GENERATOR_ORDER = ("Q", "Qbar", "qT")
 
 
-@dataclass
+@dataclass(eq=False)
 class EvaluationRep:
     """Generator matrices of one evaluation representation.
 
@@ -63,7 +63,8 @@ class EvaluationRep:
     ``Qbar`` and ``D`` are views of its three kinds.  ``x`` always records
     the spectral parameter of the underlying vector representation;
     ``is_dual`` marks whether the matrices have been passed through the
-    antipode-transpose construction.
+    antipode-transpose construction.  Representations compare and hash by
+    identity; ``same_algebra`` compares their (n, q).
     """
 
     n: int

@@ -73,15 +73,17 @@ def test_paper_rows_are_the_family_loop_bit_for_bit():
         eps = [tuple(complex(rng.choice([0.0, -0.0, 1.0, -1.0, 2.0, rng.normal()]),
                              rng.choice([0.0, -0.0, rng.normal()])) for _ in range(n + 1))
                for _ in range(6)]
-        stack = k_scan_rows(n, q, xs, eps, "paper")(slice(None))
-        for k, (x, e) in enumerate(zip(xs, eps)):
+        by_x = [k_scan_rows(n, q, {"x": x, "method": "paper"}, eps)(slice(None)) for x in xs]
+        by_eps = [k_scan_rows(n, q, {"eps": e, "method": "paper"}, xs)(slice(None)) for e in eps]
+        for (i, x), (k, e) in itertools.product(enumerate(xs), enumerate(eps)):
             reference = _family_rows_by_loop(n, q, x, e).tobytes()
             assert paper_boundary_system(n, q, x, e).tobytes() == reference
-            assert stack[k].tobytes() == reference
+            assert by_x[i][k].tobytes() == by_eps[k][i].tobytes() == reference
 
 
-def test_generic_scan_rows_build_one_representation_per_run_of_equal_x(monkeypatch):
-    # an eps scan builds its representation once; a change of x, even of a zero's sign, rebuilds
+def test_generic_scan_rows_build_one_representation_per_eps_axis(monkeypatch):
+    # an eps axis has one x and builds its representation once, over every slice; a theta
+    # axis builds one per point, equal x or not
     from qreflect import boundary
 
     built = []
@@ -91,11 +93,15 @@ def test_generic_scan_rows_build_one_representation_per_run_of_equal_x(monkeypat
         return vector_rep(n, q, x)
 
     monkeypatch.setattr(boundary, "vector_rep", counted)
-    x, runs = complex(X_REF), [2 + 0j, complex(2, -0.0)]
-    xs = [x] * 5 + runs + [x]
-    eps = [(1 + 0j, -1 + 0j, 1 + 0j)] * len(xs)
-    assert k_scan_rows(2, complex(Q_REF), xs, eps, "generic")(slice(None)).shape[0] == len(xs)
-    assert [str(b) for b in built] == [str(b) for b in [x, *runs, x]]  # str tells -0.0 apart
+    x, eps = complex(X_REF), (1 + 0j, -1 + 0j, 1 + 0j)
+    rows = k_scan_rows(2, complex(Q_REF), {"x": x, "method": "generic"}, [eps] * 5)
+    assert [rows(slice(k, k + 2)).shape[0] for k in (0, 2, 4)] == [2, 2, 1]
+    assert built == [x]
+    built.clear()
+    xs = [x, x, 2 + 0j, x]
+    rows = k_scan_rows(2, complex(Q_REF), {"eps": eps, "method": "generic"}, xs)
+    assert rows(slice(None)).shape[0] == len(xs)
+    assert built == xs
 
 
 def test_solve_anchor_plus_plus():
@@ -132,16 +138,6 @@ def test_sign_patterns_match_closed_form_n2():
         explicit = closed_form_k(2, Q_REF, X_REF, ClosedFormParams(signs))
         equal, _, dev = projective_compare(explicit, sol.normalized, 1e-8)
         assert equal, (signs, dev)
-
-
-def test_aggregate_product_rule_is_discriminating():
-    # with the wrong aggregate the closed form stops solving the system
-    signs = (1, -1, 1)
-    sol = solve_paper_k(2, Q_REF, X_REF, signs).normalized
-    good = closed_form_k(2, Q_REF, X_REF, ClosedFormParams(signs))
-    bad = closed_form_k(2, Q_REF, X_REF, ClosedFormParams(signs, eps_aggregate=1.0))
-    assert projective_compare(good, sol, 1e-8)[0]
-    assert not projective_compare(bad, sol, 1e-8)[0]
 
 
 def test_modulus_away_from_unit_kills_system():
@@ -196,12 +192,6 @@ def test_non_finite_eps_rejected():
         paper_boundary_system(1, Q_REF, X_REF, (np.nan, 1))
     with pytest.raises(ValueError, match="finite"):
         ClosedFormParams((1, np.inf))
-
-
-@pytest.mark.parametrize("aggregate", [np.nan, np.inf, complex(1, np.nan)])
-def test_non_finite_eps_aggregate_rejected(aggregate):
-    with pytest.raises(ValueError, match="finite"):
-        ClosedFormParams((1, 1), eps_aggregate=aggregate)
 
 
 def test_solve_k_dispatches_by_method():

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import engine_point, eps_star
+from conftest import engine_point, eps_star, generic_point
 from qreflect import checks
 from qreflect.checks import (
     check_b_commutation,
@@ -39,6 +41,19 @@ def test_ybe_passes(n):
     report = check_ybe(s_ab, s_ac, s_bc, (dim, dim, dim), tol=1e-8)
     assert report.passed
     assert report.deviation < 1e-12
+
+
+@settings(derandomize=True, database=None, deadline=2000, max_examples=16)
+@given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_ybe_holds_on_solve_bulk_triples_at_random_points(n, seed):
+    rng = np.random.default_rng(seed)
+    q, _ = generic_point(rng)
+    thetas = rng.uniform(-0.9, 0.9, 3) + 1j * rng.uniform(-0.7, 0.7, 3)
+    ra, rb, rc = (vector_rep(n, q, np.exp(t)) for t in thetas)
+    solutions = [solve_bulk(a, b) for a, b in ((ra, rb), (ra, rc), (rb, rc))]
+    assert [s.dimension for s in solutions] == [1, 1, 1]
+    report = check_ybe(*(s.normalized for s in solutions), (n + 1,) * 3)
+    assert report.passed, report.deviation
 
 
 def test_ybe_detects_random_matrix(rng):

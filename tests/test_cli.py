@@ -19,7 +19,8 @@ from qreflect.checks import (
     check_sklyanin,
     check_ybe,
 )
-from qreflect.cli import main, parse_complex
+from qreflect import cli
+from qreflect.cli import MAX_SCAN_POINTS, main, parse_complex
 from qreflect.intertwiners import NEAR_THRESHOLD_MARGIN, dimension_scan
 from qreflect.io import deserialize_matrix
 from qreflect.linalg import DEFAULT_REL_TOL
@@ -89,17 +90,6 @@ def test_kmatrix_writes_the_solve_k_solution(method, eps, convention, tmp_path):
     expected = solve_k(2, parse_complex("0.8@0.3"), 2.01, eps, method).normalized
     assert np.array_equal(doc.matrix, expected)
     assert doc.convention == convention
-
-
-def test_kmatrix_eps_aggregate_must_be_finite(tmp_path, capsys):
-    out = tmp_path / "k.json"
-    code = main([
-        "kmatrix", "--n", "1", "--q", "2+0i", "--x", "3+0i", "--eps", "1,1",
-        "--method", "closed-form", "--eps-aggregate", "nan", "--out", str(out),
-    ])
-    assert code == 2
-    assert "boundary parameters must be finite" in capsys.readouterr().err
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -389,6 +379,45 @@ def test_scan_bad_grid(tmp_path):
         "--x", "2.01+0i", "--grid", "junk", "--out", str(tmp_path / "x.json"),
     ])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["kmatrix", "--n", "1", "--q", "2+0i", "--x", "3+0i", "--eps", "1,,1", "--method", "paper"],
+    ["kmatrix", "--n", "1", "--q", "2+0i", "--x", "3+0i", "--eps", "1,1,", "--method", "paper"],
+    ["verify", "ybe", "--n", "1", "--q", "2", "--rapidities", "0.1,,0.2,0.3"],
+    ["scan", "eps", "--n", "1", "--q", "2", "--x", "3", "--grid", "1,,-1"],
+], ids=["eps", "eps-trailing", "rapidities", "scan-grid"])
+def test_empty_list_field_exits_2(argv, tmp_path, capsys):
+    # every field is parsed: an empty one is invalid input, never a dropped value
+    out = tmp_path / "x.json"
+    assert main(argv + ([] if argv[0] == "verify" else ["--out", str(out)])) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and "PASS" not in captured.out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["theta", "--n", "1", "--kind", "bulk", "--x", "2", "--grid", f"0:1:{MAX_SCAN_POINTS + 1}"],
+    ["theta", "--n", "1", "--eps", "1,1", "--grid", f"0:1:{MAX_SCAN_POINTS + 1}"],
+    ["eps", "--n", "17", "--x", "2", "--grid", "0,1"],  # 2^18 points
+    ["eps", "--n", "100000000", "--x", "2", "--grid", "0,1,-1"],  # never sized exactly
+], ids=["theta-bulk", "theta-boundary", "eps", "eps-huge-n"])
+def test_oversized_scan_grid_exits_2_before_scanning(argv, monkeypatch, tmp_path, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dimension_scan called on an oversized grid")
+
+    monkeypatch.setattr(cli, "dimension_scan", refuse)
+    out = tmp_path / "x.json"
+    assert main(["scan", *argv, "--q", "0.8@0.3", "--out", str(out)]) == 2
+    assert str(MAX_SCAN_POINTS) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unallocatable_size_exits_2(capsys):
+    # numpy refuses the (3, N, N, N) generator stack at n = 100000 before allocating anything
+    assert main(["rep-check", "--n", "100000", "--q", "0.8@0.3", "--x", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: Unable to allocate") and captured.out == ""
 
 
 def test_unknown_arguments_exit_2(capsys):

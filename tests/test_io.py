@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qreflect.io import (
     DocumentError,
@@ -45,6 +47,25 @@ def test_round_trip_is_byte_exact():
     raw = serialize_matrix(_doc(np.array([[1.25e-7 + 3j, -0.0], [1e300, 2.0 / 3.0]])))
     again = serialize_matrix(deserialize_matrix(raw))
     assert raw == again
+
+
+# Finite floats with signed zeros, subnormals and entries near the overflow edge over-weighted.
+ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e300, -1e300, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(derandomize=True, database=None, deadline=1000, max_examples=50)
+@given(rows=st.integers(1, 4), cols=st.integers(1, 4), data=st.data())
+def test_round_trip_of_random_matrices_is_bit_exact(rows, cols, data):
+    parts = data.draw(st.lists(ENTRIES, min_size=2 * rows * cols, max_size=2 * rows * cols))
+    entries = [complex(re, im) for re, im in zip(parts[::2], parts[1::2])]
+    matrix = np.array(entries).reshape(rows, cols)
+    raw = serialize_matrix(_doc(matrix))
+    doc = deserialize_matrix(raw)
+    assert doc.matrix.tobytes() == matrix.tobytes()
+    assert serialize_matrix(doc) == raw
 
 
 def test_serialization_is_deterministic():

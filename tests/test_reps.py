@@ -245,6 +245,12 @@ def test_representation_is_one_generator_stack():
     assert np.array_equal(stack, rep.gens.reshape(9, 3, 3))
 
 
+def test_evaluation_reps_compare_and_hash_by_identity():
+    a, b = vector_rep(1, 0.8j, 2.0), vector_rep(1, 0.8j, 2.0)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2 and hash(a) == hash(a)
+
+
 @pytest.mark.parametrize("shape", [(3, 3, 3, 3), (2, 2, 2, 2), (3, 2, 2, 3), (3, 2, 4), (6, 2, 2)])
 def test_evaluation_rep_rejects_a_misshapen_stack(shape):
     # n = 1 needs a (3, 2, d, d) stack
