@@ -26,7 +26,6 @@ from .reps import (
     coproduct,
     coproduct_matrix,
     dual_rep,
-    q_from_hbar,
     vector_rep,
 )
 from .intertwiners import (
@@ -97,7 +96,6 @@ __all__ = [
     "paper_boundary_system",
     "plain_r",
     "projective_compare",
-    "q_from_hbar",
     "reconcile_gauge",
     "reflection_dual",
     "solve_boundary",

@@ -127,6 +127,14 @@ def _warn_near_threshold(margins) -> None:
               file=sys.stderr)
 
 
+def _write_matrix(args, summary: str, **fields) -> int:
+    """Write the matrix document of ``fields`` to ``args.out``; print ``summary`` and the path."""
+    doc = qio.MatrixDocument(n=args.n, q=args.q, tol=args.tol, **fields)
+    Path(args.out).write_bytes(qio.serialize_matrix(doc))
+    print(f"{summary}, wrote {args.out}")
+    return EXIT_OK
+
+
 def _check_tol(args) -> dict:
     """The ``tol`` keyword for a check: --tol if given, else the check's own default."""
     return {} if args.tol is None else {"tol": args.tol}
@@ -155,19 +163,9 @@ def cmd_smatrix(args) -> int:
     solution = solve_bulk(left, right, rel_tol=args.tol)
     _warn_near_threshold([solution.nullspace.margin])
     matrix = _require_unique(solution, "bulk intertwiner")
-    doc = qio.MatrixDocument(
-        kind="smatrix",
-        n=args.n,
-        q=args.q,
-        matrix=matrix,
-        convention="antipode-dual",
-        x=[args.x1, args.x2],
-        eps=None,
-        tol=args.tol,
-    )
-    Path(args.out).write_bytes(qio.serialize_matrix(doc))
-    print(f"smatrix: dimension 1, residual {solution.residual:.3e}, wrote {args.out}")
-    return EXIT_OK
+    return _write_matrix(args, f"smatrix: dimension 1, residual {solution.residual:.3e}",
+                         kind="smatrix", matrix=matrix, convention="antipode-dual",
+                         x=[args.x1, args.x2])
 
 
 def cmd_kmatrix(args) -> int:
@@ -180,19 +178,8 @@ def cmd_kmatrix(args) -> int:
         _warn_near_threshold([solution.nullspace.margin])
         matrix = _require_unique(solution, f"{args.method} boundary system")
         note = f"residual {solution.residual:.3e}"
-    doc = qio.MatrixDocument(
-        kind="kmatrix",
-        n=args.n,
-        q=args.q,
-        matrix=matrix,
-        convention=K_METHODS[args.method],
-        x=[args.x],
-        eps=list(args.eps),
-        tol=args.tol,
-    )
-    Path(args.out).write_bytes(qio.serialize_matrix(doc))
-    print(f"kmatrix[{args.method}]: {note}, wrote {args.out}")
-    return EXIT_OK
+    return _write_matrix(args, f"kmatrix[{args.method}]: {note}", kind="kmatrix", matrix=matrix,
+                         convention=K_METHODS[args.method], x=[args.x], eps=list(args.eps))
 
 
 def cmd_verify(args) -> int:
@@ -377,10 +364,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once; each parse_args call starts from fresh defaults.
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INVALID if exc.code not in (0, None) else EXIT_OK
     try:

@@ -195,15 +195,13 @@ def solve_boundary(
     return _solve_stacked(m_in, m_out, rel_tol)
 
 
-def solve_equivalence(
-    rep_a: EvaluationRep, rep_b: EvaluationRep, rel_tol: float = DEFAULT_REL_TOL
-) -> IntertwinerSolution:
+def solve_equivalence(rep_a: EvaluationRep, rep_b: EvaluationRep) -> IntertwinerSolution:
     """Module maps M with M pi_a(g) = pi_b(g) M over all generators."""
     if not rep_a.same_algebra(rep_b):
         raise ValueError("equivalence requires matching (n, q)")
     if rep_a.dim != rep_b.dim:
         raise ValueError("equivalence requires equal dimensions")
-    return _solve_stacked(rep_a.generators(), rep_b.generators(), rel_tol)
+    return _solve_stacked(rep_a.generators(), rep_b.generators(), DEFAULT_REL_TOL)
 
 
 def reflection_dual(rep: EvaluationRep) -> EvaluationRep:
@@ -219,7 +217,7 @@ def reflection_dual(rep: EvaluationRep) -> EvaluationRep:
     return dual_rep(vector_rep(rep.n, rep.q, -rep.q / rep.x))
 
 
-def engine_point(n: int, q: complex, thetas, eps, rel_tol: float = DEFAULT_REL_TOL) -> dict:
+def engine_point(n: int, q: complex, thetas, eps) -> dict:
     """Solve the K and S channels of the engine-convention boundary checks.
 
     ``thetas`` gives the rapidities (x = e^theta) of mu, nu and, optionally,
@@ -231,15 +229,15 @@ def engine_point(n: int, q: complex, thetas, eps, rel_tol: float = DEFAULT_REL_T
     mu, nu = (vector_rep(n, q, cmath.exp(t)) for t in thetas[:2])
     mub, nub = reflection_dual(mu), reflection_dual(nu)
     solved = {
-        "k_mu": solve_boundary(mu, mub, eps, rel_tol),
-        "k_nu": solve_boundary(nu, nub, eps, rel_tol),
+        "k_mu": solve_boundary(mu, mub, eps),
+        "k_nu": solve_boundary(nu, nub, eps),
     }
     channels = {"s_mn": (mu, nu), "s_m_nb": (mu, nub), "s_n_mb": (nu, mub), "s_nb_mb": (nub, mub)}
     if len(thetas) > 2:
         lam = vector_rep(n, q, cmath.exp(thetas[2]))
         channels.update(s_ml=(mu, lam), s_l_mb=(lam, mub), s_nl=(nu, lam), s_l_nb=(lam, nub))
     for key, (a, b) in channels.items():
-        solved[key] = solve_bulk(a, b, rel_tol)
+        solved[key] = solve_bulk(a, b)
     return solved
 
 
@@ -255,7 +253,7 @@ class ScanResult:
     margins: list
 
 
-def dimension_scan(kind: str, fixed: dict, grid, rel_tol: float = DEFAULT_REL_TOL) -> ScanResult:
+def dimension_scan(kind: str, fixed: dict, grid) -> ScanResult:
     """Record intertwiner nullspace dimensions over a grid.
 
     kind="bulk": fixed needs n, q, x_left; grid entries are right spectral
@@ -268,7 +266,7 @@ def dimension_scan(kind: str, fixed: dict, grid, rel_tol: float = DEFAULT_REL_TO
     Each point's system is the one ``solve_bulk`` or ``boundary.solve_k``
     assembles there, from the same generator stacks; a chunk of
     ``SCAN_CHUNK`` points shares one row set and is ranked from its singular
-    values alone.
+    values alone, at ``DEFAULT_REL_TOL``.
     """
     grid = list(grid)
     if not grid:
@@ -289,7 +287,7 @@ def dimension_scan(kind: str, fixed: dict, grid, rel_tol: float = DEFAULT_REL_TO
         raise ValueError(f"unknown scan kind {kind!r}")
     dims, margins = [], []
     for start in range(0, len(grid), SCAN_CHUNK):
-        nullity, margin = stack_nullities(rows(slice(start, start + SCAN_CHUNK)), rel_tol)
+        nullity, margin = stack_nullities(rows(slice(start, start + SCAN_CHUNK)))
         dims += nullity.tolist()
         margins += margin.tolist()
     return ScanResult(dims=dims, margins=margins)

@@ -94,8 +94,7 @@ class NullspaceResult:
 
     dimension: int
     basis: np.ndarray  # one basis vector per row
-    sigma_max: float = 0.0
-    degenerate: bool = False  # all-zero input matrix
+    sigma_max: float = 0.0  # 0 for an all-zero matrix
     margin: float = math.inf  # min(kept sigma_min / cut, cut / dropped sigma_max)
 
 
@@ -127,7 +126,7 @@ def nullspace(m, rel_tol: float = DEFAULT_REL_TOL) -> NullspaceResult:
     """Orthonormal basis of the right nullspace of ``m``, ranked by ``rank_decision``.
 
     An all-zero matrix, also one with no rows, yields the full space with
-    the ``degenerate`` flag set.  No square U of a tall matrix is formed.
+    ``sigma_max`` 0.  No square U of a tall matrix is formed.
     """
     m = as_matrix(m)
     rows, cols = m.shape
@@ -137,16 +136,15 @@ def nullspace(m, rel_tol: float = DEFAULT_REL_TOL) -> NullspaceResult:
     else:
         s, vh = np.zeros(0), np.eye(cols, dtype=np.complex128)
     rank, sigma_max, margin = (x.item() for x in rank_decision(s, rel_tol))
-    return NullspaceResult(cols - rank, vh[rank:].conj(), sigma_max, degenerate=sigma_max == 0,
-                           margin=margin)
+    return NullspaceResult(cols - rank, vh[rank:].conj(), sigma_max, margin)
 
 
-def stack_nullities(stack, rel_tol: float = DEFAULT_REL_TOL):
+def stack_nullities(stack):
     """Nullspace dimensions and margins of a (points, rows, cols) stack, from singular values only."""
     if not np.isfinite(stack).all():
         raise ValueError("matrix has non-finite entries")
     s = np.linalg.svd(stack, compute_uv=False)
-    rank, _, margin = rank_decision(s, rel_tol)
+    rank, _, margin = rank_decision(s)
     return stack.shape[2] - rank, margin
 
 

@@ -43,13 +43,6 @@ def cartan_inner(n: int, i: int, j: int) -> int:
     return -1 if d in (1, n) else 0
 
 
-def q_from_hbar(hbar: float) -> complex:
-    """Deformation parameter as a function of the effective Planck constant."""
-    if hbar == 0:
-        raise ValueError("hbar must be nonzero")
-    return cmath.exp(2j * cmath.pi * (1.0 - hbar) / hbar)
-
-
 #: Stacking order of generator kinds for intertwining systems (kind-major,
 #: node index minor).  Fixed so residual reports are reproducible.
 GENERATOR_ORDER = ("Q", "Qbar", "qT")

@@ -4,7 +4,10 @@ import io
 import itertools
 import json
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -319,6 +322,35 @@ def test_repeated_invocations_byte_identical(tmp_path):
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("first, second", [
+    (["kmatrix", "--n", "1", "--q", "0.8@0.3", "--x", "2.01+0i", "--eps", "1,-1",
+      "--method", "generic", "--tol", "1e-8", "--out", "k.json"],
+     ["kmatrix", "--n", "1", "--q", "0.8@0.3", "--x", "2.01+0i", "--eps", "1,-1",
+      "--out", "k.json"]),
+    (["smatrix", "--n", "1", "--q", "0.8@0.3", "--x1", "2.01+0i", "--x2", "1.26+0i",
+      "--dual-left", "--out", "s.json"],
+     ["smatrix", "--n", "1", "--q", "0.8@0.3", "--x1", "2.01+0i", "--x2", "1.26+0i",
+      "--out", "s.json"]),
+], ids=["kmatrix", "smatrix"])
+def test_shared_parser_gives_a_later_call_its_own_defaults(first, second, tmp_path, monkeypatch,
+                                                          capsys):
+    # the parser is built once at import; flags of one call must not leak into the next
+    alone = tmp_path / "alone"
+    alone.mkdir()
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    expected = subprocess.run([sys.executable, "-m", "qreflect.cli", *second], cwd=alone,
+                              capture_output=True, check=True,
+                              env={**os.environ, "PYTHONPATH": src}).stdout
+    monkeypatch.chdir(tmp_path)
+    assert main(first) == 0
+    name = first[-1]
+    first_bytes = Path(name).read_bytes()
+    capsys.readouterr()
+    assert main(second) == 0
+    assert capsys.readouterr().out.encode() == expected
+    assert Path(name).read_bytes() == (alone / name).read_bytes() != first_bytes
 
 
 def test_rep_check(capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import eps_star, generic_point
 from qreflect.boundary import solve_k, solve_paper_k
+from qreflect.checks import plain_r
 from qreflect import intertwiners
 from qreflect.intertwiners import (
     _solve_stacked,
@@ -375,9 +376,9 @@ def _record_scan_stacks(monkeypatch) -> list:
     stacks = []
     original = intertwiners.stack_nullities
 
-    def spy(stack, rel_tol):
+    def spy(stack):
         stacks.append(stack)
-        return original(stack, rel_tol)
+        return original(stack)
 
     monkeypatch.setattr(intertwiners, "stack_nullities", spy)
     return stacks
@@ -486,6 +487,95 @@ def test_closed_form_s_braiding_unitarity(n):
     assert equal, dev
 
 
+def _partial_transpose(r, leg, dim):
+    """Transpose one tensor leg (0 or 1) of an operator on C^dim x C^dim."""
+    axes = (2, 1, 0, 3) if leg == 0 else (0, 3, 2, 1)
+    return r.reshape((dim,) * 4).transpose(axes).reshape(dim * dim, dim * dim)
+
+
+def crossed_s(n, q, theta_a, theta_b, dual_a, dual_b):
+    """Braiding V_a x V_b -> V_b x V_a with either factor dual, by crossing ``closed_form_s``.
+
+    With R = plain_r(closed_form_s) on the two vector factors and P the flip, the
+    braiding is P (R^{t2})^{-1} for (a, b*), P (R^{-1})^{t1} for (a*, b) and P R^T
+    for (a*, b*): (id x S)(R) = R^{-1} in the ``dual_rep`` convention.  The rapidity
+    of a dual factor is that of the vector representation it dualises.
+    """
+    dim = n + 1
+    r = plain_r(closed_form_s(n, q, theta_a, theta_b), dim, dim)
+    if dual_a and dual_b:
+        r = r.T
+    elif dual_b:
+        r = np.linalg.inv(_partial_transpose(r, 1, dim))
+    elif dual_a:
+        r = _partial_transpose(np.linalg.inv(r), 0, dim)
+    return plain_r(r, dim, dim)  # P is its own inverse on equal legs
+
+
+FLAVOURS = list(itertools.product((False, True), repeat=2))  # (dual_a, dual_b)
+
+
+def _bulk(n, q, theta_a, theta_b, dual_a, dual_b):
+    reps = []
+    for theta, dual in ((theta_a, dual_a), (theta_b, dual_b)):
+        rep = vector_rep(n, q, cmath.exp(theta))
+        reps.append(dual_rep(rep) if dual else rep)
+    return solve_bulk(*reps)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_crossed_closed_form_matches_every_bulk_flavour(n):
+    rng = np.random.default_rng(700 + n)
+    for dual_a, dual_b in FLAVOURS:
+        q, _ = generic_point(rng)
+        theta_a, theta_b = rng.uniform(-0.9, 0.9, 2) + 1j * rng.uniform(-0.7, 0.7, 2)
+        sol = _bulk(n, q, theta_a, theta_b, dual_a, dual_b)
+        assert sol.dimension == 1
+        oracle = crossed_s(n, q, theta_a, theta_b, dual_a, dual_b)
+        equal, _, dev = projective_compare(oracle, sol.normalized, 1e-12)
+        assert equal, (dual_a, dual_b, dev)
+
+
+# engine_point's braiding channels: key -> particles; "b" marks a reflection_dual conjugate
+ENGINE_CHANNELS = {"s_mn": ("m", "n"), "s_m_nb": ("m", "nb"), "s_n_mb": ("n", "mb"),
+                   "s_nb_mb": ("nb", "mb"), "s_ml": ("m", "l"), "s_l_mb": ("l", "mb"),
+                   "s_nl": ("n", "l"), "s_l_nb": ("l", "nb")}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_crossed_closed_form_matches_the_engine_channels(n):
+    # a conjugate is the dual of the vector representation at -q/x: rapidity log(-q/x),
+    # on either branch of the logarithm
+    q, thetas = Q_REF, (0.7, 0.23, -0.41)
+    solved = intertwiners.engine_point(n, q, thetas, (0,) * (n + 1))
+    assert set(ENGINE_CHANNELS) == {key for key in solved if key.startswith("s_")}
+    for branch in (0, 1):
+        rapidity = dict(zip("mnl", thetas))
+        for key in "mnl":
+            rapidity[key + "b"] = cmath.log(-q / cmath.exp(rapidity[key])) + 2j * cmath.pi * branch
+        for key, (a, b) in ENGINE_CHANNELS.items():
+            assert solved[key].dimension == 1, key
+            oracle = crossed_s(n, q, rapidity[a], rapidity[b], a.endswith("b"), b.endswith("b"))
+            equal, _, dev = projective_compare(oracle, solved[key].normalized, 1e-12)
+            assert equal, (key, branch, dev)
+
+
+@settings(derandomize=True, database=None, deadline=2000, max_examples=30)
+@given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_bulk_braiding_unitarity_in_every_flavour(n, seed):
+    # S_ba S_ab is a scalar: braiding back and forth returns every vector to itself
+    rng = np.random.default_rng(seed)
+    q, _ = generic_point(rng)
+    theta_a, theta_b = rng.uniform(-0.9, 0.9, 2) + 1j * rng.uniform(-0.7, 0.7, 2)
+    for dual_a, dual_b in FLAVOURS:
+        s_ab = _bulk(n, q, theta_a, theta_b, dual_a, dual_b)
+        s_ba = _bulk(n, q, theta_b, theta_a, dual_b, dual_a)
+        assert s_ab.dimension == s_ba.dimension == 1
+        square = s_ba.normalized @ s_ab.normalized
+        equal, _, dev = projective_compare(square, np.eye((n + 1) ** 2), 1e-12)
+        assert equal, (dual_a, dual_b, dev)
+
+
 def test_closed_form_s_rejects_bad_input():
     for n, q, theta in ((0, Q_REF, 0.1), (1, 0.0, 0.1), (1, Q_REF, float("nan"))):
         with pytest.raises(ValueError):
@@ -564,7 +654,7 @@ def test_all_zero_rows_give_the_degenerate_full_space():
     assert sylvester_rows(eye, eye, np.ones((2, 2), dtype=bool)).shape == (0, 4)
     sol = _solve_stacked(eye, eye, 1e-9)  # X - X = 0: every row drops
     assert sol.dimension == 4
-    assert sol.nullspace.degenerate
+    assert sol.nullspace.sigma_max == 0
     assert sol.nullspace.basis.shape == (4, 2, 2)
 
 

@@ -100,7 +100,7 @@ def test_nullspace_full_rank():
 def test_nullspace_zero_matrix():
     res = nullspace(np.zeros((2, 3)))
     assert res.dimension == 3
-    assert res.degenerate
+    assert res.sigma_max == 0
 
 
 def test_nullspace_rank_one():
@@ -134,7 +134,7 @@ def test_nullspace_wide_matrix_keeps_its_full_complement():
 
 def test_nullspace_without_rows_is_the_degenerate_full_space():
     res = nullspace(np.zeros((0, 3)))
-    assert res.dimension == 3 and res.degenerate
+    assert res.dimension == 3 and res.sigma_max == 0
     assert np.array_equal(res.basis, np.eye(3))
 
 

@@ -12,7 +12,6 @@ from qreflect.reps import (
     coproduct,
     coproduct_matrix,
     dual_rep,
-    q_from_hbar,
     vector_rep,
 )
 
@@ -34,14 +33,6 @@ def test_cartan_rows_sum_to_zero(n):
 def test_cartan_inner_range_check():
     with pytest.raises(ValueError):
         cartan_inner(2, 0, 3)
-
-
-def test_q_from_hbar():
-    assert abs(q_from_hbar(1.0) - 1.0) < 1e-15
-    assert abs(q_from_hbar(2.0) - (-1.0)) < 1e-15
-    assert abs(q_from_hbar(0.8) - 1j) < 1e-12
-    with pytest.raises(ValueError):
-        q_from_hbar(0.0)
 
 
 def test_vector_rep_matrices():
