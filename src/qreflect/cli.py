@@ -8,10 +8,11 @@
   scan      {eps,theta} --n --q ... --grid SPEC [--method M] --out FILE
 
 Complex values are written "a+bi" or polar "r@phi", and lists are
-comma-separated with no empty field.  --rapidities takes theta values
-(x = e^theta internally), --x flags take x directly.  Valid input: n >= 1,
-finite nonzero q and x, finite eps, positive finite --tol, and at most
-MAX_SCAN_POINTS scan points.
+comma-separated with no empty field.  A value may start with a minus sign
+(--x -2+0i, --eps -1,1, --grid -1:1:5), as in the --flag=value form.
+--rapidities takes theta values (x = e^theta internally), --x flags take x
+directly.  Valid input: n >= 1, finite nonzero q and x, finite eps,
+positive finite --tol, and at most MAX_SCAN_POINTS scan points.
 
 The CLI decides nothing the library owns: ``boundary.K_METHODS`` names the
 K methods, their ``convention`` labels and the default; --tol defaults to
@@ -33,6 +34,7 @@ import argparse
 import cmath
 import itertools
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -304,8 +306,22 @@ def cmd_scan(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` that reads a token such as -2+0i, -1,1 or -1:1:5 as a value.
+
+    argparse reads a token that starts with "-" as an option unless it is a
+    plain negative number.  Here a minus sign before a digit, or before a
+    point and a digit, starts a value, the rule of newer argparse releases;
+    no option of this CLI looks like that.  Subparsers inherit the class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qreflect",
         description="S-matrices and boundary reflection matrices from quantum affine symmetry",
     )

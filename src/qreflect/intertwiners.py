@@ -3,22 +3,27 @@
 Bulk S-matrices, boundary K-matrices, and representation equivalences are
 all nullspace problems: stack the rows of X -> X @ M_in - M_out @ X per
 generator on the entries of X that may be nonzero and feed the stack to the
-SVD.  Generators come as (k, d, d) stacks, kind-major (Q, Qbar, qT) and node
-index minor; q^{-T_i} rows are implied by invertibility and never stacked.
+SVD.  Generators come as (k, d, d) stacks, kind-major (Q, Qbar, qT) and
+node index minor; q^{-T_i} rows are implied by invertibility and never
+stacked.  Which entry of a stack enters which row depends on nonzero
+patterns and the support alone, never on q or x: it is planned once per
+structure and cached (``RowPlan``), and a solve or scan chunk only gathers
+its values into the plan.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
-from functools import partial
+import functools
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .linalg import DEFAULT_REL_TOL, NullspaceResult, isclose, normalize_solution, nullspace
 from .linalg import stack_nullities
-from .reps import EvaluationRep, check_point
-from .reps import coideal_generators, coproduct, dual_rep, vector_rep
+from .reps import PLAN_CACHE_SIZE, EvaluationRep, check_point, coideal_generators
+from .reps import coproduct_coordinates, dual_rep, frozen, key_pattern, pattern_key, vector_rep
 
 # A rank decision whose cut lies within this factor of a singular value is flagged.
 NEAR_THRESHOLD_MARGIN = 1e3
@@ -44,35 +49,85 @@ class IntertwinerSolution:
         return self.nullspace.dimension
 
 
+@dataclass(frozen=True)
+class RowPlan:
+    """Where the coordinates of two generator stacks land in their Sylvester rows.
+
+    Coordinate ``source_in[e]`` of the input stack enters entry ``target_in[e]``
+    of the flattened (rows, cols) system, and coordinate ``source_out[e]`` of
+    the output stack enters ``target_out[e]`` with a minus sign.  ``rows``
+    counts the equations some coordinate enters, in order of (g, r, c).
+    """
+
+    rows: int
+    cols: int
+    source_in: np.ndarray
+    target_in: np.ndarray
+    source_out: np.ndarray
+    target_out: np.ndarray
+
+    def assemble(self, values_in, values_out) -> np.ndarray:
+        """Systems of coordinate values (..., K), on the equations nonzero in some system.
+
+        Leading axes broadcast and give one (rows, cols) system each.
+        """
+        lead = np.broadcast_shapes(values_in.shape[:-1], values_out.shape[:-1])
+        system = np.zeros((*lead, self.rows * self.cols), dtype=np.complex128)
+        # a cell takes at most one term of each kind, so two buffered adds accumulate it exactly
+        system[..., self.target_in] += values_in[..., self.source_in]
+        system[..., self.target_out] -= values_out[..., self.source_out]
+        system = system.reshape(math.prod(lead), self.rows, self.cols)
+        nonzero = system.any(axis=(0, 2))
+        system = system if nonzero.all() else system[:, nonzero]
+        return system.reshape(*lead, *system.shape[1:])
+
+
+def _row_plan(position_in, position_out, shape_in, shape_out, support) -> RowPlan:
+    """The ``RowPlan`` of stacks whose coordinates sit at flat ``position_*`` in (G, d, d) stacks.
+
+    Equations come in order of g, then (r, c) row-major; the unknowns are X[support].
+    """
+    rows_x, cols_x = support.shape
+    column = np.cumsum(support).reshape(support.shape) - 1  # unknown index of X[o, i] on support
+    # X[o, i] m_in[g, i, c] enters equation (g, o, c) for every o; m_out[g, r, o] X[o, i]
+    # enters (g, r, i) for every i; only the unknowns on the support take part
+    g, i, c = np.unravel_index(position_in, shape_in)
+    o, source_in = np.nonzero(support[:, i])
+    equation_in = (g[source_in] * rows_x + o) * cols_x + c[source_in]
+    unknown_in = column[o, i[source_in]]
+    g, r, o = np.unravel_index(position_out, shape_out)
+    source_out, i = np.nonzero(support[o, :])
+    equation_out = (g[source_out] * rows_x + r[source_out]) * cols_x + i
+    unknown_out = column[o[source_out], i]
+    touched = np.zeros(shape_in[0] * rows_x * cols_x, dtype=bool)
+    touched[equation_in] = touched[equation_out] = True
+    row = np.cumsum(touched) - 1  # rank among the touched equations, in label order
+    cols = int(np.count_nonzero(support))
+    targets = (row[equation_in] * cols + unknown_in, row[equation_out] * cols + unknown_out)
+    return RowPlan(int(row[-1]) + 1, cols, *frozen(source_in, targets[0], source_out, targets[1]))
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _stack_plan(key_in: tuple, key_out: tuple, key_support: tuple) -> RowPlan:
+    """``RowPlan`` of two stacks by their ``pattern_key``s; sources index the flattened stacks."""
+    position_in, position_out = (np.flatnonzero(key_pattern(k)) for k in (key_in, key_out))
+    plan = _row_plan(position_in, position_out, key_in[0], key_out[0], key_pattern(key_support))
+    sources = frozen(position_in[plan.source_in], position_out[plan.source_out])
+    return replace(plan, source_in=sources[0], source_out=sources[1])
+
+
 def sylvester_rows(m_in, m_out, support) -> np.ndarray:
     """Rows of X -> X @ m_in[g] - m_out[g] @ X over two stacks, on the unknowns X[support].
 
     ``support`` is a boolean mask.  Equations come in order of g, then (r, c)
     row-major; all-zero rows are dropped.  Stacks with leading axes,
     (..., G, d, d), give one system per leading index, (..., rows, cols), on
-    a shared row set: the equations that are nonzero in some system.
+    a shared row set: the equations that are nonzero in some system.  Where
+    each entry goes is planned once per nonzero pattern and support
+    (``RowPlan``); a call only gathers the values.
     """
-    lead = m_in.shape[:-3]
-    m_in, m_out = (m.reshape(-1, *m.shape[-3:]) for m in (m_in, m_out))
-    rows_x, cols_x = support.shape
-    column = np.cumsum(support).reshape(support.shape) - 1  # unknown index of X[o, i] on support
-    # X[o, i] m_in[g, i, c] enters equation (g, o, c) for every o; m_out[g, r, o] X[o, i]
-    # enters (g, r, i) for every i; only the unknowns on the support take part
-    p, g, i, c = np.nonzero(m_in)
-    o, e = np.nonzero(support[:, i])
-    terms_in = (p[e], (g[e] * rows_x + o) * cols_x + c[e], column[o, i[e]], m_in[p, g, i, c][e])
-    p, g, r, o = np.nonzero(m_out)
-    e, i = np.nonzero(support[o, :])
-    terms_out = (p[e], (g[e] * rows_x + r[e]) * cols_x + i, column[o[e], i], -m_out[p, g, r, o][e])
-    touched = np.zeros(m_in.shape[1] * rows_x * cols_x, dtype=bool)
-    touched[terms_in[1]] = touched[terms_out[1]] = True
-    row = np.cumsum(touched) - 1  # rank among the touched equations, in label order
-    system = np.zeros((len(m_in), row[-1] + 1, np.count_nonzero(support)), dtype=np.complex128)
-    # a cell takes at most one term of each kind, so two buffered adds accumulate it exactly
-    for part, equation, unknown, value in (terms_in, terms_out):
-        system[part, row[equation], unknown] += value
-    nonzero = system.any(axis=(0, 2))
-    return (system if nonzero.all() else system[:, nonzero]).reshape(*lead, -1, system.shape[2])
+    plan = _stack_plan(pattern_key(m_in, 3), pattern_key(m_out, 3), pattern_key(support, 2))
+    return plan.assemble(*(m.reshape(*m.shape[:-3], -1) for m in (m_in, m_out)))
 
 
 def solve_system(rows, shape, rel_tol, residual, flags=(), support=None):
@@ -98,7 +153,8 @@ def _solve_stacked(m_in, m_out, rel_tol, flags=(), support=None):
     """Solve X m_in[g] = m_out[g] X for every g on ``support`` (all entries when None)."""
     shape = (m_out.shape[1], m_in.shape[1])
     support = np.ones(shape, dtype=bool) if support is None else support
-    residual = partial(intertwining_residual, m_in=m_in, m_out=m_out)  # full stacks, full X
+    # the residual scores the full stacks and the full X
+    residual = functools.partial(intertwining_residual, m_in=m_in, m_out=m_out)
     rows = sylvester_rows(m_in, m_out, support)
     return solve_system(rows, shape, rel_tol, residual, flags, support)
 
@@ -125,23 +181,53 @@ def solve_bulk(
         raise ValueError("bulk channels require matching (n, q)")
     equal = isclose(rep_a.x, rep_b.x) and rep_a.is_dual == rep_b.is_dual
     flags = ("equal-rapidity",) if equal else ()
-    m_in, m_out, support = _bulk_system(rep_a, rep_b)
-    return _solve_stacked(m_in, m_out, rel_tol, flags, support)
+    rows, support, stacks = _bulk_system(rep_a.gens, rep_b.gens)
+
+    def residual(x):  # on the full coproduct stacks and the full X
+        return intertwining_residual(x, *stacks())
+
+    return solve_system(rows, support.shape, rel_tol, residual, flags, support)
 
 
-def _bulk_system(rep_a: EvaluationRep, rep_b: EvaluationRep, support=None):
-    """Stacks and unknowns of ``solve_bulk(rep_a, rep_b)``: (m_in, m_out, support).
+def weight_support(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Unknowns of the braiding between factor stacks a, b: a (d_b d_a, d_a d_b) mask.
 
-    ``support`` masks the S[out, in] whose qT eigenvalues agree at every node,
-    to a relative 1e-4: scale-free, and generous, as a kept near-coincident
-    entry still meets its qT rows.  It depends on the qT images alone, so a
-    caller that varies only x may pass it back in.
+    It masks the S[out, in] whose qT eigenvalues, read off the diagonal of
+    each factor's q^{T_i}, agree at every node to a relative 1e-4,
+    |d_out - d_in| <= 1e-4 |d_in|: scale-free, and generous, as a kept
+    near-coincident entry still meets its qT rows.  It ignores x.
     """
-    m_in, m_out = coproduct(rep_a, rep_b), coproduct(rep_b, rep_a)
+    d_a, d_b = (np.diagonal(g[2], axis1=1, axis2=2) for g in (a, b))
+    d_in = (d_a[:, :, None] * d_b[:, None, :]).reshape(len(d_a), -1)  # q^{T_i} on V_a x V_b
+    d_out = (d_b[:, :, None] * d_a[:, None, :]).reshape(len(d_a), -1)
+    d_in, d_out = d_in[:, None, :], d_out[:, :, None]
+    return (abs(d_out - d_in) <= 1e-4 * abs(d_in)).all(axis=0)
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _bulk_plan(key_a: tuple, key_b: tuple, key_support: tuple) -> tuple:
+    """Coordinates of both coproduct stacks and their ``RowPlan``, by ``pattern_key``s."""
+    into, onto = coproduct_coordinates(key_a, key_b), coproduct_coordinates(key_b, key_a)
+    plan = _row_plan(into.position, onto.position, into.shape, onto.shape, key_pattern(key_support))
+    return into, onto, plan
+
+
+def _bulk_system(a: np.ndarray, b: np.ndarray, support=None):
+    """Rows of ``solve_bulk`` between factor stacks a, b: (rows, support, stacks).
+
+    a and b are ``gens`` stacks, (..., 3, nodes, d, d), whose leading axes
+    broadcast to one system per index.  ``support`` defaults to
+    ``weight_support(a, b)`` of unstacked factors.  ``stacks()`` builds the
+    dense coproduct stacks (m_in, m_out) from the same coordinate values.
+    """
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("matrix has non-finite entries")
     if support is None:
-        d_in, d_out = (np.diagonal(m[-rep_a.nodes:], axis1=1, axis2=2) for m in (m_in, m_out))
-        support = np.isclose(d_out[:, :, None], d_in[:, None, :], rtol=1e-4, atol=0.0).all(axis=0)
-    return m_in, m_out, support
+        support = weight_support(a, b)
+    into, onto, plan = _bulk_plan(pattern_key(a, 4), pattern_key(b, 4), pattern_key(support, 2))
+    values_in, values_out = into.values(a, b), onto.values(b, a)
+    rows = plan.assemble(values_in, values_out)
+    return rows, support, lambda: (into.dense(values_in), onto.dense(values_out))
 
 
 def closed_form_s(n: int, q: complex, theta_a: complex, theta_b: complex) -> np.ndarray:
@@ -264,7 +350,8 @@ def dimension_scan(kind: str, fixed: dict, grid) -> ScanResult:
     Degenerate points are recorded, never raised.
 
     Each point's system is the one ``solve_bulk`` or ``boundary.solve_k``
-    assembles there, from the same generator stacks; a chunk of
+    assembles there, from the same generator stacks and cached plans (a bulk
+    chunk gathers all its points' values at once); a chunk of
     ``SCAN_CHUNK`` points shares one row set and is ranked from its singular
     values alone, at ``DEFAULT_REL_TOL``.
     """
@@ -273,12 +360,12 @@ def dimension_scan(kind: str, fixed: dict, grid) -> ScanResult:
         raise ValueError("grid must be nonempty")
     n, q, _ = check_point(fixed["n"], fixed["q"], 1.0)  # as the solves take them
     if kind == "bulk":
-        left = vector_rep(n, q, fixed["x_left"])
-        support = _bulk_system(left, vector_rep(n, q, grid[0]))[2]  # the qT images ignore x
+        left = vector_rep(n, q, fixed["x_left"]).gens
+        support = weight_support(left, vector_rep(n, q, grid[0]).gens)  # the qT images ignore x
 
         def rows(chunk):
-            systems = [_bulk_system(left, vector_rep(n, q, x), support)[:2] for x in grid[chunk]]
-            return sylvester_rows(*np.array(systems).swapaxes(0, 1), support)
+            right = np.array([vector_rep(n, q, x).gens for x in grid[chunk]])
+            return _bulk_system(left, right, support)[0]
     elif kind == "boundary":
         from .boundary import k_scan_rows  # local import, boundary builds on this module
 

@@ -15,6 +15,8 @@ off the diagonal where needed.
 from __future__ import annotations
 
 import cmath
+import functools
+import math
 import numbers
 import warnings
 from dataclasses import dataclass, field
@@ -172,23 +174,111 @@ def coideal_generators(rep: EvaluationRep, eps) -> np.ndarray:
     return rep.Q + rep.Qbar + params * rep.D
 
 
+# Structural plans each cache keeps, least recently used first out.  A plan is keyed on
+# shapes and nonzero patterns only, never on values such as q or x.
+PLAN_CACHE_SIZE = 128
+
+
+def pattern_key(a: np.ndarray, core: int) -> tuple:
+    """Shape of the last ``core`` axes of ``a``, and the bytes of where any leading slice is nonzero.
+
+    A plan cache keys on it: it tells patterns apart, never values.
+    """
+    pattern = a != 0
+    if pattern.ndim > core:
+        pattern = pattern.reshape(-1, *pattern.shape[-core:]).any(axis=0)
+    return pattern.shape, pattern.tobytes()
+
+
+def key_pattern(key: tuple) -> np.ndarray:
+    """The read-only boolean pattern of a ``pattern_key``."""
+    shape, pattern = key
+    return np.frombuffer(pattern, dtype=bool).reshape(shape)
+
+
+def frozen(*arrays: np.ndarray) -> tuple:
+    """The arrays, made read-only, so that a cached plan cannot be written through."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@dataclass(frozen=True)
+class CoproductCoordinates:
+    """Where the coproduct stack of two factor stacks x, y may be nonzero, and how.
+
+    ``position`` holds the ascending flat indices into the (3 * nodes, D, D)
+    stack, D = d_x d_y, of its structural nonzeros, the coordinates.  Entry
+    ``entry`` of ``product`` is x[x_index] * y[y_index], a q^{T_i} x g_i term,
+    and entry ``entry`` of ``plain`` adds x[x_index], a Q_i x 1 or Qbar_i x 1
+    term; the indices are flat into the factors' ``gens``.
+    """
+
+    shape: tuple
+    position: np.ndarray
+    product: tuple  # (entry, x_index, y_index)
+    plain: tuple  # (entry, x_index)
+
+    def values(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Values at the coordinates for stacks (..., 3, nodes, d, d); leading axes broadcast."""
+        x, y = (g.reshape(*g.shape[:-4], -1) for g in (x, y))
+        lead = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
+        out = np.zeros((*lead, len(self.position)), dtype=np.complex128)
+        entry, x_index, y_index = self.product
+        out[..., entry] = x[..., x_index] * y[..., y_index]
+        entry, x_index = self.plain
+        out[..., entry] += x[..., x_index]  # the q^{T_i} x g_i term first, as the formula sums
+        return out
+
+    def dense(self, values: np.ndarray) -> np.ndarray:
+        """The (..., 3 * nodes, D, D) stack with ``values`` at the coordinates and 0 elsewhere."""
+        out = np.zeros((*values.shape[:-1], math.prod(self.shape)), dtype=np.complex128)
+        out[..., self.position] = values
+        return out.reshape(*values.shape[:-1], *self.shape)
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def coproduct_coordinates(key_x: tuple, key_y: tuple) -> CoproductCoordinates:
+    """Coordinates of the coproduct of two factors, from their ``pattern_key(gens, 4)``."""
+    px, py = key_pattern(key_x), key_pattern(key_y)
+    _, nodes, dx, _ = px.shape
+    dy = py.shape[-1]
+    size = dx * dy
+    # x[..., r, c] kron y[..., s, t] sits at [..., r * dy + s, c * dy + t]
+    i, r, c = np.nonzero(px[2])  # q^{T_i} x g_i for every kind of g_i on the same node i
+    k, j, s, t = np.nonzero(py)
+    a, b = np.nonzero(i[:, None] == j[None, :])
+    product = (((k[b] * nodes + j[b]) * size + r[a] * dy + s[b]) * size + c[a] * dy + t[b],
+               np.ravel_multi_index((2, i[a], r[a], c[a]), px.shape),
+               np.ravel_multi_index((k[b], j[b], s[b], t[b]), py.shape))
+    k, i, r, c = (v.repeat(dy) for v in np.nonzero(px[:2]))  # Q_i x 1 and Qbar_i x 1
+    s = np.tile(np.arange(dy), len(k) // dy)
+    plain = (((k * nodes + i) * size + r * dy + s) * size + c * dy + s,
+             np.ravel_multi_index((k, i, r, c), px.shape))
+    present = np.zeros(3 * nodes * size * size, dtype=bool)
+    present[product[0]] = present[plain[0]] = True
+    position = np.flatnonzero(present)  # a coordinate both terms reach appears once
+    entries = (np.searchsorted(position, product[0]), np.searchsorted(position, plain[0]))
+    frozen(position, *entries, product[1], product[2], plain[1])
+    return CoproductCoordinates(shape=(3 * nodes, size, size), position=position,
+                                product=(entries[0], *product[1:]), plain=(entries[1], plain[1]))
+
+
 def coproduct(rep_a: EvaluationRep, rep_b: EvaluationRep) -> np.ndarray:
     """Coproduct images of all generators on V_a x V_b, one stack in GENERATOR_ORDER.
 
     Delta(Q_i) -> Q_i x 1 + q^{T_i} x Q_i (same for Qbar_i), and the
     group-like Delta(q^{T_i}) -> q^{T_i} x q^{T_i}.  The stack has shape
-    (3 * nodes, d_a * d_b, d_a * d_b).
+    (3 * nodes, d_a * d_b, d_a * d_b) and is filled at the factors'
+    ``coproduct_coordinates``, the entries ``solve_bulk`` assembles from.
     """
     if not rep_a.same_algebra(rep_b):
         raise ValueError("coproduct requires matching (n, q) on both factors")
     a, b = rep_a.gens, rep_b.gens
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("matrix has non-finite entries")
-    # x[..., r, c] kron y[..., s, t] sits at [..., r, s, c, t]; axes 0, 1 are kind and node
-    out = a[2, :, :, None, :, None] * b[:, :, None, :, None, :]  # q^{T_i} x g_i for every g_i
-    out[:2] += a[:2, :, :, None, :, None] * np.eye(rep_b.dim)[:, None, :]  # Q_i x 1, Qbar_i x 1
-    size = rep_a.dim * rep_b.dim
-    return out.reshape(-1, size, size)
+    coordinates = coproduct_coordinates(pattern_key(a, 4), pattern_key(b, 4))
+    return coordinates.dense(coordinates.values(a, b))
 
 
 def coproduct_matrix(rep_a: EvaluationRep, rep_b: EvaluationRep, kind: str, i: int) -> np.ndarray:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import engine_point, eps_star, generic_point
-from qreflect import checks
+from qreflect import checks, intertwiners
 from qreflect.checks import (
     check_b_commutation,
     check_coideal_property,
@@ -215,6 +215,25 @@ def test_sklyanin_exchange_passes(n, eps_of_q):
     report = check_sklyanin(b1, b2, r_set, tol=1e-8)
     assert report.passed
     assert report.deviation < 1e-12
+
+
+@settings(derandomize=True, database=None, deadline=3000, max_examples=24)
+@given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_reflection_equation_and_sklyanin_hold_at_random_engine_points(n, seed):
+    # generic q and complex rapidities, eps = +-eps* per node: every one of the ten channels
+    # (two K, eight S in all vector/dual flavours) is one-dimensional and both checks pass
+    rng = np.random.default_rng(seed)
+    q, _ = generic_point(rng)
+    thetas = list(rng.uniform(-0.9, 0.9, 3) + 1j * rng.uniform(-0.7, 0.7, 3))
+    eps = tuple(eps_star(q) * rng.choice([1.0, -1.0], size=n + 1))
+    solved = intertwiners.engine_point(n, q, thetas, eps)
+    assert {key: sol.dimension for key, sol in solved.items()} == dict.fromkeys(solved, 1)
+    objs = {key: sol.normalized for key, sol in solved.items()}
+    report = _re_report(objs)
+    assert report.passed, report.deviation
+    blocks = engine_blocks(objs, n + 1)
+    report = check_sklyanin(blocks["b1"], blocks["b2"], blocks["r_set"], tol=1e-8)
+    assert report.passed, report.deviation
 
 
 def test_sklyanin_detects_corrupt_k():

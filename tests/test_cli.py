@@ -456,6 +456,44 @@ def test_unknown_arguments_exit_2(capsys):
     assert main(["kmatrix", "--bogus"]) == 2
 
 
+# (argv with the value as its own token, the flag it follows)
+MINUS_VALUES = [
+    ("kmatrix --n 1 --q 0.8@0.3 --x -2+0i --eps 1,1 --out k.json", "--x"),
+    ("kmatrix --n 1 --q 0.8@0.3 --x 2 --eps -1,1 --out k.json", "--eps"),
+    ("verify re --n 1 --q 0.8@0.3 --rapidities -0.4,0.2 --eps 1,1 --out v.json", "--rapidities"),
+    ("scan theta --kind bulk --n 1 --q 0.8@0.3 --x 2 --grid -1:1:5 --out s.json", "--grid"),
+]
+
+
+@pytest.mark.parametrize("line, flag", MINUS_VALUES)
+def test_values_that_start_with_a_minus_sign_parse_as_values(line, flag, tmp_path, monkeypatch,
+                                                             capsys):
+    # the separate-token form writes the bytes of its --flag=value twin
+    argv = line.split()
+    joined = list(argv)
+    at = joined.index(flag)
+    joined[at:at + 2] = [f"{flag}={joined[at + 1]}"]
+    runs = []
+    for name, args in (("spaced", argv), ("joined", joined)):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        code = main(args)
+        runs.append((code, capsys.readouterr().out, sorted(os.listdir("."))))
+    assert runs[0][0] == 0 and runs[0] == runs[1]
+    out = argv[-1]
+    assert (tmp_path / "spaced" / out).read_bytes() == (tmp_path / "joined" / out).read_bytes()
+
+
+@pytest.mark.parametrize("extra", [["--dual-left", "-3"], ["--dual-right", "-1,1"],
+                                   ["--bogus", "-1"], ["--bogus=-2+0i"], ["-2+0i"]])
+def test_a_minus_value_after_a_flag_without_one_still_exits_2(extra, tmp_path, capsys):
+    out = tmp_path / "s.json"
+    argv = ["smatrix", "--n", "1", "--q", "0.8@0.3", "--x1", "2", "--x2", "1.3", "--out", str(out)]
+    assert main(argv[:-2] + extra + argv[-2:]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _cli_complex(z) -> str:
     z = complex(z)
     return f"{z.real!r}{'+' if z.imag >= 0 else '-'}{abs(z.imag)!r}i"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import eps_star, generic_point
 from qreflect.boundary import solve_k, solve_paper_k
 from qreflect.checks import plain_r
-from qreflect import intertwiners
+from qreflect import intertwiners, reps
 from qreflect.intertwiners import (
     _solve_stacked,
     closed_form_s,
@@ -22,7 +22,8 @@ from qreflect.intertwiners import (
     sylvester_rows,
 )
 from qreflect.linalg import DEFAULT_REL_TOL, projective_compare
-from qreflect.reps import coideal_generators, coproduct, dual_rep, vector_rep
+from qreflect.reps import EvaluationRep, coideal_generators, coproduct, dual_rep, pattern_key
+from qreflect.reps import vector_rep
 
 Q_REF = 0.8 * np.exp(0.3j)
 
@@ -636,6 +637,128 @@ def test_sylvester_rows_match_the_kronecker_form(rng):
         blocks = [_kronecker_rows(*pair, support) for pair in zip(stack_in, stack_out)]
         assert np.array_equal(sylvester_rows(stack_in, stack_out, support), np.vstack(blocks))
         assert blocks[2].shape == (0, support.sum())
+
+
+def _nonzero_rows(m_in, m_out, support):
+    """Sylvester rows derived from the stacks' nonzeros at every call: the oracle of the plans."""
+    lead = m_in.shape[:-3]
+    m_in, m_out = (m.reshape(-1, *m.shape[-3:]) for m in (m_in, m_out))
+    rows_x, cols_x = support.shape
+    column = np.cumsum(support).reshape(support.shape) - 1
+    p, g, i, c = np.nonzero(m_in)
+    o, e = np.nonzero(support[:, i])
+    terms_in = (p[e], (g[e] * rows_x + o) * cols_x + c[e], column[o, i[e]], m_in[p, g, i, c][e])
+    p, g, r, o = np.nonzero(m_out)
+    e, i = np.nonzero(support[o, :])
+    terms_out = (p[e], (g[e] * rows_x + r[e]) * cols_x + i, column[o[e], i], -m_out[p, g, r, o][e])
+    touched = np.zeros(m_in.shape[1] * rows_x * cols_x, dtype=bool)
+    touched[terms_in[1]] = touched[terms_out[1]] = True
+    row = np.cumsum(touched) - 1
+    system = np.zeros((len(m_in), row[-1] + 1, np.count_nonzero(support)), dtype=np.complex128)
+    for part, equation, unknown, value in (terms_in, terms_out):
+        system[part, row[equation], unknown] += value
+    nonzero = system.any(axis=(0, 2))
+    return (system if nonzero.all() else system[:, nonzero]).reshape(*lead, -1, system.shape[2])
+
+
+def _sparse_stack(rng, shape, density):
+    """Random complex entries on a random pattern; some kept entries are signed zeros."""
+    values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    values[rng.random(shape) < 0.1] = -0.0
+    return np.where(rng.random(shape) < density, values, 0.0)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_planned_rows_match_the_nonzero_oracle_bit_for_bit(seed):
+    # random supports, and sparse stacks whose points differ in pattern, against the
+    # per-call np.nonzero derivation; run twice so the second call reads a cached plan
+    rng = np.random.default_rng(700 + seed)
+    gens, d_in, d_out = rng.integers(1, 5), rng.integers(1, 6), rng.integers(1, 6)
+    support = rng.random((d_out, d_in)) < rng.uniform(0.3, 1.0)
+    support[rng.integers(d_out), rng.integers(d_in)] = True  # at least one unknown
+    for lead in ((), (1,), (3,)):
+        density = rng.uniform(0.1, 0.9)
+        m_in = _sparse_stack(rng, (*lead, gens, d_in, d_in), density)
+        m_out = _sparse_stack(rng, (*lead, gens, d_out, d_out), density)
+        if seed % 2:
+            m_in = m_in.real  # real stacks assemble into complex rows as well
+        expected = _nonzero_rows(m_in, m_out, support)
+        for _ in range(2):
+            rows = sylvester_rows(m_in, m_out, support)
+            assert rows.shape == expected.shape and rows.tobytes() == expected.tobytes()
+
+
+def _kron_coproduct(a, b):
+    """The coproduct stack as Kronecker products, one generator at a time."""
+    eye = np.eye(b.dim)
+    blocks = [np.kron(a.D[i], b.gens[k, i]) + (np.kron(a.gens[k, i], eye) if k < 2 else 0)
+              for k in range(3) for i in range(a.nodes)]
+    return np.array(blocks)
+
+
+def _isclose_support(m_in, m_out, nodes):
+    d_in, d_out = (np.diagonal(m[-nodes:], axis1=1, axis2=2) for m in (m_in, m_out))
+    return np.isclose(d_out[:, :, None], d_in[:, None, :], rtol=1e-4, atol=0.0).all(axis=0)
+
+
+def test_another_nonzero_pattern_gets_its_own_plan(monkeypatch):
+    # a factor with one entry zeroed is a new pattern, hence one new plan, and its rows
+    # are the oracle's; other values on a cached pattern build nothing
+    a, b = vector_rep(2, Q_REF, np.exp(0.7)), dual_rep(vector_rep(2, Q_REF, np.exp(0.23)))
+    solve_bulk(a, b)
+    misses = intertwiners._bulk_plan.cache_info().misses
+    solve_bulk(vector_rep(2, 0.7 * Q_REF, np.exp(0.1j)), dual_rep(vector_rep(2, 0.7 * Q_REF, 3.0)))
+    assert intertwiners._bulk_plan.cache_info().misses == misses
+    gens = a.gens.copy()
+    gens[1, 2, 2, 0] = 0.0  # Qbar_2's one entry
+    zeroed = EvaluationRep(n=2, q=a.q, x=a.x, is_dual=False, gens=gens)
+    systems = _record_systems(monkeypatch)
+    solution = solve_bulk(zeroed, b)
+    assert intertwiners._bulk_plan.cache_info().misses == misses + 1
+    m_in, m_out = _kron_coproduct(zeroed, b), _kron_coproduct(b, zeroed)
+    support = _isclose_support(m_in, m_out, zeroed.nodes)
+    expected = _nonzero_rows(m_in, m_out, support)
+    assert systems[-1].tobytes() == expected.tobytes()
+    assert solution.dimension == intertwiners.nullspace(expected).dimension
+    assert solution.dimension != solve_bulk(a, b).dimension  # the algebra is broken
+
+
+def _plan_arrays(plan):
+    into, onto, rows = plan
+    return [into.position, *into.product, *into.plain, onto.position, *onto.product, *onto.plain,
+            rows.source_in, rows.target_in, rows.source_out, rows.target_out]
+
+
+def test_cached_plans_are_read_only_and_outlive_writes_to_the_factors():
+    a, b = vector_rep(3, Q_REF, np.exp(0.7)), vector_rep(3, Q_REF, np.exp(0.23))
+    key = (pattern_key(a.gens, 4), pattern_key(b.gens, 4),
+           pattern_key(intertwiners.weight_support(a.gens, b.gens), 2))
+    before = solve_bulk(a, b)
+    plan = intertwiners._bulk_plan(*key)
+    saved = [arr.copy() for arr in _plan_arrays(plan)]
+    a.gens[:2] *= 3.0
+    a.gens[0, 1] = 0.0
+    solve_bulk(a, b)
+    assert intertwiners._bulk_plan(*key) is plan
+    for arr, copy in zip(_plan_arrays(plan), saved):
+        assert np.array_equal(arr, copy)
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[...] = 0
+    # the solve at the original values reads the same plan and gives the same bytes
+    again = solve_bulk(vector_rep(3, Q_REF, np.exp(0.7)), b)
+    assert again.normalized.tobytes() == before.normalized.tobytes()
+    m = coideal_generators(b, (1, 2, 3, 4))
+    sylvester_rows(m, m, np.ones((4, 4), dtype=bool))
+    stack = intertwiners._stack_plan(pattern_key(m, 3), pattern_key(m, 3),
+                                     pattern_key(np.ones((4, 4), dtype=bool), 2))
+    assert not any(arr.flags.writeable for arr in (stack.source_in, stack.target_in,
+                                                   stack.source_out, stack.target_out))
+
+
+def test_plan_caches_are_bounded_by_one_module_constant():
+    for cache in (intertwiners._bulk_plan, intertwiners._stack_plan, reps.coproduct_coordinates):
+        assert cache.cache_info().maxsize == reps.PLAN_CACHE_SIZE == intertwiners.PLAN_CACHE_SIZE
 
 
 def test_stacked_systems_share_the_rows_any_of_them_needs(rng):
