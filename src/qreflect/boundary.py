@@ -133,7 +133,7 @@ def solve_paper_k(
         scale = float(np.linalg.norm(k)) * max(1.0, float(np.linalg.norm(rows)))
         return float(np.linalg.norm(rows @ k.ravel())) / scale
 
-    return solve_system(rows, (n + 1, n + 1), rel_tol, residual)
+    return solve_system(rows, np.ones((n + 1, n + 1), dtype=bool), rel_tol, residual)
 
 
 def solve_k(n: int, q: complex, x: complex, eps, method: str = DEFAULT_K_METHOD,
@@ -159,8 +159,7 @@ class ClosedFormParams:
     eps: tuple
 
     def __post_init__(self):
-        eps = tuple(self.eps)
-        params = as_boundary_params(eps, len(eps) - 1)  # closed_form_k checks the length
+        params = as_boundary_params(self.eps, len(self.eps) - 1)  # closed_form_k checks the length
         bad = [e for e in params if abs(abs(e) - 1.0) > 1e-12]
         if bad:
             raise ValueError(f"closed form requires |eps_i| = 1, got {bad}")

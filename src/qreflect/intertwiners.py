@@ -130,16 +130,16 @@ def sylvester_rows(m_in, m_out, support) -> np.ndarray:
     return plan.assemble(*(m.reshape(*m.shape[:-3], -1) for m in (m_in, m_out)))
 
 
-def solve_system(rows, shape, rel_tol, residual, flags=(), support=None):
+def solve_system(rows, support, rel_tol, residual, flags=()):
     """Common tail of every solve: nullspace of ``rows``, normalize, score.
 
-    ``rows`` act on ``support`` (a mask; all entries when None) of an unknown of
-    ``shape``, where the basis is scattered back; ``residual`` scores a 1-d solution.
-    ``flags`` gains "near-threshold" when the rank cut lies near a singular value.
+    ``rows`` act on the unknowns that the boolean mask ``support``, shaped like the
+    unknown, selects; the basis is scattered back there.  ``residual`` scores a 1-d
+    solution; ``flags`` gains "near-threshold" when the cut lies near a singular value.
     """
     ns = nullspace(rows, rel_tol=rel_tol)
-    full = np.zeros((ns.dimension, *shape), dtype=np.complex128)
-    full[:, np.ones(shape, dtype=bool) if support is None else support] = ns.basis
+    full = np.zeros((ns.dimension, *support.shape), dtype=np.complex128)
+    full[:, support] = ns.basis
     ns.basis = full
     near = ("near-threshold",) if ns.margin < NEAR_THRESHOLD_MARGIN else ()
     solution = IntertwinerSolution(nullspace=ns, flags=tuple(flags) + near)
@@ -149,14 +149,11 @@ def solve_system(rows, shape, rel_tol, residual, flags=(), support=None):
     return solution
 
 
-def _solve_stacked(m_in, m_out, rel_tol, flags=(), support=None):
-    """Solve X m_in[g] = m_out[g] X for every g on ``support`` (all entries when None)."""
-    shape = (m_out.shape[1], m_in.shape[1])
-    support = np.ones(shape, dtype=bool) if support is None else support
-    # the residual scores the full stacks and the full X
+def _solve_stacked(m_in, m_out, rel_tol):
+    """Solve X m_in[g] = m_out[g] X for every g, on every entry of X."""
+    support = np.ones((m_out.shape[1], m_in.shape[1]), dtype=bool)
     residual = functools.partial(intertwining_residual, m_in=m_in, m_out=m_out)
-    rows = sylvester_rows(m_in, m_out, support)
-    return solve_system(rows, shape, rel_tol, residual, flags, support)
+    return solve_system(sylvester_rows(m_in, m_out, support), support, rel_tol, residual)
 
 
 def intertwining_residual(x: np.ndarray, m_in, m_out) -> float:
@@ -181,12 +178,12 @@ def solve_bulk(
         raise ValueError("bulk channels require matching (n, q)")
     equal = isclose(rep_a.x, rep_b.x) and rep_a.is_dual == rep_b.is_dual
     flags = ("equal-rapidity",) if equal else ()
-    rows, support, stacks = _bulk_system(rep_a.gens, rep_b.gens)
-
-    def residual(x):  # on the full coproduct stacks and the full X
-        return intertwining_residual(x, *stacks())
-
-    return solve_system(rows, support.shape, rel_tol, residual, flags, support)
+    a, b = rep_a.gens, rep_b.gens
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):  # before any arithmetic on them
+        raise ValueError("matrix has non-finite entries")
+    support = weight_support(a, b)
+    rows, residual = _bulk_system(a, b, support)
+    return solve_system(rows, support, rel_tol, residual, flags)
 
 
 def weight_support(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -212,22 +209,21 @@ def _bulk_plan(key_a: tuple, key_b: tuple, key_support: tuple) -> tuple:
     return into, onto, plan
 
 
-def _bulk_system(a: np.ndarray, b: np.ndarray, support=None):
-    """Rows of ``solve_bulk`` between factor stacks a, b: (rows, support, stacks).
+def _bulk_system(a: np.ndarray, b: np.ndarray, support: np.ndarray):
+    """Rows of ``solve_bulk`` between finite factor stacks a, b on ``support``: (rows, residual).
 
     a and b are ``gens`` stacks, (..., 3, nodes, d, d), whose leading axes
-    broadcast to one system per index.  ``support`` defaults to
-    ``weight_support(a, b)`` of unstacked factors.  ``stacks()`` builds the
-    dense coproduct stacks (m_in, m_out) from the same coordinate values.
+    broadcast to one system per index.  ``residual(x)`` scores an unstacked
+    solution on the dense coproduct stacks, which it builds from the same
+    coordinate values only when called.
     """
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("matrix has non-finite entries")
-    if support is None:
-        support = weight_support(a, b)
     into, onto, plan = _bulk_plan(pattern_key(a, 4), pattern_key(b, 4), pattern_key(support, 2))
     values_in, values_out = into.values(a, b), onto.values(b, a)
-    rows = plan.assemble(values_in, values_out)
-    return rows, support, lambda: (into.dense(values_in), onto.dense(values_out))
+
+    def residual(x):  # on the full coproduct stacks and the full X
+        return intertwining_residual(x, into.dense(values_in), onto.dense(values_out))
+
+    return plan.assemble(values_in, values_out), residual
 
 
 def closed_form_s(n: int, q: complex, theta_a: complex, theta_b: complex) -> np.ndarray:
@@ -365,6 +361,8 @@ def dimension_scan(kind: str, fixed: dict, grid) -> ScanResult:
 
         def rows(chunk):
             right = np.array([vector_rep(n, q, x).gens for x in grid[chunk]])
+            if not (np.isfinite(left).all() and np.isfinite(right).all()):
+                raise ValueError("matrix has non-finite entries")
             return _bulk_system(left, right, support)[0]
     elif kind == "boundary":
         from .boundary import k_scan_rows  # local import, boundary builds on this module

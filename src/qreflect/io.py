@@ -50,8 +50,9 @@ def _pair(z) -> list:
 
 
 def _unpair(p) -> complex:
-    if not (isinstance(p, (list, tuple)) and len(p) == 2):
-        raise DocumentShapeError(f"expected [re, im] pair, got {p!r}")
+    # exact types: a JSON true is a bool, not a number
+    if not (isinstance(p, list) and len(p) == 2 and {type(p[0]), type(p[1])} <= {int, float}):
+        raise DocumentShapeError(f"expected [re, im] pair of numbers, got {p!r}")
     return complex(float(p[0]), float(p[1]))
 
 
@@ -114,29 +115,29 @@ def serialize_matrix(doc: MatrixDocument) -> bytes:
 
 
 def deserialize_matrix(raw: bytes) -> MatrixDocument:
+    """A ``serialize_matrix`` document; each key the writer always writes is required, typed."""
     payload = _parse(raw)
     meta = _require(payload, "meta", dict)
     _check_version(meta)
     block = _require(payload, "matrix", dict)
-    rows = _require(block, "rows", int)
-    cols = _require(block, "cols", int)
+    rows, cols = (_require(block, key, int) for key in ("rows", "cols"))
     data = _require(block, "data", list)
-    if rows * cols != len(data):
-        raise DocumentShapeError(f"rows*cols = {rows * cols} but data has {len(data)} entries")
+    if rows < 0 or cols < 0 or rows * cols != len(data):
+        raise DocumentShapeError(f"a {rows} x {cols} matrix but data has {len(data)} entries")
     entries = np.array([_unpair(p) for p in data], dtype=np.complex128)
-    matrix = entries.reshape(rows, cols)
-    eps = meta.get("eps")
+    eps = _require(meta, "eps", (list, type(None)))
+    spectral = {key: [_unpair(p) for p in _require(meta, key, list)]
+                for key in ("x", "rapidities") if key in meta}  # the writer omits an empty list
     return MatrixDocument(
-        kind=str(meta.get("kind", "matrix")),
-        n=int(meta.get("n", 0)),
-        q=_unpair(meta.get("q", [0.0, 0.0])),
-        matrix=matrix,
-        convention=str(meta.get("convention", "n/a")),
-        x=[_unpair(p) for p in meta.get("x", [])],
-        rapidities=[_unpair(p) for p in meta.get("rapidities", [])],
+        kind=_require(meta, "kind", str),
+        n=_require(meta, "n", int),
+        q=_unpair(_require(meta, "q", list)),
+        matrix=entries.reshape(rows, cols),
+        convention=_require(meta, "convention", str),
         eps=None if eps is None else [_unpair(p) for p in eps],
-        normalization=str(meta.get("normalization", "max-modulus-1")),
-        tol=float(meta.get("tol", DEFAULT_REL_TOL)),
+        normalization=_require(meta, "normalization", str),
+        tol=float(_require(meta, "tol", (int, float))),
+        **spectral,
     )
 
 
@@ -219,8 +220,6 @@ def _require(obj: dict, key: str, typ):
     if key not in obj:
         raise DocumentShapeError(f"missing key {key!r}")
     value = obj[key]
-    if typ is int and isinstance(value, bool):
-        raise DocumentShapeError(f"key {key!r} must be an integer")
-    if not isinstance(value, typ):
+    if isinstance(value, bool) or not isinstance(value, typ):  # a bool is not a JSON number
         raise DocumentShapeError(f"key {key!r} has wrong type {type(value).__name__}")
     return value

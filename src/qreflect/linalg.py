@@ -94,8 +94,8 @@ class NullspaceResult:
 
     dimension: int
     basis: np.ndarray  # one basis vector per row
-    sigma_max: float = 0.0  # 0 for an all-zero matrix
-    margin: float = math.inf  # min(kept sigma_min / cut, cut / dropped sigma_max)
+    sigma_max: float  # 0 for an all-zero matrix
+    margin: float  # min(kept sigma_min / cut, cut / dropped sigma_max)
 
 
 def rank_decision(s, rel_tol: float = DEFAULT_REL_TOL):

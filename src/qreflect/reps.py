@@ -100,9 +100,9 @@ class EvaluationRep:
 def check_point(n: int, q: complex, x: complex) -> tuple:
     """Validate one point (n, q, x) and return it as (int, complex, complex).
 
-    n must be an integer >= 1; q and x must be finite and nonzero.
+    n must be an integer >= 1, and not a bool; q and x must be finite and nonzero.
     """
-    if not isinstance(n, numbers.Integral) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
         raise ValueError(f"rank index n must be an integer >= 1, got {n!r}")
     q, x = complex(q), complex(x)
     if not (cmath.isfinite(q) and cmath.isfinite(x)) or q == 0 or x == 0:
@@ -160,6 +160,8 @@ def dual_rep(rep: EvaluationRep) -> EvaluationRep:
 
 def as_boundary_params(eps, n: int) -> tuple:
     """Boundary parameters eps_0..eps_n as a tuple of n+1 finite complex numbers."""
+    if isinstance(eps, (str, bytes)):  # whose characters a loop would read as numbers
+        raise ValueError(f"boundary parameters must be a sequence of numbers, got {eps!r}")
     params = tuple(complex(e) for e in eps)
     if len(params) != n + 1:
         raise ValueError(f"expected {n + 1} boundary parameters, got {len(params)}")

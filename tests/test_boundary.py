@@ -13,7 +13,7 @@ from qreflect.boundary import (
     solve_k,
     solve_paper_k,
 )
-from qreflect.intertwiners import reflection_dual, solve_boundary
+from qreflect.intertwiners import dimension_scan, reflection_dual, solve_boundary
 from qreflect.linalg import projective_compare
 from qreflect.reps import vector_rep
 
@@ -171,7 +171,7 @@ def test_closed_form_rejects_bad_modulus():
 BAD_POINTS = {"n0": (0, Q_REF, X_REF), "n-1": (-1, Q_REF, X_REF), "n1.5": (1.5, Q_REF, X_REF),
               "q-nan": (2, np.nan, X_REF), "q-inf": (2, np.inf, X_REF),
               "x-nan": (2, Q_REF, complex(np.nan, 1)), "x-inf": (2, Q_REF, np.inf),
-              "q0": (2, 0.0, X_REF), "x0": (2, Q_REF, 0.0)}
+              "q0": (2, 0.0, X_REF), "x0": (2, Q_REF, 0.0), "n-true": (True, Q_REF, X_REF)}
 ENTRY_POINTS = {
     "vector_rep": vector_rep,
     "paper_boundary_system": lambda n, q, x: paper_boundary_system(n, q, x, (1,)),
@@ -192,6 +192,17 @@ def test_non_finite_eps_rejected():
         paper_boundary_system(1, Q_REF, X_REF, (np.nan, 1))
     with pytest.raises(ValueError, match="finite"):
         ClosedFormParams((1, np.inf))
+
+
+@pytest.mark.parametrize("eps", ["11", "1j", b"11"], ids=["str", "str-imaginary", "bytes"])
+def test_string_eps_rejected_on_every_path(eps):
+    # a loop over a str or bytes yields its characters or bytes: "11" would read as (1, 1)
+    solves = [lambda: solve_k(1, Q_REF, X_REF, eps, method) for method in ("paper", "generic")]
+    solves += [lambda: ClosedFormParams(eps),
+               lambda: dimension_scan("boundary", {"n": 1, "q": Q_REF, "eps": eps}, [X_REF])]
+    for solve in solves:
+        with pytest.raises(ValueError, match="sequence of numbers"):
+            solve()
 
 
 def test_solve_k_dispatches_by_method():

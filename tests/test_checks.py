@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,9 +18,9 @@ from qreflect.checks import (
     opposite_r,
     plain_r,
 )
-from qreflect.intertwiners import solve_bulk
-from qreflect.linalg import flip_operator
-from qreflect.reps import vector_rep
+from qreflect.intertwiners import _solve_stacked, solve_bulk
+from qreflect.linalg import DEFAULT_REL_TOL, flip_operator
+from qreflect.reps import coproduct, vector_rep
 
 Q_REF = 0.8 * np.exp(0.3j)
 THETAS = (0.7, 0.23, -0.41)
@@ -217,23 +219,68 @@ def test_sklyanin_exchange_passes(n, eps_of_q):
     assert report.deviation < 1e-12
 
 
-@settings(derandomize=True, database=None, deadline=3000, max_examples=24)
-@given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
-def test_reflection_equation_and_sklyanin_hold_at_random_engine_points(n, seed):
-    # generic q and complex rapidities, eps = +-eps* per node: every one of the ten channels
-    # (two K, eight S in all vector/dual flavours) is one-dimensional and both checks pass
-    rng = np.random.default_rng(seed)
-    q, _ = generic_point(rng)
+def _solve_random_engine_point(n, q, rng):
+    """``engine_point`` at complex rapidities and eps = +-eps* per node, drawn from ``rng``."""
     thetas = list(rng.uniform(-0.9, 0.9, 3) + 1j * rng.uniform(-0.7, 0.7, 3))
     eps = tuple(eps_star(q) * rng.choice([1.0, -1.0], size=n + 1))
-    solved = intertwiners.engine_point(n, q, thetas, eps)
-    assert {key: sol.dimension for key, sol in solved.items()} == dict.fromkeys(solved, 1)
+    return intertwiners.engine_point(n, q, thetas, eps)
+
+
+def _assert_re_and_sklyanin(solved, n):
     objs = {key: sol.normalized for key, sol in solved.items()}
     report = _re_report(objs)
     assert report.passed, report.deviation
     blocks = engine_blocks(objs, n + 1)
     report = check_sklyanin(blocks["b1"], blocks["b2"], blocks["r_set"], tol=1e-8)
     assert report.passed, report.deviation
+
+
+@settings(derandomize=True, database=None, deadline=3000, max_examples=24)
+@given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_reflection_equation_and_sklyanin_hold_at_random_engine_points(n, seed):
+    # generic q and complex rapidities, eps = +-eps* per node: every one of the ten channels
+    # (two K, eight S in all vector/dual flavours) is one-dimensional and both checks pass
+    rng = np.random.default_rng(seed)
+    solved = _solve_random_engine_point(n, generic_point(rng)[0], rng)
+    assert {key: sol.dimension for key, sol in solved.items()} == dict.fromkeys(solved, 1)
+    _assert_re_and_sklyanin(solved, n)
+
+
+@settings(derandomize=True, database=None, deadline=3000, max_examples=12)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_reflection_equation_and_sklyanin_hold_at_random_engine_points_at_n5(seed):
+    rng = np.random.default_rng(seed)
+    solved = _solve_random_engine_point(5, generic_point(rng)[0], rng)
+    assert {key: sol.dimension for key, sol in solved.items()} == dict.fromkeys(solved, 1)
+    _assert_re_and_sklyanin(solved, 5)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 6])
+@pytest.mark.parametrize("delta", [1e-8, 1e-6, 1e-4, 1e-2])
+@settings(derandomize=True, database=None, deadline=3000, max_examples=3)
+@given(n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_engine_points_near_low_roots_of_unity_pass_or_are_flagged(k, delta, n, seed):
+    # q = e^{2 pi i/k} (1 + delta): a doubtful rank must show, as a channel of dimension other
+    # than 1 or a near-threshold flag, and a point that shows neither passes both checks.  At
+    # n <= 2 each bulk channel has the dimension of its system on every entry, so the weight
+    # support keeps every unknown that near-coincident weights need.
+    q = np.exp(2j * np.pi / k) * (1 + delta)
+    channels = []
+
+    def recording(a, b):
+        channels.append((a, b))
+        return solve_bulk(a, b)
+
+    with mock.patch.object(intertwiners, "solve_bulk", recording):
+        solved = _solve_random_engine_point(n, q, np.random.default_rng(seed))
+    bulk = [sol for key, sol in solved.items() if key.startswith("s_")]
+    assert len(channels) == len(bulk) == 8
+    if n <= 2:
+        for (a, b), sol in zip(channels, bulk):
+            full = _solve_stacked(coproduct(a, b), coproduct(b, a), DEFAULT_REL_TOL)
+            assert sol.dimension == full.dimension
+    if all(sol.dimension == 1 and "near-threshold" not in sol.flags for sol in solved.values()):
+        _assert_re_and_sklyanin(solved, n)
 
 
 def test_sklyanin_detects_corrupt_k():

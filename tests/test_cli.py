@@ -182,6 +182,15 @@ def test_arithmetic_overflow_exits_2(argv, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_a_non_finite_factor_exits_2_before_its_weight_support(tmp_path, monkeypatch, capsys):
+    # 1/q overflows to inf on the q^T diagonals; the error names the factor, not a product
+    monkeypatch.chdir(tmp_path)
+    assert main(["smatrix", "--n", "1", "--q", "1e-320", "--x1", "2", "--x2", "3",
+                 "--out", "s.json"]) == 2
+    assert capsys.readouterr().err == "error: matrix has non-finite entries\n"
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("command, tol", [
     (["smatrix", "--n", "1", "--q", "0.8@0.3", "--x1", "2", "--x2", "1.3"], "nan"),
     (["rep-check", "--n", "1", "--q", "0.8@0.3", "--x", "2"], "nan"),

@@ -76,6 +76,19 @@ def test_bulk_rejects_a_near_q_in_either_order():
             solve_bulk(left, right)
 
 
+def test_bulk_rejects_a_non_finite_factor_before_its_weight_support():
+    # the weight support reads the q^T diagonals: an inf there must be reported as a non-finite
+    # factor, as coproduct reports it, not as the invalid product the support would compute
+    good = vector_rep(1, Q_REF, 1.7)
+    for kind, entry, value in (("Qbar", (1, 0, 1), np.nan), ("D", (1, 0, 0), np.inf)):
+        bad = vector_rep(1, Q_REF, 1.2)
+        getattr(bad, kind)[entry] = value
+        for pair in ((bad, good), (good, bad)):
+            for build in (solve_bulk, coproduct):
+                with np.errstate(all="raise"), pytest.raises(ValueError, match="non-finite"):
+                    build(*pair)
+
+
 def test_equal_rapidity_flag_does_not_depend_on_argument_order():
     # x_b = x_a (1 + 1.000005e-5) is within 1e-5 of |x_b| but not of |x_a|; the flag follows
     # the symmetric rule of same_algebra, whichever side comes first
@@ -602,9 +615,8 @@ def test_weight_support_matches_full_support(n, flavour, k, monkeypatch):
             a = vector_rep(n, q, np.exp(0.7))
             b = vector_rep(n, q, np.exp(theta_b))
             b = dual_rep(b) if flavour == "dual" else b
-            full = np.ones((a.dim * b.dim,) * 2, dtype=bool)
             masked = solve_bulk(a, b)
-            dense = _solve_stacked(coproduct(a, b), coproduct(b, a), DEFAULT_REL_TOL, support=full)
+            dense = _solve_stacked(coproduct(a, b), coproduct(b, a), DEFAULT_REL_TOL)
             case = (delta, theta_b)
             assert masked.dimension == dense.dimension, case
             if dense.dimension == 1:

@@ -130,8 +130,56 @@ def test_scan_serialization_handles_tuples():
 def test_default_tolerances_come_from_their_owners():
     doc = MatrixDocument(kind="smatrix", n=1, q=0.5, matrix=np.eye(2), convention="paper")
     assert doc.tol == DEFAULT_REL_TOL
-    payload = json.loads(serialize_matrix(doc))
-    del payload["meta"]["tol"]
-    assert deserialize_matrix(json.dumps(payload).encode()).tol == DEFAULT_REL_TOL
+    assert deserialize_matrix(serialize_matrix(doc)).tol == DEFAULT_REL_TOL  # written, then read
     report = ReportDocument(kind="verify", n=1, q=0.5, checks=[], convention="n/a")
     assert report.tol == inspect.signature(check_ybe).parameters["tol"].default
+
+
+MISSING = object()
+
+# Edits of a written document, each to a form the writer never produces: a key it always writes
+# left out, a value of another JSON type, or a negative shape.  The reader used to fill in the
+# missing kind, n, q and convention, read n = 2.7 as 2, "3" as 3 and true as 1, and hand -1 x -1
+# to numpy's reshape.
+MALFORMED_DOCUMENTS = {
+    **{f"no-{key}": [("meta", key, MISSING)]
+       for key in ("kind", "n", "q", "eps", "convention", "normalization", "tol")},
+    "n-float": [("meta", "n", 2.7)],
+    "n-integral-float": [("meta", "n", 1.0)],
+    "n-string": [("meta", "n", "3")],
+    "n-bool": [("meta", "n", True)],
+    "kind-number": [("meta", "kind", 5)],
+    "convention-null": [("meta", "convention", None)],
+    "normalization-list": [("meta", "normalization", ["max-modulus-1"])],
+    "q-number": [("meta", "q", 2.0)],
+    "q-string-pair": [("meta", "q", ["2", "0"])],
+    "q-bool-pair": [("meta", "q", [True, False])],
+    "eps-string": [("meta", "eps", "11")],
+    "eps-one-pair": [("meta", "eps", [1.0, 0.0])],
+    "x-string": [("meta", "x", "3")],
+    "tol-bool": [("meta", "tol", True)],
+    "tol-string": [("meta", "tol", "1e-9")],
+    "data-string-pair": [("matrix", "data", [["1", "0"]] * 4)],
+    "negative-shape": [("matrix", "rows", -1), ("matrix", "cols", -1),
+                       ("matrix", "data", [[1.0, 0.0]])],
+}
+
+
+@pytest.mark.parametrize("edits", MALFORMED_DOCUMENTS.values(), ids=MALFORMED_DOCUMENTS.keys())
+def test_reader_rejects_what_the_writer_never_writes(edits):
+    payload = json.loads(serialize_matrix(_doc()))
+    for block, key, value in edits:
+        if value is MISSING:
+            del payload[block][key]
+        else:
+            payload[block][key] = value
+    with pytest.raises(DocumentShapeError):
+        deserialize_matrix(json.dumps(payload).encode())
+
+
+def test_reader_takes_x_and_rapidities_as_optional():
+    # the writer leaves an empty list out, so a document without either is complete
+    raw = serialize_matrix(MatrixDocument(kind="smatrix", n=1, q=0.5, matrix=np.eye(2),
+                                          convention="n/a"))
+    assert b'"x"' not in raw and b'"rapidities"' not in raw
+    assert serialize_matrix(deserialize_matrix(raw)) == raw
