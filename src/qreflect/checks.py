@@ -100,14 +100,19 @@ def check_coideal_property(
     """
     params = as_boundary_params(eps, rep_a.n)
     hats_b = coideal_generators(rep_b, params)
-    eye_b = np.eye(rep_b.dim, dtype=np.complex128)
-    delta, k = coproduct(rep_a, rep_b), rep_a.nodes  # Q, Qbar and q^T images, kind-major
-    defects = []
-    for i in range(k):
-        lhs = delta[i] + delta[k + i] + params[i] * delta[2 * k + i]
-        rhs = kron(rep_a.Q[i] + rep_a.Qbar[i], eye_b) + kron(rep_a.D[i], hats_b[i])
-        defects.append(relative_defect(lhs, rhs))
+    eye_b = np.broadcast_to(np.eye(rep_b.dim, dtype=np.complex128), hats_b.shape)
+    delta = coproduct(rep_a, rep_b)  # Q, Qbar and q^T images, kind-major
+    q, qbar, d = delta.reshape(3, rep_a.nodes, *delta.shape[1:])
+    lhs = q + qbar + np.array(params)[:, None, None] * d
+    rhs = _kron_stack(rep_a.Q + rep_a.Qbar, eye_b) + _kron_stack(rep_a.D, hats_b)
+    defects = [relative_defect(l, r) for l, r in zip(lhs, rhs)]
     return VerificationReport.worst_of("coideal-property", defects, tol)
+
+
+def _kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker products a[k] x b[k] of two (k, d, d) stacks, as one stack."""
+    k, d_a, d_b = len(a), a.shape[-1], b.shape[-1]
+    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(k, d_a * d_b, d_a * d_b)
 
 
 def eval_b_matrix(k_mu, r_in, r_op_out) -> np.ndarray:
@@ -183,8 +188,8 @@ def check_b_commutation(b_with_nu, b_with_nubar, k_nu, tol: float = 1e-8) -> Ver
             f"b_with_nubar shape {b_nubar.shape} incompatible with blocks "
             f"({d_rows},{d_cols}) of size {d_nub}"
         )
-    lhs = np.vstack([k_nu @ m for m in _blocks(b_nu, d_rows, d_cols, d_nu)])
-    rhs = np.vstack([m @ k_nu for m in _blocks(b_nubar, d_rows, d_cols, d_nub)])
+    lhs = (k_nu @ _blocks(b_nu, d_rows, d_cols, d_nu)).reshape(-1, d_nu)
+    rhs = (_blocks(b_nubar, d_rows, d_cols, d_nub) @ k_nu).reshape(-1, d_nu)
     return VerificationReport.projective("b-commutation", lhs, rhs, tol)
 
 

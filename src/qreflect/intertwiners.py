@@ -22,11 +22,39 @@ import numpy as np
 
 from .linalg import DEFAULT_REL_TOL, NullspaceResult, isclose, normalize_solution, nullspace
 from .linalg import stack_nullities
-from .reps import PLAN_CACHE_SIZE, EvaluationRep, check_point, coideal_generators
-from .reps import coproduct_coordinates, dual_rep, frozen, key_pattern, pattern_key, vector_rep
+from .reps import EvaluationRep, check_point, coideal_generators, coproduct_coordinates, dual_rep
+from .reps import vector_rep
 
 # A rank decision whose cut lies within this factor of a singular value is flagged.
 NEAR_THRESHOLD_MARGIN = 1e3
+
+# Structural plans each cache keeps, least recently used first out.  A plan is keyed on
+# shapes and nonzero patterns only, never on values such as q or x.
+PLAN_CACHE_SIZE = 128
+
+
+def pattern_key(a: np.ndarray, core: int) -> tuple:
+    """Shape of the last ``core`` axes of ``a``, and the bytes of where any leading slice is nonzero.
+
+    A plan cache keys on it: it tells patterns apart, never values.
+    """
+    pattern = a != 0
+    if pattern.ndim > core:
+        pattern = pattern.reshape(-1, *pattern.shape[-core:]).any(axis=0)
+    return pattern.shape, pattern.tobytes()
+
+
+def key_pattern(key: tuple) -> np.ndarray:
+    """The read-only boolean pattern of a ``pattern_key``."""
+    shape, pattern = key
+    return np.frombuffer(pattern, dtype=bool).reshape(shape)
+
+
+def frozen(*arrays: np.ndarray) -> tuple:
+    """The arrays, made read-only, so that a cached plan cannot be written through."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 @dataclass
@@ -204,7 +232,9 @@ def weight_support(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _bulk_plan(key_a: tuple, key_b: tuple, key_support: tuple) -> tuple:
     """Coordinates of both coproduct stacks and their ``RowPlan``, by ``pattern_key``s."""
-    into, onto = coproduct_coordinates(key_a, key_b), coproduct_coordinates(key_b, key_a)
+    a, b = key_pattern(key_a), key_pattern(key_b)
+    into, onto = coproduct_coordinates(a, b), coproduct_coordinates(b, a)
+    frozen(*(arr for c in (into, onto) for arr in (c.position, *c.product, *c.plain)))
     plan = _row_plan(into.position, onto.position, into.shape, onto.shape, key_pattern(key_support))
     return into, onto, plan
 

@@ -200,12 +200,16 @@ def _parse(raw) -> dict:
     if isinstance(raw, bytes):
         raw = raw.decode("utf-8")
     try:
-        payload = json.loads(raw)
+        payload = json.loads(raw, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise DocumentParseError(f"not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise DocumentParseError("top-level JSON value must be an object")
     return payload
+
+
+def _reject_constant(name: str):
+    raise DocumentParseError(f"not valid JSON: {name} is not a number")
 
 
 def _check_version(meta: dict) -> None:

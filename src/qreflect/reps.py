@@ -15,7 +15,6 @@ off the diagonal where needed.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import numbers
 import warnings
@@ -160,9 +159,10 @@ def dual_rep(rep: EvaluationRep) -> EvaluationRep:
 
 def as_boundary_params(eps, n: int) -> tuple:
     """Boundary parameters eps_0..eps_n as a tuple of n+1 finite complex numbers."""
-    if isinstance(eps, (str, bytes)):  # whose characters a loop would read as numbers
+    items = [eps] if isinstance(eps, (str, bytes)) else list(eps)
+    if any(isinstance(e, (str, bytes)) for e in items):  # text a loop or complex() reads as numbers
         raise ValueError(f"boundary parameters must be a sequence of numbers, got {eps!r}")
-    params = tuple(complex(e) for e in eps)
+    params = tuple(complex(e) for e in items)
     if len(params) != n + 1:
         raise ValueError(f"expected {n + 1} boundary parameters, got {len(params)}")
     if not all(cmath.isfinite(e) for e in params):
@@ -174,35 +174,6 @@ def coideal_generators(rep: EvaluationRep, eps) -> np.ndarray:
     """Stack of the matrices Qhat_i = Q_i + Qbar_i + eps_i q^{T_i} of the boundary algebra."""
     params = np.array(as_boundary_params(eps, rep.n))[:, None, None]
     return rep.Q + rep.Qbar + params * rep.D
-
-
-# Structural plans each cache keeps, least recently used first out.  A plan is keyed on
-# shapes and nonzero patterns only, never on values such as q or x.
-PLAN_CACHE_SIZE = 128
-
-
-def pattern_key(a: np.ndarray, core: int) -> tuple:
-    """Shape of the last ``core`` axes of ``a``, and the bytes of where any leading slice is nonzero.
-
-    A plan cache keys on it: it tells patterns apart, never values.
-    """
-    pattern = a != 0
-    if pattern.ndim > core:
-        pattern = pattern.reshape(-1, *pattern.shape[-core:]).any(axis=0)
-    return pattern.shape, pattern.tobytes()
-
-
-def key_pattern(key: tuple) -> np.ndarray:
-    """The read-only boolean pattern of a ``pattern_key``."""
-    shape, pattern = key
-    return np.frombuffer(pattern, dtype=bool).reshape(shape)
-
-
-def frozen(*arrays: np.ndarray) -> tuple:
-    """The arrays, made read-only, so that a cached plan cannot be written through."""
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
 
 
 @dataclass(frozen=True)
@@ -239,10 +210,8 @@ class CoproductCoordinates:
         return out.reshape(*values.shape[:-1], *self.shape)
 
 
-@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def coproduct_coordinates(key_x: tuple, key_y: tuple) -> CoproductCoordinates:
-    """Coordinates of the coproduct of two factors, from their ``pattern_key(gens, 4)``."""
-    px, py = key_pattern(key_x), key_pattern(key_y)
+def coproduct_coordinates(px: np.ndarray, py: np.ndarray) -> CoproductCoordinates:
+    """Coordinates of the coproduct of two factors, from their (3, nodes, d, d) boolean patterns."""
     _, nodes, dx, _ = px.shape
     dy = py.shape[-1]
     size = dx * dy
@@ -261,7 +230,6 @@ def coproduct_coordinates(key_x: tuple, key_y: tuple) -> CoproductCoordinates:
     present[product[0]] = present[plain[0]] = True
     position = np.flatnonzero(present)  # a coordinate both terms reach appears once
     entries = (np.searchsorted(position, product[0]), np.searchsorted(position, plain[0]))
-    frozen(position, *entries, product[1], product[2], plain[1])
     return CoproductCoordinates(shape=(3 * nodes, size, size), position=position,
                                 product=(entries[0], *product[1:]), plain=(entries[1], plain[1]))
 
@@ -279,7 +247,7 @@ def coproduct(rep_a: EvaluationRep, rep_b: EvaluationRep) -> np.ndarray:
     a, b = rep_a.gens, rep_b.gens
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("matrix has non-finite entries")
-    coordinates = coproduct_coordinates(pattern_key(a, 4), pattern_key(b, 4))
+    coordinates = coproduct_coordinates(a != 0, b != 0)
     return coordinates.dense(coordinates.values(a, b))
 
 
@@ -302,20 +270,16 @@ def check_relations(rep: EvaluationRep, tol: float = 1e-10) -> VerificationRepor
     q = rep.q
     if abs(q**2 - 1.0) < 1e-12:
         raise ValueError("relation (c) is singular at q^2 = 1")
-    dim = rep.dim
-    eye = np.eye(dim, dtype=np.complex128)
+    eye = np.eye(rep.dim, dtype=np.complex128)
     defects = []
-    for i in range(rep.nodes):
-        casimir = (rep.D[i] @ rep.D[i] - eye) / (q**2 - 1.0)
+    for i in range(rep.nodes):  # every j at once, so memory stays at the representation's size
+        inner = [cartan_inner(rep.n, i, j) for j in range(rep.nodes)]
+        up, down = (np.array([q**(sign * a) for a in inner])[:, None, None] for sign in (1, -1))
         dinv = np.diag(1.0 / np.diag(rep.D[i]))
-        for j in range(rep.nodes):
-            a_ij = cartan_inner(rep.n, i, j)
-            defects += [
-                relative_defect(rep.D[i] @ rep.Q[j] @ dinv, q**a_ij * rep.Q[j]),
-                relative_defect(rep.D[i] @ rep.Qbar[j] @ dinv, q**-a_ij * rep.Qbar[j]),
-                relative_defect(
-                    rep.Q[i] @ rep.Qbar[j] - q**-a_ij * rep.Qbar[j] @ rep.Q[i],
-                    casimir if i == j else np.zeros((dim, dim)),
-                ),
-            ]
+        qbar = down * rep.Qbar
+        casimir = np.zeros_like(rep.Q)
+        casimir[i] = (rep.D[i] @ rep.D[i] - eye) / (q**2 - 1.0)
+        sides = [(rep.D[i] @ rep.Q @ dinv, up * rep.Q), (rep.D[i] @ rep.Qbar @ dinv, qbar),
+                 (rep.Q[i] @ rep.Qbar - qbar @ rep.Q[i], casimir)]
+        defects += [relative_defect(l, r) for lhs, rhs in sides for l, r in zip(lhs, rhs)]
     return VerificationReport.worst_of("algebra-relations", defects, tol)

@@ -194,7 +194,8 @@ def test_non_finite_eps_rejected():
         ClosedFormParams((1, np.inf))
 
 
-@pytest.mark.parametrize("eps", ["11", "1j", b"11"], ids=["str", "str-imaginary", "bytes"])
+@pytest.mark.parametrize("eps", ["11", "1j", b"11", ("1", "1j"), (b"1", b"1")],
+                         ids=["str", "str-imaginary", "bytes", "tuple-of-str", "tuple-of-bytes"])
 def test_string_eps_rejected_on_every_path(eps):
     # a loop over a str or bytes yields its characters or bytes: "11" would read as (1, 1)
     solves = [lambda: solve_k(1, Q_REF, X_REF, eps, method) for method in ("paper", "generic")]

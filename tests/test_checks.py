@@ -141,6 +141,19 @@ def test_coideal_property_nan_defect_fails(monkeypatch):
     assert np.isnan(report.deviation) and not report.passed
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_coideal_property_detects_a_corrupt_last_node(monkeypatch, n):
+    # the stacked comparison must reach node n: corrupt only its Q, Qbar or q^T image
+    rep_a, rep_b = vector_rep(n, Q_REF, np.exp(0.7)), vector_rep(n, Q_REF, np.exp(0.23))
+    eps = np.arange(1, n + 2) + 0.5j
+    assert check_coideal_property(rep_a, rep_b, eps).passed
+    for kind in range(3):
+        delta = coproduct(rep_a, rep_b)
+        delta[kind * rep_a.nodes + n] += 1e-6 * np.eye(delta.shape[-1])
+        monkeypatch.setattr(checks, "coproduct", lambda a, b, delta=delta: delta)
+        assert not check_coideal_property(rep_a, rep_b, eps).passed
+
+
 def test_ybe_rejects_nan_tolerance():
     s_ab, s_ac, s_bc = _ybe_channels(1)
     with pytest.raises(ValueError, match="positive and finite"):
@@ -190,6 +203,16 @@ def test_b_commutation_detects_block_perturbation():
     b_nu, b_nub = _b_pair(objs, 1)
     bad = b_nub.copy()
     bad[0:2, 0:2] *= 1.02
+    assert not check_b_commutation(b_nu, bad, objs["k_nu"], tol=1e-8).passed
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_b_commutation_detects_a_perturbed_last_block(n):
+    objs = engine_point(n, Q_REF, THETAS[:2], (eps_star(Q_REF),) * (n + 1))
+    b_nu, b_nub = _b_pair(objs, n)
+    assert check_b_commutation(b_nu, b_nub, objs["k_nu"], tol=1e-8).passed
+    bad = b_nub.copy()
+    bad[-(n + 1):, -(n + 1):] *= 1.02
     assert not check_b_commutation(b_nu, bad, objs["k_nu"], tol=1e-8).passed
 
 

@@ -1,5 +1,7 @@
 import cmath
+import importlib
 import itertools
+import pkgutil
 
 import numpy as np
 import pytest
@@ -9,12 +11,14 @@ from hypothesis import strategies as st
 from conftest import eps_star, generic_point
 from qreflect.boundary import solve_k, solve_paper_k
 from qreflect.checks import plain_r
-from qreflect import intertwiners, reps
+import qreflect
+from qreflect import intertwiners
 from qreflect.intertwiners import (
     _solve_stacked,
     closed_form_s,
     dimension_scan,
     intertwining_residual,
+    pattern_key,
     reflection_dual,
     solve_boundary,
     solve_bulk,
@@ -22,8 +26,7 @@ from qreflect.intertwiners import (
     sylvester_rows,
 )
 from qreflect.linalg import DEFAULT_REL_TOL, projective_compare
-from qreflect.reps import EvaluationRep, coideal_generators, coproduct, dual_rep, pattern_key
-from qreflect.reps import vector_rep
+from qreflect.reps import EvaluationRep, coideal_generators, coproduct, dual_rep, vector_rep
 
 Q_REF = 0.8 * np.exp(0.3j)
 
@@ -769,8 +772,13 @@ def test_cached_plans_are_read_only_and_outlive_writes_to_the_factors():
 
 
 def test_plan_caches_are_bounded_by_one_module_constant():
-    for cache in (intertwiners._bulk_plan, intertwiners._stack_plan, reps.coproduct_coordinates):
-        assert cache.cache_info().maxsize == reps.PLAN_CACHE_SIZE == intertwiners.PLAN_CACHE_SIZE
+    # the package's only caches are the two structural plans, under the one bound
+    modules = [importlib.import_module(f"qreflect.{m.name}")
+               for m in pkgutil.iter_modules(qreflect.__path__)]
+    caches = {f for m in modules for f in vars(m).values() if hasattr(f, "cache_info")}
+    assert caches == {intertwiners._bulk_plan, intertwiners._stack_plan}
+    for cache in caches:
+        assert cache.cache_info().maxsize == intertwiners.PLAN_CACHE_SIZE
 
 
 def test_stacked_systems_share_the_rows_any_of_them_needs(rng):

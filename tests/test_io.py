@@ -183,3 +183,13 @@ def test_reader_takes_x_and_rapidities_as_optional():
                                           convention="n/a"))
     assert b'"x"' not in raw and b'"rapidities"' not in raw
     assert serialize_matrix(deserialize_matrix(raw)) == raw
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_reader_rejects_the_non_json_constants(constant):
+    # Python's json reads these as floats, and a NaN tol would be written back out as NaN
+    raw = serialize_matrix(_doc())
+    edited = raw.replace(b'"tol": 1e-09', f'"tol": {constant}'.encode())
+    assert edited != raw
+    with pytest.raises(DocumentParseError, match=f"{constant} is not a number"):
+        deserialize_matrix(edited)

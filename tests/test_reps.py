@@ -263,6 +263,16 @@ def test_check_relations_detects_perturbation(rng):
     assert not check_relations(rep, tol=1e-10).passed
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_check_relations_detects_a_perturbed_last_node(n):
+    # a rescaled Q_n keeps its pattern, so only relation (c) at i = j = n sees it: the
+    # stacked relations must reach the last node on both loops
+    rep = vector_rep(n, 0.8 * np.exp(0.3j), 2.0)
+    assert check_relations(rep, tol=1e-10).passed
+    rep.Q[n] *= 1 + 1e-6
+    assert not check_relations(rep, tol=1e-10).passed
+
+
 def test_check_relations_rejects_singular_q(rng):
     _, x = generic_point(rng)
     with pytest.warns(UserWarning):
