@@ -81,14 +81,18 @@ class IntertwinerSolution:
 class RowPlan:
     """Where the coordinates of two generator stacks land in their Sylvester rows.
 
-    Coordinate ``source_in[e]`` of the input stack enters entry ``target_in[e]``
-    of the flattened (rows, cols) system, and coordinate ``source_out[e]`` of
-    the output stack enters ``target_out[e]`` with a minus sign.  ``rows``
-    counts the equations some coordinate enters, in order of (g, r, c).
+    The system's structurally nonzero entries, its cells, sit in equation
+    ``row[k]`` and unknown ``col[k]``, in row-major order; ``rows`` counts the
+    equations some coordinate enters, in order of (g, r, c).  Coordinate
+    ``source_in[e]`` of the input stack enters cell ``target_in[e]``, and
+    coordinate ``source_out[e]`` of the output stack enters cell
+    ``target_out[e]`` with a minus sign.
     """
 
     rows: int
     cols: int
+    row: np.ndarray
+    col: np.ndarray
     source_in: np.ndarray
     target_in: np.ndarray
     source_out: np.ndarray
@@ -97,17 +101,21 @@ class RowPlan:
     def assemble(self, values_in, values_out) -> np.ndarray:
         """Systems of coordinate values (..., K), on the equations nonzero in some system.
 
-        Leading axes broadcast and give one (rows, cols) system each.
+        Leading axes broadcast and give one (rows, cols) system each.  Only the
+        cells are summed, and only the kept equations are allocated.
         """
         lead = np.broadcast_shapes(values_in.shape[:-1], values_out.shape[:-1])
-        system = np.zeros((*lead, self.rows * self.cols), dtype=np.complex128)
-        # a cell takes at most one term of each kind, so two buffered adds accumulate it exactly
-        system[..., self.target_in] += values_in[..., self.source_in]
-        system[..., self.target_out] -= values_out[..., self.source_out]
-        system = system.reshape(math.prod(lead), self.rows, self.cols)
-        nonzero = system.any(axis=(0, 2))
-        system = system if nonzero.all() else system[:, nonzero]
-        return system.reshape(*lead, *system.shape[1:])
+        cells = np.zeros((*lead, len(self.row)), dtype=np.complex128)
+        # a cell takes at most one term of each kind: 0 + in - out, as in a dense sum
+        cells[..., self.target_in] += values_in[..., self.source_in]
+        cells[..., self.target_out] -= values_out[..., self.source_out]
+        kept = np.zeros(self.rows, dtype=bool)
+        kept[self.row[cells.any(axis=tuple(range(len(lead))))]] = True
+        rank = np.cumsum(kept) - 1  # row of each kept equation in the system
+        cell = kept[self.row]
+        system = np.zeros((*lead, np.count_nonzero(kept), self.cols), dtype=np.complex128)
+        system[..., rank[self.row[cell]], self.col[cell]] = cells[..., cell]
+        return system
 
 
 def _row_plan(position_in, position_out, shape_in, shape_out, support) -> RowPlan:
@@ -131,8 +139,11 @@ def _row_plan(position_in, position_out, shape_in, shape_out, support) -> RowPla
     touched[equation_in] = touched[equation_out] = True
     row = np.cumsum(touched) - 1  # rank among the touched equations, in label order
     cols = int(np.count_nonzero(support))
-    targets = (row[equation_in] * cols + unknown_in, row[equation_out] * cols + unknown_out)
-    return RowPlan(int(row[-1]) + 1, cols, *frozen(source_in, targets[0], source_out, targets[1]))
+    entry_in, entry_out = row[equation_in] * cols + unknown_in, row[equation_out] * cols + unknown_out
+    cells, target = np.unique(np.concatenate((entry_in, entry_out)), return_inverse=True)
+    target_in, target_out = target[:len(entry_in)], target[len(entry_in):]
+    return RowPlan(int(row[-1]) + 1, cols, *frozen(cells // cols, cells % cols, source_in,
+                                                    target_in, source_out, target_out))
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -180,16 +191,85 @@ def solve_system(rows, support, rel_tol, residual, flags=()):
 def _solve_stacked(m_in, m_out, rel_tol):
     """Solve X m_in[g] = m_out[g] X for every g, on every entry of X."""
     support = np.ones((m_out.shape[1], m_in.shape[1]), dtype=bool)
-    residual = functools.partial(intertwining_residual, m_in=m_in, m_out=m_out)
+    residual = functools.partial(intertwining_residual,
+                                 plan=_stack_defect_plan(m_in.shape, m_out.shape),
+                                 values_in=m_in.reshape(-1), values_out=m_out.reshape(-1))
     return solve_system(sylvester_rows(m_in, m_out, support), support, rel_tol, residual)
 
 
-def intertwining_residual(x: np.ndarray, m_in, m_out) -> float:
-    """Worst relative defect of X @ m_in[g] - m_out[g] @ X over two generator stacks."""
-    norms = np.maximum(np.linalg.norm(m_in, axis=(1, 2)), np.linalg.norm(m_out, axis=(1, 2)))
-    scale = float(np.linalg.norm(x)) * np.maximum(1.0, norms)
-    defects = np.linalg.norm(x @ m_in - m_out @ x, axis=(1, 2)) / scale
-    return float(np.max(defects))  # NaN propagates
+@dataclass(frozen=True)
+class DefectPlan:
+    """Which coordinate meets which entry of X in the defect X @ m_in[g] - m_out[g] @ X.
+
+    The coordinates are numbered input stack first, then output stack.  Term p
+    multiplies coordinate ``value[p]``, with a minus sign if it is an output
+    one, by entry ``entry[p]`` of the flattened X.  Terms are sorted by the
+    defect entry they sum into; entry k's terms start at ``start[k]``, in
+    generator ``generator[k]``.  ``generator_in`` and ``generator_out`` give
+    each coordinate's generator, of ``generators``.
+    """
+
+    generators: int
+    generator_in: np.ndarray
+    generator_out: np.ndarray
+    value: np.ndarray
+    entry: np.ndarray
+    start: np.ndarray
+    generator: np.ndarray
+
+
+def _defect_plan(position_in, position_out, shape_in, shape_out, support) -> DefectPlan:
+    """The ``DefectPlan`` of stacks with coordinates at flat ``position_*`` of (G, d, d) stacks.
+
+    X lives on the boolean mask ``support``.  The terms are found by matching
+    indices of X's entries and the coordinates, not through ``_row_plan``, so
+    that a residual read from this plan checks the assembled rows.
+    """
+    rows, cols = support.shape
+    o, i = np.nonzero(support)  # the entries X[o, i] that may be nonzero
+    g_in, j, c = np.unravel_index(position_in, shape_in)
+    e_in, t_in = np.nonzero(j[:, None] == i)  # X[o, i] m_in[g, i, c] enters (g, o, c)
+    g_out, r, j = np.unravel_index(position_out, shape_out)
+    e_out, t_out = np.nonzero(j[:, None] == o)  # m_out[g, r, o] X[o, i] enters (g, r, i)
+    cell = np.concatenate(((g_in[e_in] * rows + o[t_in]) * cols + c[e_in],
+                           (g_out[e_out] * rows + r[e_out]) * cols + i[t_out]))
+    order = np.argsort(cell, kind="stable")
+    value = np.concatenate((e_in, len(position_in) + e_out))[order]
+    entry = (o * cols + i)[np.concatenate((t_in, t_out))[order]]
+    cell = cell[order]
+    start = np.flatnonzero(np.diff(cell, prepend=-1))
+    generator = cell[start] // (rows * cols)
+    return DefectPlan(shape_in[0], *frozen(g_in, g_out, value, entry, start, generator))
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _stack_defect_plan(shape_in: tuple, shape_out: tuple) -> DefectPlan:
+    """``DefectPlan`` of two (G, d, d) stacks on every entry of X, each stack entry a coordinate.
+
+    It depends on the shapes alone, so a solve of any pattern shares it.
+    """
+    every_in, every_out = (np.arange(math.prod(shape)) for shape in (shape_in, shape_out))
+    support = np.ones((shape_out[1], shape_in[1]), dtype=bool)
+    return _defect_plan(every_in, every_out, shape_in, shape_out, support)
+
+
+def intertwining_residual(x: np.ndarray, plan: DefectPlan, values_in, values_out) -> float:
+    """Worst relative defect of X @ m_in[g] - m_out[g] @ X over two generator stacks.
+
+    The stacks come as their coordinate values, and ``plan`` says which
+    coordinate meets which entry of X, which must vanish off the support it
+    was planned on.  Generator g's defect is scored against
+    |X| max(1, |m_in[g]|, |m_out[g]|), in Frobenius norms.  No dense stack
+    or product is formed.
+    """
+    values = np.concatenate((values_in, -values_out))
+    squares = (values * values.conj()).real
+    norms = (np.bincount(plan.generator_in, squares[:len(values_in)], plan.generators),
+             np.bincount(plan.generator_out, squares[len(values_in):], plan.generators))
+    defect = np.add.reduceat(values[plan.value] * x.reshape(-1)[plan.entry], plan.start)
+    defect = np.sqrt(np.bincount(plan.generator, (defect * defect.conj()).real, plan.generators))
+    scale = float(np.linalg.norm(x)) * np.maximum(1.0, np.sqrt(np.maximum(*norms)))
+    return float((defect / scale).max())  # NaN propagates
 
 
 def solve_bulk(
@@ -225,18 +305,21 @@ def weight_support(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     d_a, d_b = (np.diagonal(g[2], axis1=1, axis2=2) for g in (a, b))
     d_in = (d_a[:, :, None] * d_b[:, None, :]).reshape(len(d_a), -1)  # q^{T_i} on V_a x V_b
     d_out = (d_b[:, :, None] * d_a[:, None, :]).reshape(len(d_a), -1)
-    d_in, d_out = d_in[:, None, :], d_out[:, :, None]
-    return (abs(d_out - d_in) <= 1e-4 * abs(d_in)).all(axis=0)
+    support = np.ones((d_in.shape[1],) * 2, dtype=bool)
+    for node_in, node_out, bound in zip(d_in, d_out, 1e-4 * abs(d_in)):  # memory: one mask
+        support &= abs(node_out[:, None] - node_in) <= bound
+    return support
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _bulk_plan(key_a: tuple, key_b: tuple, key_support: tuple) -> tuple:
-    """Coordinates of both coproduct stacks and their ``RowPlan``, by ``pattern_key``s."""
-    a, b = key_pattern(key_a), key_pattern(key_b)
+    """Coordinates of both coproduct stacks, their ``RowPlan`` and ``DefectPlan``, by ``pattern_key``s."""
+    a, b, support = key_pattern(key_a), key_pattern(key_b), key_pattern(key_support)
     into, onto = coproduct_coordinates(a, b), coproduct_coordinates(b, a)
     frozen(*(arr for c in (into, onto) for arr in (c.position, *c.product, *c.plain)))
-    plan = _row_plan(into.position, onto.position, into.shape, onto.shape, key_pattern(key_support))
-    return into, onto, plan
+    plan = _row_plan(into.position, onto.position, into.shape, onto.shape, support)
+    defect = _defect_plan(into.position, onto.position, into.shape, onto.shape, support)
+    return into, onto, plan, defect
 
 
 def _bulk_system(a: np.ndarray, b: np.ndarray, support: np.ndarray):
@@ -244,15 +327,13 @@ def _bulk_system(a: np.ndarray, b: np.ndarray, support: np.ndarray):
 
     a and b are ``gens`` stacks, (..., 3, nodes, d, d), whose leading axes
     broadcast to one system per index.  ``residual(x)`` scores an unstacked
-    solution on the dense coproduct stacks, which it builds from the same
-    coordinate values only when called.
+    solution on the coproduct coordinates, apart from the rows.
     """
-    into, onto, plan = _bulk_plan(pattern_key(a, 4), pattern_key(b, 4), pattern_key(support, 2))
+    key = pattern_key(a, 4), pattern_key(b, 4), pattern_key(support, 2)
+    into, onto, plan, defect = _bulk_plan(*key)
     values_in, values_out = into.values(a, b), onto.values(b, a)
-
-    def residual(x):  # on the full coproduct stacks and the full X
-        return intertwining_residual(x, into.dense(values_in), onto.dense(values_out))
-
+    residual = functools.partial(intertwining_residual, plan=defect, values_in=values_in,
+                                 values_out=values_out)
     return plan.assemble(values_in, values_out), residual
 
 

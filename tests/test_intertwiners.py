@@ -2,6 +2,8 @@ import cmath
 import importlib
 import itertools
 import pkgutil
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from qreflect.intertwiners import (
     solve_equivalence,
     sylvester_rows,
 )
-from qreflect.linalg import DEFAULT_REL_TOL, projective_compare
+from qreflect.linalg import DEFAULT_REL_TOL, projective_compare, rank_decision
 from qreflect.reps import EvaluationRep, coideal_generators, coproduct, dual_rep, vector_rep
 
 Q_REF = 0.8 * np.exp(0.3j)
@@ -440,14 +442,30 @@ def test_scan_rejects_empty_grid():
         dimension_scan("orbit", {"n": 1, "q": Q_REF}, [1.0])
 
 
+def _stack_residual(x, m_in, m_out):
+    """``intertwining_residual`` of X on every entry, against two dense stacks."""
+    position_in, position_out = np.flatnonzero(m_in), np.flatnonzero(m_out)
+    support = np.ones(x.shape, dtype=bool)
+    plan = intertwiners._defect_plan(position_in, position_out, m_in.shape, m_out.shape, support)
+    return intertwining_residual(x, plan, m_in.reshape(-1)[position_in],
+                                 m_out.reshape(-1)[position_out])
+
+
+def _dense_residual(x, m_in, m_out):
+    """The residual on dense stacks and the dense X: the reference of the coordinate form."""
+    norms = np.maximum(np.linalg.norm(m_in, axis=(1, 2)), np.linalg.norm(m_out, axis=(1, 2)))
+    scale = np.linalg.norm(x) * np.maximum(1.0, norms)
+    return float(np.max(np.linalg.norm(x @ m_in - m_out @ x, axis=(1, 2)) / scale))
+
+
 def test_intertwining_residual_propagates_nan():
     eye, nan = np.eye(2), np.full((2, 2), np.nan)
-    assert np.isnan(intertwining_residual(eye, np.array([eye]), np.array([nan])))
-    assert np.isnan(intertwining_residual(eye, np.array([eye, eye]), np.array([eye, nan])))
+    assert np.isnan(_stack_residual(eye, np.array([eye]), np.array([nan])))
+    assert np.isnan(_stack_residual(eye, np.array([eye, eye]), np.array([eye, nan])))
 
 
 def test_intertwining_residual_matches_the_per_pair_loop(rng):
-    # reference: the defect of each pair on its own; the stacked norms sum in another
+    # reference: the defect of each pair on its own; the coordinate terms sum in another
     # order, so agreement is to a few ulp, not bit for bit
     x = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
     m_in = rng.normal(size=(5, 4, 4)) * np.array([0.1, 1, 10, 100, 1e-3])[:, None, None]
@@ -458,8 +476,53 @@ def test_intertwining_residual_matches_the_per_pair_loop(rng):
             / (np.linalg.norm(x) * max(1.0, np.linalg.norm(a), np.linalg.norm(b)))
             for a, b in zip(scale * m_in, scale * m_out)
         )
-        residual = intertwining_residual(x, scale * m_in, scale * m_out)
+        residual = _stack_residual(x, scale * m_in, scale * m_out)
         assert residual == pytest.approx(worst, rel=64 * 2.0**-52)
+
+
+@pytest.mark.parametrize("flavour", range(4))
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_bulk_residual_matches_the_dense_formula_off_the_solution(n, flavour):
+    # S perturbed on its support, so that every generator leaves a defect: the coordinate
+    # residual of the solve is the dense one on the coproduct stacks to roundoff
+    rng = np.random.default_rng(100 * n + flavour)
+    a, b = vector_rep(n, Q_REF, np.exp(0.7)), vector_rep(n, Q_REF, np.exp(0.23))
+    a, b = (dual_rep(r) if flavour & bit else r for r, bit in ((a, 1), (b, 2)))
+    support = intertwiners.weight_support(a.gens, b.gens)
+    _, residual = intertwiners._bulk_system(a.gens, b.gens, support)
+    solved = solve_bulk(a, b).normalized
+    for size in (1e-9, 1e-3, 1.0):
+        x = solved.copy()
+        x[support] += size * (rng.normal(size=support.sum()) + 1j * rng.normal(size=support.sum()))
+        expected = _dense_residual(x, coproduct(a, b), coproduct(b, a))
+        assert expected > 1e-12 * size
+        assert residual(x) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("fault", ["moved-term", "swapped-unknowns"])
+def test_the_bulk_residual_does_not_read_the_rows(fault, monkeypatch):
+    # a corrupt row plan: one input term moved to another cell of its equation, or the
+    # first two unknowns swapped, which keeps the dimension and scatters a wrong S; the
+    # residual, read from the coordinates alone, catches either
+    a, b = vector_rep(2, Q_REF, np.exp(0.7)), vector_rep(2, Q_REF, np.exp(0.23))
+    assert solve_bulk(a, b).residual < 1e-13
+    original = intertwiners._bulk_plan
+
+    def corrupt(*key):
+        into, onto, plan, defect = original(*key)
+        if fault == "moved-term":
+            target_in = plan.target_in.copy()
+            target_in[0] = np.flatnonzero((plan.row == plan.row[target_in[0]])
+                                          & (plan.col != plan.col[target_in[0]]))[0]
+            return into, onto, replace(plan, target_in=target_in), defect
+        col = plan.col.copy()
+        col[plan.col == 0], col[plan.col == 1] = 1, 0
+        return into, onto, replace(plan, col=col), defect
+
+    monkeypatch.setattr(intertwiners, "_bulk_plan", corrupt)
+    wrong = solve_bulk(a, b)
+    assert wrong.dimension != 1 or wrong.residual > 1e-6
+    assert fault == "moved-term" or wrong.dimension == 1
 
 
 def _record_systems(monkeypatch) -> list:
@@ -631,6 +694,86 @@ def test_weight_support_matches_full_support(n, flavour, k, monkeypatch):
                     assert dev <= 1e-14 / margin, (case, dev, margin)
 
 
+def _tall_systems():
+    """Every bulk system, four flavours, and every generic-K system at n = 1..6."""
+    for n in range(1, 7):
+        for flavour in range(4):
+            a, b = vector_rep(n, Q_REF, np.exp(0.7)), vector_rep(n, Q_REF, np.exp(0.23))
+            a, b = (dual_rep(r) if flavour & bit else r for r, bit in ((a, 1), (b, 2)))
+            support = intertwiners.weight_support(a.gens, b.gens)
+            yield intertwiners._bulk_system(a.gens, b.gens, support)[0]
+        rep = vector_rep(n, Q_REF, 2.0)
+        m_in, m_out = (coideal_generators(r, [eps_star(Q_REF)] * (n + 1))
+                       for r in (rep, reflection_dual(rep)))
+        yield sylvester_rows(m_in, m_out, np.ones((n + 1, n + 1), dtype=bool))
+
+
+def test_nullspace_of_the_tall_systems_matches_the_direct_svd():
+    # nullspace reads s and V^H off R of a QR factorization from 16 columns on; a direct
+    # thin SVD of the whole system gives the same rank, sigma_max, margin and nullspace
+    qr_first = 0
+    for rows in _tall_systems():
+        qr_first += 9 * rows.shape[0] >= 17 * rows.shape[1] and rows.shape[1] >= 16
+        ns = intertwiners.nullspace(rows)
+        _, s, vh = np.linalg.svd(rows, full_matrices=False)
+        rank, sigma_max, margin = (v.item() for v in rank_decision(s))
+        assert ns.dimension == rows.shape[1] - rank
+        assert ns.sigma_max == pytest.approx(sigma_max, rel=1e-14)
+        assert ns.margin == pytest.approx(margin, rel=1e-14)
+        basis = vh[rank:].conj()
+        projector = basis.T @ basis.conj()
+        assert np.linalg.norm(ns.basis.T @ ns.basis.conj() - projector) < 1e-12
+    assert qr_first == 20  # bulk (four flavours) and generic K, each at n = 3..6
+
+
+def _weight_support_at_once(a, b):
+    """The weight support over every node in one (nodes, D, D) pass: the mask's reference."""
+    d_a, d_b = (np.diagonal(g[2], axis1=1, axis2=2) for g in (a, b))
+    d_in = (d_a[:, :, None] * d_b[:, None, :]).reshape(len(d_a), -1)[:, None, :]
+    d_out = (d_b[:, :, None] * d_a[:, None, :]).reshape(len(d_a), -1)[:, :, None]
+    return (abs(d_out - d_in) <= 1e-4 * abs(d_in)).all(axis=0)
+
+
+@pytest.mark.filterwarnings("ignore:q is")
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_weight_support_node_by_node_is_the_one_pass_mask(n):
+    # near low roots of unity, where the relative cut decides, and on random diagonals
+    rng = np.random.default_rng(n)
+    for k, delta in itertools.product((2, 3, 6), (0.0, 1e-6, 5e-5, 2e-4)):
+        q = cmath.exp(2j * cmath.pi / k) * (1 + delta)
+        a, b = vector_rep(n, q, 2.0), dual_rep(vector_rep(n, q, 1.3))
+        for left, right in ((a, b), (b, a), (a, a)):
+            expected = _weight_support_at_once(left.gens, right.gens)
+            assert intertwiners.weight_support(left.gens, right.gens).tobytes() == expected.tobytes()
+    gens = np.zeros((2, 3, n + 1, n + 1, n + 1), dtype=complex)
+    diagonal = np.arange(n + 1)
+    gens[:, 2, :, diagonal, diagonal] = rng.choice([1, 1 + 1e-4, 1j, -1, 0.5], size=(n + 1, 2, n + 1))
+    # 10001 against 1e4 is |d_out - d_in| = 1e-4 |d_in| = 1 exactly: an entry on the cut
+    gens[0, 2, 0, :2, :2] = np.diag([1e4, 10001])
+    gens[1, 2, 0, 0, 0] = 1.0
+    expected = _weight_support_at_once(gens[0], gens[1])
+    assert intertwiners.weight_support(gens[0], gens[1]).tobytes() == expected.tobytes()
+
+
+def test_bulk_assembly_allocates_only_the_kept_equations():
+    # at n = 8, 1 359 of the 1 953 planned equations of a vector x vector system cancel to
+    # exact zeros on the support; the assembly's peak stays below the planned dense size
+    a, b = vector_rep(8, Q_REF, 2.0), vector_rep(8, Q_REF, 1.3)
+    support = intertwiners.weight_support(a.gens, b.gens)
+    rows, _ = intertwiners._bulk_system(a.gens, b.gens, support)  # the plan is cached
+    plan = intertwiners._bulk_plan(pattern_key(a.gens, 4), pattern_key(b.gens, 4),
+                                   pattern_key(support, 2))[2]
+    assert rows.shape[0] < plan.rows and rows.shape[1] == plan.cols
+    tracemalloc.start()
+    try:
+        again, _ = intertwiners._bulk_system(a.gens, b.gens, support)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again.tobytes() == rows.tobytes()
+    assert peak < plan.rows * plan.cols * rows.itemsize
+
+
 def _kronecker_rows(m_in, m_out, support):
     """vec(X m_in - m_out X) = (1 kron m_in^T - m_out kron 1) vec(X), row-major, on support."""
     dense = np.kron(np.eye(len(m_out)), m_in.T) - np.kron(m_out, np.eye(len(m_in)))
@@ -739,9 +882,11 @@ def test_another_nonzero_pattern_gets_its_own_plan(monkeypatch):
 
 
 def _plan_arrays(plan):
-    into, onto, rows = plan
+    into, onto, rows, defect = plan
     return [into.position, *into.product, *into.plain, onto.position, *onto.product, *onto.plain,
-            rows.source_in, rows.target_in, rows.source_out, rows.target_out]
+            rows.row, rows.col, rows.source_in, rows.target_in, rows.source_out, rows.target_out,
+            defect.generator_in, defect.generator_out, defect.value, defect.entry, defect.start,
+            defect.generator]
 
 
 def test_cached_plans_are_read_only_and_outlive_writes_to_the_factors():
@@ -767,16 +912,20 @@ def test_cached_plans_are_read_only_and_outlive_writes_to_the_factors():
     sylvester_rows(m, m, np.ones((4, 4), dtype=bool))
     stack = intertwiners._stack_plan(pattern_key(m, 3), pattern_key(m, 3),
                                      pattern_key(np.ones((4, 4), dtype=bool), 2))
-    assert not any(arr.flags.writeable for arr in (stack.source_in, stack.target_in,
-                                                   stack.source_out, stack.target_out))
+    defect = intertwiners._stack_defect_plan(m.shape, m.shape)
+    assert not any(arr.flags.writeable for arr in (
+        stack.row, stack.col, stack.source_in, stack.target_in, stack.source_out,
+        stack.target_out, defect.generator_in, defect.generator_out, defect.value,
+        defect.entry, defect.start, defect.generator))
 
 
 def test_plan_caches_are_bounded_by_one_module_constant():
-    # the package's only caches are the two structural plans, under the one bound
+    # the package's only caches are the structural plans, under the one bound
     modules = [importlib.import_module(f"qreflect.{m.name}")
                for m in pkgutil.iter_modules(qreflect.__path__)]
     caches = {f for m in modules for f in vars(m).values() if hasattr(f, "cache_info")}
-    assert caches == {intertwiners._bulk_plan, intertwiners._stack_plan}
+    assert caches == {intertwiners._bulk_plan, intertwiners._stack_plan,
+                      intertwiners._stack_defect_plan}
     for cache in caches:
         assert cache.cache_info().maxsize == intertwiners.PLAN_CACHE_SIZE
 

@@ -178,6 +178,40 @@ def test_rank_decision_decides_a_stack_as_nullspace_decides_each_matrix():
         stack_nullities(np.full((1, 2, 2), np.nan))
 
 
+def _numpy_rank_decision(s, rel_tol):
+    """The rank rule in numpy on whole stacks: the reference of ``rank_decision``."""
+    s = np.asarray(s, dtype=float)
+    if not s.shape[-1]:
+        s = np.zeros(s.shape[:-1] + (1,))
+    sigma_max = s[..., 0]
+    cut = rel_tol * sigma_max
+    kept = (s >= cut[..., None]) & (s > 0)
+    with np.errstate(all="ignore"):
+        low = np.where(kept, s, np.inf).min(axis=-1) / cut
+        high = cut / np.where(kept, 0.0, s).max(axis=-1)
+    return kept.sum(axis=-1), sigma_max, np.fmin(low, high)
+
+
+def test_rank_decision_is_the_numpy_rule_bit_for_bit():
+    # descending rows with exact zeros, spans that overflow or underflow the cut, and stacks
+    rng = np.random.default_rng(5)
+    cases = [np.zeros(0), np.zeros((3, 0)), np.zeros(4), np.array([[1e300, 1e-320]]),
+             np.array([5e-324, 0.0]), np.array([1e-300, 1e-310, 0.0]), np.linspace(1, 1e-12, 28),
+             np.array([2.0, 1.0, 0.5]), np.array([1.0, 1e-9, 0.0])]  # a value on the cut
+    for _ in range(300):
+        k = rng.integers(1, 9)
+        s = np.abs(rng.normal(size=(rng.integers(1, 4), k))) * 10.0 ** rng.integers(-320, 300, k)
+        s[rng.random(s.shape) < 0.2] = 0.0
+        cases.append(-np.sort(-s, axis=-1))
+    for rel_tol in (1e-9, 1e-320, 0.5, 2.0):
+        for s in cases:
+            with np.errstate(all="raise"):
+                decided = rank_decision(s, rel_tol)
+            for got, expected in zip(decided, _numpy_rank_decision(s, rel_tol)):
+                assert got.dtype == expected.dtype and got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes(), (s, rel_tol)
+
+
 @pytest.mark.parametrize("rel_tol", [0.0, -1e-9, float("nan"), float("inf")])
 def test_nullspace_rejects_bad_tolerance(rel_tol):
     with pytest.raises(ValueError):
