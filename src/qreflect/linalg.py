@@ -4,6 +4,13 @@ Everything here operates on 2-d ``numpy`` arrays of ``complex128`` in
 row-major (C) order.  The row-major convention matters: ``vec`` of a
 matrix is its flattened rows, so ``vec(A @ X @ B) = (A kron B.T) vec(X)``;
 the intertwining systems number their unknowns in this order.
+
+This module owns every factorization and every rank cut.  ``nullspace``
+takes one matrix; ``block_nullspace`` takes a block-diagonal matrix as its
+(N, rows, cols) stack of diagonal blocks, as the Fourier blocks of a
+cyclic-covariant bulk system come, and ranks all blocks' singular values
+under one cut.  ``stack_nullities`` ranks a scan's stack of either kind from
+singular values alone, through the same values-only SVD.
 """
 
 from __future__ import annotations
@@ -148,25 +155,75 @@ def nullspace(m, rel_tol: float = DEFAULT_REL_TOL) -> NullspaceResult:
     taken of R alone (Chan's R-SVD): its s and V^H are the matrix's own.
     """
     m = as_matrix(m)
+    s, vh = _right_factors(m)
+    rank, sigma_max, margin = (x.item() for x in rank_decision(s, rel_tol))
+    return NullspaceResult(m.shape[1] - rank, vh[rank:].conj(), sigma_max, margin)
+
+
+def _right_factors(m: np.ndarray) -> tuple:
+    """The singular values and V^H of a finite matrix, as ``nullspace`` reads them."""
     rows, cols = m.shape
     if not m.any():
-        s, vh = np.zeros(0), np.eye(cols, dtype=np.complex128)
-    elif 9 * rows >= 17 * cols and cols >= QR_FIRST_MIN_COLS:
+        return np.zeros(0), np.eye(cols, dtype=np.complex128)
+    if 9 * rows >= 17 * cols and cols >= QR_FIRST_MIN_COLS:
         _, s, vh = np.linalg.svd(np.linalg.qr(m, mode="r"), full_matrices=False)
     else:
         # a wide matrix needs the full V^H for its complement; a tall one has it thin
         _, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
-    rank, sigma_max, margin = (x.item() for x in rank_decision(s, rel_tol))
-    return NullspaceResult(cols - rank, vh[rank:].conj(), sigma_max, margin)
+    return s, vh
+
+
+def merged_singular_values(s: np.ndarray) -> np.ndarray:
+    """Singular values (..., N, k) of N diagonal blocks as one descending row (..., N k) each.
+
+    These are the singular values of the block-diagonal matrix, in the order
+    ``rank_decision`` reads.
+    """
+    return np.sort(s.reshape(*s.shape[:-2], -1), axis=-1)[..., ::-1]
+
+
+def block_nullspace(blocks: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> NullspaceResult:
+    """``nullspace`` of the block-diagonal matrix whose diagonal blocks are ``blocks``.
+
+    ``blocks`` is a finite (N, rows, cols) complex array; finiteness is the
+    caller's to check.  One ``rank_decision`` on the merged values of one
+    values-only SVD of every block decides the rank, so the cut is rel_tol
+    times the largest singular value of any block, and ``sigma_max`` and the
+    margin are the whole matrix's.  V^H is then computed, as ``nullspace``
+    computes it, only for the blocks with a null direction.  The basis is in
+    the block-diagonal matrix's coordinates, block-major: each vector lies
+    within one block's ``cols`` entries.
+    """
+    count, _, cols = blocks.shape
+    each = np.linalg.svd(blocks, compute_uv=False)
+    rank, sigma_max, margin = (x.item() for x in rank_decision(merged_singular_values(each),
+                                                                rel_tol))
+    cut = rel_tol * sigma_max
+    ranks = np.count_nonzero(each >= cut if cut else each, axis=-1)  # as _decide counts
+    basis = np.zeros((count * cols - rank, count, cols), dtype=np.complex128)
+    found = 0
+    for k in np.flatnonzero(ranks < cols):
+        null = _right_factors(blocks[k])[1][ranks[k]:].conj()
+        basis[found:found + len(null), k] = null
+        found += len(null)
+    return NullspaceResult(len(basis), basis.reshape(len(basis), count * cols), sigma_max, margin)
 
 
 def stack_nullities(stack):
-    """Nullspace dimensions and margins of a (points, rows, cols) stack, from singular values only."""
+    """Nullspace dimensions and margins of a stack of systems, from singular values only.
+
+    A (points, rows, cols) stack holds one matrix per point; a (points, N,
+    rows, cols) stack holds each point's block-diagonal matrix as its N
+    diagonal blocks, ranked as ``block_nullspace`` ranks them.
+    """
     if not np.isfinite(stack).all():
         raise ValueError("matrix has non-finite entries")
     s = np.linalg.svd(stack, compute_uv=False)
+    cols = stack.shape[-1]
+    if stack.ndim == 4:
+        s, cols = merged_singular_values(s), cols * stack.shape[1]
     rank, _, margin = rank_decision(s)
-    return stack.shape[2] - rank, margin
+    return cols - rank, margin
 
 
 def projective_compare(a, b, tol: float):
@@ -201,7 +258,11 @@ def normalize_solution(v) -> np.ndarray:
     exactly 1+0i, which makes nullspace output independent of the arbitrary
     SVD phase.  Idempotent.
     """
-    v = as_matrix(np.atleast_2d(v))
+    return scale_to_pivot(as_matrix(np.atleast_2d(v)))
+
+
+def scale_to_pivot(v: np.ndarray) -> np.ndarray:
+    """``normalize_solution`` of a finite complex array, which is not checked again."""
     flat = v.ravel()
     mods = np.abs(flat)
     top = float(mods.max())

@@ -149,11 +149,12 @@ def dual_rep(rep: EvaluationRep) -> EvaluationRep:
     a vector representation built there.
     """
     diagonal = np.arange(rep.dim)
-    dinv = np.zeros((rep.nodes, rep.dim, rep.dim), dtype=np.complex128)
-    dinv[:, diagonal, diagonal] = 1.0 / rep.D[:, diagonal, diagonal]  # every D_i is diagonal
-    gens = np.empty_like(rep.gens)
-    gens[:2] = -(dinv @ rep.gens[:2]).swapaxes(-1, -2)
-    gens[2] = dinv  # diagonal, so its own transpose
+    dinv = 1.0 / rep.D[:, diagonal, diagonal]  # every D_i is diagonal
+    gens = np.zeros_like(rep.gens)
+    # D_i^{-1} g entry by entry: each entry is one product, computed alike at every position, so
+    # the dual is as cyclic-covariant as rep (a matrix product rounds some positions otherwise)
+    gens[:2] = -(dinv[:, :, None] * rep.gens[:2]).swapaxes(-1, -2)
+    gens[2][:, diagonal, diagonal] = dinv  # diagonal, so its own transpose
     return EvaluationRep(n=rep.n, q=rep.q, x=rep.x, is_dual=not rep.is_dual, gens=gens)
 
 

@@ -27,7 +27,8 @@ from qreflect.intertwiners import (
     solve_equivalence,
     sylvester_rows,
 )
-from qreflect.linalg import DEFAULT_REL_TOL, projective_compare, rank_decision
+from qreflect.linalg import DEFAULT_REL_TOL, merged_singular_values, projective_compare
+from qreflect.linalg import rank_decision
 from qreflect.reps import EvaluationRep, coideal_generators, coproduct, dual_rep, vector_rep
 
 Q_REF = 0.8 * np.exp(0.3j)
@@ -391,7 +392,7 @@ def test_scan_matches_the_per_point_solves_on_random_grids(n, method, seed, size
 
 
 def _record_scan_stacks(monkeypatch) -> list:
-    """Collect every (points, rows, cols) stack ``dimension_scan`` ranks."""
+    """Collect every stack ``dimension_scan`` ranks: (points, rows, cols), or of blocks."""
     stacks = []
     original = intertwiners.stack_nullities
 
@@ -403,10 +404,12 @@ def _record_scan_stacks(monkeypatch) -> list:
     return stacks
 
 
-@pytest.mark.parametrize("case", ["paper-eps", "generic-eps", "generic-theta", "bulk-theta"])
+@pytest.mark.parametrize("case", ["paper-eps", "generic-eps", "generic-theta", "bulk-theta",
+                                  "blocked-bulk-theta"])
 def test_scan_stacks_hold_the_per_point_systems_bit_for_bit(case, monkeypatch):
     # each point's slice of a chunk, without its all-zero rows, is the system its solve ranks;
-    # q and x are numpy scalars, which scans and solves alike take as Python complex
+    # q and x are numpy scalars, which scans and solves alike take as Python complex.  At
+    # n = 3 a bulk point's slice is its stack of Fourier blocks, and so is its solve's system
     rng = np.random.default_rng(900)
     q, x = generic_point(rng)
     star = eps_star(q)
@@ -422,17 +425,19 @@ def test_scan_stacks_hold_the_per_point_systems_bit_for_bit(case, monkeypatch):
         fixed, grid = {"n": 2, "q": q, "eps": eps, "method": "generic"}, thetas
         solve = lambda y: solve_k(2, q, y, eps, "generic")  # noqa: E731
     else:
-        fixed, grid = {"n": 2, "q": q, "x_left": x}, thetas
-        solve = lambda y: solve_bulk(vector_rep(2, q, x), vector_rep(2, q, y))  # noqa: E731
+        n = 3 if case.startswith("blocked") else 2
+        fixed, grid = {"n": n, "q": q, "x_left": x}, thetas
+        solve = lambda y: solve_bulk(vector_rep(n, q, x), vector_rep(n, q, y))  # noqa: E731
     stacks = _record_scan_stacks(monkeypatch)
-    dimension_scan("bulk" if case == "bulk-theta" else "boundary", fixed, grid)
+    dimension_scan("bulk" if "x_left" in fixed else "boundary", fixed, grid)
     chunk = intertwiners.SCAN_CHUNK
     assert len(stacks) == -(-len(grid) // chunk) > 1
     systems = _record_systems(monkeypatch)
     for p, point in enumerate(grid):
         solve(point)
         rows = stacks[p // chunk][p % chunk]
-        assert np.array_equal(rows[rows.any(axis=1)], systems[-1]), p
+        assert rows.ndim == systems[-1].ndim == (3 if case.startswith("blocked") else 2)
+        assert np.array_equal(_without_zero_rows(rows), systems[-1]), p
 
 
 def test_scan_rejects_empty_grid():
@@ -489,7 +494,7 @@ def test_bulk_residual_matches_the_dense_formula_off_the_solution(n, flavour):
     a, b = vector_rep(n, Q_REF, np.exp(0.7)), vector_rep(n, Q_REF, np.exp(0.23))
     a, b = (dual_rep(r) if flavour & bit else r for r, bit in ((a, 1), (b, 2)))
     support = intertwiners.weight_support(a.gens, b.gens)
-    _, residual = intertwiners._bulk_system(a.gens, b.gens, support)
+    _, residual, _ = intertwiners._bulk_system(a.gens, b.gens, support)
     solved = solve_bulk(a, b).normalized
     for size in (1e-9, 1e-3, 1.0):
         x = solved.copy()
@@ -503,39 +508,70 @@ def test_bulk_residual_matches_the_dense_formula_off_the_solution(n, flavour):
 def test_the_bulk_residual_does_not_read_the_rows(fault, monkeypatch):
     # a corrupt row plan: one input term moved to another cell of its equation, or the
     # first two unknowns swapped, which keeps the dimension and scatters a wrong S; the
-    # residual, read from the coordinates alone, catches either
-    a, b = vector_rep(2, Q_REF, np.exp(0.7)), vector_rep(2, Q_REF, np.exp(0.23))
-    assert solve_bulk(a, b).residual < 1e-13
+    # residual, read from the coordinates alone, catches either.  At n = 2 the solve reads
+    # the whole system's plan, at n = 3 the Fourier blocks' plan: each solve gets the
+    # corruption in the plan it reads
     original = intertwiners._bulk_plan
 
     def corrupt(*key):
-        into, onto, plan, defect = original(*key)
+        into, onto, plan, defect, cyclic = original(*key)
+        blocked = cyclic is not None and cyclic.nodes >= intertwiners.CYCLIC_MIN_NODES
+        rows = cyclic.rows if blocked else plan
         if fault == "moved-term":
-            target_in = plan.target_in.copy()
-            target_in[0] = np.flatnonzero((plan.row == plan.row[target_in[0]])
-                                          & (plan.col != plan.col[target_in[0]]))[0]
-            return into, onto, replace(plan, target_in=target_in), defect
-        col = plan.col.copy()
-        col[plan.col == 0], col[plan.col == 1] = 1, 0
-        return into, onto, replace(plan, col=col), defect
+            target_in = rows.target_in.copy()
+            target_in[0] = np.flatnonzero((rows.row == rows.row[target_in[0]])
+                                          & (rows.col != rows.col[target_in[0]]))[0]
+            rows = replace(rows, target_in=target_in)
+        elif blocked:  # the columns of unknowns 0 and 1 scatter to each other's entry of S
+            position = cyclic.position.copy()
+            first = np.flatnonzero(intertwiners.key_pattern(key[2]))[:2]
+            i, j = (np.flatnonzero(position == p)[0] for p in first)
+            position[i], position[j] = position[j], position[i]
+            cyclic = replace(cyclic, position=position)
+        else:
+            col = rows.col.copy()
+            col[rows.col == 0], col[rows.col == 1] = 1, 0
+            rows = replace(rows, col=col)
+        if blocked:
+            return into, onto, plan, defect, replace(cyclic, rows=rows)
+        return into, onto, rows, defect, cyclic
 
-    monkeypatch.setattr(intertwiners, "_bulk_plan", corrupt)
-    wrong = solve_bulk(a, b)
-    assert wrong.dimension != 1 or wrong.residual > 1e-6
-    assert fault == "moved-term" or wrong.dimension == 1
+    for n in (2, 3):
+        a, b = vector_rep(n, Q_REF, np.exp(0.7)), vector_rep(n, Q_REF, np.exp(0.23))
+        assert solve_bulk(a, b).residual < 1e-13
+        with monkeypatch.context() as patch:
+            patch.setattr(intertwiners, "_bulk_plan", corrupt)
+            systems = _record_systems(patch)
+            wrong = solve_bulk(a, b)
+        assert systems[-1].ndim == (2 if n == 2 else 3)  # the whole system, or the blocks
+        assert wrong.dimension != 1 or wrong.residual > 1e-6
+        assert fault == "moved-term" or wrong.dimension == 1
 
 
 def _record_systems(monkeypatch) -> list:
-    """Collect every matrix the solvers hand to ``nullspace``."""
+    """Collect every matrix the solvers hand to ``nullspace``, and every stack of blocks
+    they hand to ``block_nullspace``."""
     systems = []
-    original = intertwiners.nullspace
+    for name in ("nullspace", "block_nullspace"):
+        original = getattr(intertwiners, name)
 
-    def spy(m, **kwargs):
-        systems.append(m)
-        return original(m, **kwargs)
+        def spy(m, *args, original=original, **kwargs):
+            systems.append(m)
+            return original(m, *args, **kwargs)
 
-    monkeypatch.setattr(intertwiners, "nullspace", spy)
+        monkeypatch.setattr(intertwiners, name, spy)
     return systems
+
+
+def _unknowns(system) -> int:
+    """Unknowns of a whole system, or of the block-diagonal system of a stack of blocks."""
+    return system.shape[-1] * (len(system) if system.ndim == 3 else 1)
+
+
+def _without_zero_rows(system):
+    """A system, or a stack of blocks, without the equations that are zero in every block."""
+    keep = system.any(axis=-1)
+    return system[..., keep.any(axis=0) if system.ndim == 3 else keep, :]
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -554,7 +590,8 @@ def test_closed_form_s_matches_solve_bulk(n, monkeypatch):
         equal, _, dev = projective_compare(oracle, sol.normalized, 1e-12)
         assert equal, dev
     dim = n + 1
-    assert [m.shape[1] for m in systems] == [2 * dim * dim - dim] * 2
+    assert [_unknowns(m) for m in systems] == [2 * dim * dim - dim] * 2
+    assert [m.ndim for m in systems] == [3 if dim >= intertwiners.CYCLIC_MIN_NODES else 2] * 2
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
@@ -662,6 +699,194 @@ def test_closed_form_s_rejects_bad_input():
             closed_form_s(n, q, theta, 0.2)
 
 
+def _whole_rows(a, b, support):
+    """The whole bulk system of factor stacks a, b, which solves off the cyclic path assemble."""
+    key = pattern_key(a, 4), pattern_key(b, 4), pattern_key(support, 2)
+    into, onto, plan, _, _ = intertwiners._bulk_plan(*key)
+    return plan.assemble(into.values(a, b), onto.values(b, a))
+
+
+def _shifted(gens):
+    """C g_i C^T with C the cyclic shift e_r -> e_{r+1 mod N}, each moved to node i + 1."""
+    dim = gens.shape[-1]
+    c = np.roll(np.eye(dim), 1, axis=0)
+    return np.roll(c @ gens @ c.T, 1, axis=1)
+
+
+def _all_reps(n, q, x):
+    rep = vector_rep(n, q, x)
+    return {"vector": rep, "dual": dual_rep(rep), "reflection_dual": reflection_dual(rep)}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_the_generators_are_cyclic_covariant_exactly(n, monkeypatch):
+    # the Z_N automorphism of the a_n^(1) diagram: C g_i C^T = g_{i+1 mod N} with a
+    # difference of exactly 0, the fact the Fourier blocks rest on
+    _blocks_at_every_n(monkeypatch)
+    rng = np.random.default_rng(40 + n)
+    for _ in range(4):
+        q, x = generic_point(rng)
+        for name, rep in _all_reps(n, q, x).items():
+            assert not (_shifted(rep.gens) - rep.gens).any(), name
+            plan = _cyclic_plan_of(rep, rep)
+            assert plan is not None and plan.covariant(rep.gens)
+
+
+def _cyclic_plan_of(a, b):
+    support = intertwiners.weight_support(a.gens, b.gens)
+    return intertwiners._bulk_plan(pattern_key(a.gens, 4), pattern_key(b.gens, 4),
+                                   pattern_key(support, 2))[4]
+
+
+def _whole_system_path(monkeypatch):
+    """Patch the gate so that every bulk solve assembles the whole system, as below it."""
+    monkeypatch.setattr(intertwiners, "CYCLIC_MIN_NODES", 10**9)
+
+
+def _blocks_at_every_n(monkeypatch):
+    """Patch the gate so that every covariant bulk solve takes the blocks, even at N = 2.
+
+    Plans cached under the real gate hold no ``CyclicPlan`` below it, so they are dropped.
+    """
+    monkeypatch.setattr(intertwiners, "CYCLIC_MIN_NODES", 1)
+    intertwiners._bulk_plan.cache_clear()
+
+
+def _same_bits(one, other):
+    ns, other_ns = one.nullspace, other.nullspace
+    assert ns.basis.tobytes() == other_ns.basis.tobytes()
+    assert (ns.dimension, ns.sigma_max, ns.margin) == (other_ns.dimension, other_ns.sigma_max,
+                                                       other_ns.margin)
+    assert one.flags == other.flags
+    assert np.array_equal(one.residual, other.residual, equal_nan=True)
+    assert (one.normalized is None) == (other.normalized is None)
+    assert one.normalized is None or one.normalized.tobytes() == other.normalized.tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_a_stack_off_its_shift_by_one_part_in_2_to_40_takes_the_whole_system(n, monkeypatch):
+    # value covariance is not structural: one entry scaled by 1 + 2^-40 keeps every pattern,
+    # so the plan is cyclic, but the solve must see the stack differ from its shift and
+    # give what the whole-system path gives, bit for bit
+    rng = np.random.default_rng(60 + n)
+    q, x = generic_point(rng)
+    _, y = generic_point(rng)
+    for left, right, side in itertools.product(("vector", "dual"), ("vector", "dual"), (0, 1)):
+        pair = [_all_reps(n, q, x)[left], _all_reps(n, q, y)[right]]
+        rep = pair[side]
+        gens = rep.gens.copy()
+        entry = tuple(rng.choice(np.argwhere(gens != 0)))
+        gens[entry] *= 1 + 2.0**-40
+        assert gens[entry] != rep.gens[entry]
+        pair[side] = EvaluationRep(n=n, q=rep.q, x=rep.x, is_dual=rep.is_dual, gens=gens)
+        plan = _cyclic_plan_of(*pair)
+        assert plan is not None and plan.covariant(pair[1 - side].gens)
+        assert not plan.covariant(gens)
+        with monkeypatch.context() as patch:
+            systems = _record_systems(patch)
+            solution = solve_bulk(*pair)
+            assert [m.ndim for m in systems] == [2]
+            _whole_system_path(patch)
+            _same_bits(solution, solve_bulk(*pair))
+
+
+def _both_paths(monkeypatch, solve):
+    """``solve()`` through the Fourier blocks at every n, and through the whole system."""
+    with monkeypatch.context() as patch:
+        _blocks_at_every_n(patch)
+        blocked = solve()
+        _whole_system_path(patch)
+        return blocked, solve()
+
+
+def _assert_same_solution(blocked, whole, case):
+    assert blocked.dimension == whole.dimension == 1, case
+    assert blocked.flags == whole.flags, case
+    assert max(blocked.residual, whole.residual) <= 1e-13, case
+    equal, _, dev = projective_compare(whole.normalized, blocked.normalized, 1e-12)
+    assert equal, (case, dev)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_the_fourier_blocks_solve_what_the_whole_system_solves(n, monkeypatch):
+    # the four flavours and the eight engine channels, with the gate moved so that both
+    # paths run at every n: equal dimensions and flags, the blocks' merged singular values
+    # are the whole system's, and the normalized S agree to roundoff
+    rng = np.random.default_rng(80 + n)
+    q, x = generic_point(rng)
+    _, y = generic_point(rng)
+    for left, right in itertools.product(("vector", "dual"), repeat=2):
+        a, b = _all_reps(n, q, x)[left], _all_reps(n, q, y)[right]
+        support = intertwiners.weight_support(a.gens, b.gens)
+        _, _, cyclic = intertwiners._bulk_system(a.gens, b.gens, support)
+        assert (cyclic is not None) == (n + 1 >= intertwiners.CYCLIC_MIN_NODES)
+        rows = _whole_rows(a.gens, b.gens, support)
+        whole = np.linalg.svd(rows, compute_uv=False)
+        with monkeypatch.context() as patch:
+            _blocks_at_every_n(patch)
+            blocks, _, _ = intertwiners._bulk_system(a.gens, b.gens, support)
+        assert blocks.shape == (n + 1, rows.shape[0] // (n + 1), rows.shape[1] // (n + 1))
+        merged = merged_singular_values(np.linalg.svd(blocks, compute_uv=False))
+        assert np.abs(merged - whole).max() <= 1e-14 * whole[0], (left, right)
+        _assert_same_solution(*_both_paths(monkeypatch, lambda: solve_bulk(a, b)), (left, right))
+    thetas, eps = (0.7, 0.23, -0.41), (0,) * (n + 1)
+    solve = lambda: intertwiners.engine_point(n, Q_REF, thetas, eps)  # noqa: E731
+    blocked, whole = _both_paths(monkeypatch, solve)
+    for key in ENGINE_CHANNELS:
+        _assert_same_solution(blocked[key], whole[key], key)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_each_fourier_block_is_the_whole_system_on_its_modes(n):
+    # a vector v in block k comes back as the S that the whole system maps to a vector of
+    # norm |B_k v|, and the vectors of all blocks come back orthonormal; solutions only ever
+    # live in block 0, so this is what pins down the transform of every other block
+    rng = np.random.default_rng(70 + n)
+    q, x = generic_point(rng)
+    _, y = generic_point(rng)
+    for left, right in itertools.product(("vector", "dual"), repeat=2):
+        a, b = _all_reps(n, q, x)[left], _all_reps(n, q, y)[right]
+        support = intertwiners.weight_support(a.gens, b.gens)
+        rows = _whole_rows(a.gens, b.gens, support)
+        blocks, _, cyclic = intertwiners._bulk_system(a.gens, b.gens, support)
+        count, _, orbits = blocks.shape
+        vectors = rng.normal(size=(count, orbits)) + 1j * rng.normal(size=(count, orbits))
+        basis = np.zeros((count, count, orbits), dtype=complex)
+        basis[np.arange(count), np.arange(count)] = vectors
+        unknowns = cyclic.solutions(basis.reshape(count, -1), support.shape)
+        assert not unknowns[:, ~support].any()
+        gram = unknowns.reshape(count, -1).conj() @ unknowns.reshape(count, -1).T
+        assert np.allclose(gram, np.diag(np.linalg.norm(vectors, axis=1) ** 2), atol=1e-12)
+        for k in range(count):
+            image = np.linalg.norm(rows @ unknowns[k][support])
+            assert image == pytest.approx(np.linalg.norm(blocks[k] @ vectors[k]), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_the_near_threshold_bulk_point_stays_flagged_through_the_blocks(n, monkeypatch):
+    # q = -(1 + 1e-8) with equal rapidities: the smallest kept singular value lies within a
+    # factor 5 of the cut at every n the gate admits
+    q = -(1 + 1e-8)
+    systems = _record_systems(monkeypatch)
+    sol = solve_bulk(vector_rep(n, q, np.exp(0.7)), vector_rep(n, q, np.exp(0.7)))
+    assert [m.ndim for m in systems] == [3]
+    assert sol.dimension == 1
+    assert sol.nullspace.margin < intertwiners.NEAR_THRESHOLD_MARGIN
+    assert set(sol.flags) == {"equal-rapidity", "near-threshold"}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_blocked_bulk_scans_rank_as_their_solves_bit_for_bit(n):
+    # scans and solves take the same values-only SVD of the same blocks: equal margins
+    rng = np.random.default_rng(90 + n)
+    q, x = generic_point(rng)
+    grid = list(np.exp(rng.uniform(-1, 1, 40) + 1j * rng.uniform(-2, 2, 40)))
+    result = dimension_scan("bulk", {"n": n, "q": q, "x_left": x}, grid)
+    for y, dim, margin in zip(grid, result.dims, result.margins):
+        solution = solve_bulk(vector_rep(n, q, x), vector_rep(n, q, y))
+        assert (dim, margin) == (solution.dimension, solution.nullspace.margin)
+
+
 def _kept_margin(rows):
     """Smallest singular value counted in the rank, relative to the largest."""
     s = np.linalg.svd(rows, compute_uv=False)
@@ -701,7 +926,7 @@ def _tall_systems():
             a, b = vector_rep(n, Q_REF, np.exp(0.7)), vector_rep(n, Q_REF, np.exp(0.23))
             a, b = (dual_rep(r) if flavour & bit else r for r, bit in ((a, 1), (b, 2)))
             support = intertwiners.weight_support(a.gens, b.gens)
-            yield intertwiners._bulk_system(a.gens, b.gens, support)[0]
+            yield _whole_rows(a.gens, b.gens, support)
         rep = vector_rep(n, Q_REF, 2.0)
         m_in, m_out = (coideal_generators(r, [eps_star(Q_REF)] * (n + 1))
                        for r in (rep, reflection_dual(rep)))
@@ -760,13 +985,13 @@ def test_bulk_assembly_allocates_only_the_kept_equations():
     # exact zeros on the support; the assembly's peak stays below the planned dense size
     a, b = vector_rep(8, Q_REF, 2.0), vector_rep(8, Q_REF, 1.3)
     support = intertwiners.weight_support(a.gens, b.gens)
-    rows, _ = intertwiners._bulk_system(a.gens, b.gens, support)  # the plan is cached
+    rows = _whole_rows(a.gens, b.gens, support)  # the plan is cached
     plan = intertwiners._bulk_plan(pattern_key(a.gens, 4), pattern_key(b.gens, 4),
                                    pattern_key(support, 2))[2]
     assert rows.shape[0] < plan.rows and rows.shape[1] == plan.cols
     tracemalloc.start()
     try:
-        again, _ = intertwiners._bulk_system(a.gens, b.gens, support)
+        again = _whole_rows(a.gens, b.gens, support)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -881,12 +1106,16 @@ def test_another_nonzero_pattern_gets_its_own_plan(monkeypatch):
     assert solution.dimension != solve_bulk(a, b).dimension  # the algebra is broken
 
 
+def _row_plan_arrays(rows):
+    return [rows.row, rows.col, rows.source_in, rows.target_in, rows.source_out, rows.target_out]
+
+
 def _plan_arrays(plan):
-    into, onto, rows, defect = plan
+    into, onto, rows, defect, cyclic = plan
     return [into.position, *into.product, *into.plain, onto.position, *onto.product, *onto.plain,
-            rows.row, rows.col, rows.source_in, rows.target_in, rows.source_out, rows.target_out,
-            defect.generator_in, defect.generator_out, defect.value, defect.entry, defect.start,
-            defect.generator]
+            *_row_plan_arrays(rows), defect.generator_in, defect.generator_out, defect.value,
+            defect.entry, defect.start, defect.generator, cyclic.shift, cyclic.position,
+            *_row_plan_arrays(cyclic.rows)]
 
 
 def test_cached_plans_are_read_only_and_outlive_writes_to_the_factors():
@@ -914,8 +1143,7 @@ def test_cached_plans_are_read_only_and_outlive_writes_to_the_factors():
                                      pattern_key(np.ones((4, 4), dtype=bool), 2))
     defect = intertwiners._stack_defect_plan(m.shape, m.shape)
     assert not any(arr.flags.writeable for arr in (
-        stack.row, stack.col, stack.source_in, stack.target_in, stack.source_out,
-        stack.target_out, defect.generator_in, defect.generator_out, defect.value,
+        *_row_plan_arrays(stack), defect.generator_in, defect.generator_out, defect.value,
         defect.entry, defect.start, defect.generator))
 
 

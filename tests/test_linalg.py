@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from qreflect.linalg import (
+    block_nullspace,
     embed_on_legs,
     flip_operator,
     kron,
+    merged_singular_values,
     normalize_solution,
     nullspace,
     projective_compare,
@@ -176,6 +178,79 @@ def test_rank_decision_decides_a_stack_as_nullspace_decides_each_matrix():
         assert rank_decision(np.array([[1e300, 1e-320]]))[2][0] == pytest.approx(1e9)
     with pytest.raises(ValueError, match="non-finite"):
         stack_nullities(np.full((1, 2, 2), np.nan))
+
+
+def _block_diagonal(blocks):
+    count, rows, cols = blocks.shape
+    dense = np.zeros((count * rows, count * cols), dtype=complex)
+    for k, block in enumerate(blocks):
+        dense[k * rows:(k + 1) * rows, k * cols:(k + 1) * cols] = block
+    return dense
+
+
+def _blocks_of_rank(rng, ranks, rows, cols, scale=1.0):
+    """Random complex blocks, block k of rank ``ranks[k]``."""
+    blocks = []
+    for rank in ranks:
+        left = rng.normal(size=(rows, rank)) + 1j * rng.normal(size=(rows, rank))
+        right = rng.normal(size=(rank, cols)) + 1j * rng.normal(size=(rank, cols))
+        blocks.append(scale * left @ right)
+    return np.array(blocks)
+
+
+@pytest.mark.parametrize("rows, cols", [(9, 4), (20, 17), (3, 5), (4, 4)])
+def test_block_nullspace_is_the_nullspace_of_the_block_diagonal_matrix(rng, rows, cols):
+    # tall blocks on both sides of the R-SVD rule, wide ones and square ones; the blocks'
+    # ranks differ, and one block sits below the others by 1e6, so the one cut is global
+    full = min(rows, cols)
+    ranks = [full, full - 1, full - 3, full]
+    blocks = _blocks_of_rank(rng, ranks, rows, cols)
+    blocks[3] *= 1e-6
+    ns = block_nullspace(blocks)
+    dense = nullspace(_block_diagonal(blocks))
+    assert ns.dimension == dense.dimension == 4 * cols - sum(ranks)
+    assert ns.sigma_max == pytest.approx(dense.sigma_max, rel=1e-13)
+    assert ns.margin == pytest.approx(dense.margin, rel=1e-6)
+    assert ns.basis.shape == (ns.dimension, 4 * cols)
+    assert np.allclose(ns.basis.conj() @ ns.basis.T, np.eye(ns.dimension), atol=1e-13)
+    projector = dense.basis.T @ dense.basis.conj()
+    assert np.linalg.norm(ns.basis.T @ ns.basis.conj() - projector) < 1e-12
+    in_blocks = np.abs(ns.basis.reshape(ns.dimension, 4, cols)).sum(axis=2) > 0
+    assert (in_blocks.sum(axis=1) == 1).all()  # every vector lies in one block
+
+
+def test_block_nullspace_of_degenerate_blocks():
+    # no rows, all zeros, and full rank: the full space with sigma_max 0, or no null vector
+    for blocks in (np.zeros((3, 0, 2), dtype=complex), np.zeros((3, 4, 2), dtype=complex)):
+        ns = block_nullspace(blocks)
+        assert (ns.dimension, ns.sigma_max, ns.margin) == (6, 0.0, float("inf"))
+        assert np.allclose(ns.basis.conj() @ ns.basis.T, np.eye(6))
+    eye = np.broadcast_to(np.eye(2, dtype=complex), (3, 2, 2))
+    ns = block_nullspace(eye)
+    assert (ns.dimension, ns.basis.shape, ns.sigma_max) == (0, (0, 6), 1.0)
+    # a singular value exactly on the cut is kept, in the merged rank and in its block's
+    on_cut = np.array([np.diag([1.0, 1e-9]), np.diag([1.0, 0.0])], dtype=complex)
+    ns = block_nullspace(on_cut)
+    assert (ns.dimension, ns.margin) == (1, 1.0)
+    assert np.allclose(np.abs(ns.basis), [[0, 0, 0, 1]])
+    with pytest.raises(ValueError):
+        block_nullspace(eye, rel_tol=0)
+
+
+def test_stack_nullities_rank_stacks_of_blocks_as_block_nullspace_does(rng):
+    # the same values-only SVD and the same cut: dimensions and margins bit for bit
+    stack = np.array([_blocks_of_rank(rng, ranks, 6, 3) for ranks in
+                      ([3, 3, 3], [3, 2, 3], [0, 0, 0], [1, 3, 2])])
+    stack[1, 1] += 1e-12 * rng.normal(size=(6, 3))  # a null direction just under the cut
+    nullity, margin = stack_nullities(stack)
+    for k, blocks in enumerate(stack):
+        ns = block_nullspace(blocks)
+        assert (nullity[k], margin[k]) == (ns.dimension, ns.margin)
+    assert list(nullity) == [0, 1, 9, 3]
+    s = np.linalg.svd(stack[3], compute_uv=False)
+    merged = merged_singular_values(s)
+    assert merged.shape == (9,) and (np.diff(merged) <= 0).all()
+    assert sorted(merged) == sorted(s.ravel())
 
 
 def _numpy_rank_decision(s, rel_tol):
