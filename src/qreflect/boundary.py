@@ -18,6 +18,7 @@ assumed, by the test suite.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,9 +27,10 @@ import numpy as np
 from .linalg import DEFAULT_REL_TOL, as_matrix, check_tolerance, normalize_solution
 from .linalg import projective_compare
 from .linalg import nullspace  # noqa: F401  (bench/test_bench.py traces it in this namespace)
-from .intertwiners import IntertwinerSolution, reflection_dual, solve_boundary, solve_system
-from .intertwiners import sylvester_rows
-from .reps import as_boundary_params, check_point, coideal_generators, vector_rep
+from .intertwiners import PLAN_CACHE_SIZE, IntertwinerSolution, _solve_stacked, frozen
+from .intertwiners import solve_system, sylvester_rows
+from .reps import as_boundary_params, check_point, check_points, coideal_stack, dual_stack
+from .reps import vector_stack
 
 
 # Every K method and the ``convention`` label of its documents.  ``solve_k`` and scans
@@ -49,8 +51,14 @@ def paper_boundary_system(n: int, q: complex, x: complex, eps) -> np.ndarray:
     return _paper_rows(n, q, [x], [as_boundary_params(eps, n)])[0]
 
 
-def _paper_rows(n: int, q: complex, x, eps) -> np.ndarray:
-    """The family rows at the validated points (x[p], eps[p]), as one (points, rows, N*N) stack."""
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _paper_plan(n: int) -> tuple:
+    """Where each term of the family rows at rank n goes, as read-only (target, coefficient).
+
+    Term k puts coefficient ``coefficient[k]`` (numbered as in ``_paper_rows``)
+    at flat entry ``target[k]`` of one point's (rows, N*N) block.  It depends
+    on n alone, so it is derived once per n and cached.
+    """
     dim = n + 1
     i = np.arange(dim)
     up = (i + 1) % dim
@@ -66,6 +74,13 @@ def _paper_rows(n: int, q: complex, x, eps) -> np.ndarray:
         (f3, pi, pj, 5 + dim + pi), (f3, up[pi], pj, 4 + 0 * pi),  # family 3
         (f4, pj, pi, 5 + 2 * dim + pi), (f4, pj, up[pi], 2 + 0 * pi),  # family 4
     ))
+    return frozen((row * dim + a) * dim + b, c)
+
+
+def _paper_rows(n: int, q: complex, x, eps) -> np.ndarray:
+    """The family rows at the validated points (x[p], eps[p]), as one (points, rows, N*N) stack."""
+    dim = n + 1
+    target, coefficient = _paper_plan(n)
     # Python complex arithmetic, as the families are written: numpy's complex kernels
     # round differently in the last bit
     diag = 1.0 / q - q
@@ -76,8 +91,21 @@ def _paper_rows(n: int, q: complex, x, eps) -> np.ndarray:
     ], dtype=np.complex128)
     rows = np.zeros((len(coefficients), 2 * dim * (dim - 1), dim * dim), dtype=np.complex128)
     # every term has its own entry, so this adds each coefficient to an exact zero
-    rows.reshape(len(rows), -1)[:, (row * dim + a) * dim + b] += coefficients[:, c]
+    rows.reshape(len(rows), -1)[:, target] += coefficients[:, coefficient]
     return rows
+
+
+def _conjugate_stacks(n: int, q: complex, xs) -> np.ndarray:
+    """The ``gens`` of V(x) and its ``reflection_dual`` at validated xs, a (P, 2, 3, N, N, N) stack.
+
+    One ``vector_stack`` call builds V at every x and at -q/x, the point of
+    the conjugate, which ``dual_stack`` then dualizes: the entries are those
+    of ``vector_rep`` and ``reflection_dual``, bit for bit.
+    """
+    gens = vector_stack(n, q, [y for x in xs for y in (x, -q / x)])
+    gens = gens.reshape(len(xs), 2, *gens.shape[1:])
+    gens[:, 1] = dual_stack(gens[:, 1])
+    return gens
 
 
 def k_scan_rows(n: int, q: complex, fixed: dict, grid: list):
@@ -90,34 +118,34 @@ def k_scan_rows(n: int, q: complex, fixed: dict, grid: list):
     rows: "paper" writes the family rows; "generic" takes each point's
     coideal stacks on the representation at x and its ``reflection_dual``,
     as ``solve_k`` does, and the points of a slice share one Sylvester row
-    set.  An eps axis has one x, so it builds that pair once.
+    set.  A theta axis builds a slice's representations in one stacked call;
+    an eps axis has one x, so it builds that pair once and broadcasts eps.
     """
     method = fixed.get("method", DEFAULT_K_METHOD)
-    theta_axis = "eps" in fixed
-    if theta_axis:
+    if "eps" in fixed:
         eps = [as_boundary_params(fixed["eps"], n)] * len(grid)
-        xs = [check_point(n, q, x)[2] for x in grid]
+        n, q, xs = check_points(n, q, grid)
     else:
         eps = [as_boundary_params(e, n) for e in grid]
-        xs = [check_point(n, q, fixed["x"])[2]] * len(grid)
+        n, q, xs = check_points(n, q, [fixed["x"]])
+        xs *= len(grid)
     if method == "paper":
         return lambda chunk: _paper_rows(n, q, xs[chunk], eps[chunk])
     if method != "generic":
         raise ValueError(f"unknown boundary method {method!r}")
     full = np.ones((n + 1, n + 1), dtype=bool)
+    if "eps" in fixed:
+        params = np.array(eps[0])
 
-    def conjugates(x):
-        rep = vector_rep(n, q, x)
-        return rep, reflection_dual(rep)
+        def pairs(chunk):
+            return coideal_stack(_conjugate_stacks(n, q, xs[chunk]), params)
+    else:
+        conjugates, params = _conjugate_stacks(n, q, xs[:1]), np.array(eps)
 
-    one = None if theta_axis else conjugates(xs[0])
+        def pairs(chunk):
+            return coideal_stack(conjugates, params[chunk, None, :])
 
-    def rows(chunk):
-        systems = [[coideal_generators(r, ep) for r in one or conjugates(xp)]
-                   for xp, ep in zip(xs[chunk], eps[chunk])]
-        return sylvester_rows(*np.array(systems).swapaxes(0, 1), full)
-
-    return rows
+    return lambda chunk: sylvester_rows(*pairs(chunk).swapaxes(0, 1), full)
 
 
 def solve_paper_k(
@@ -142,13 +170,15 @@ def solve_k(n: int, q: complex, x: complex, eps, method: str = DEFAULT_K_METHOD,
 
     "paper" solves the explicit family system (``solve_paper_k``);
     "generic" solves the antipode-dual engine system with the conjugate
-    from ``reflection_dual`` (``solve_boundary``).
+    from ``reflection_dual``, as ``solve_boundary`` does, from the stacks a
+    generic scan builds for one point.
     """
     if method == "paper":
         return solve_paper_k(n, q, x, eps, rel_tol)
-    if method == "generic":
-        rep = vector_rep(n, q, x)
-        return solve_boundary(rep, reflection_dual(rep), eps, rel_tol)
+    if method == "generic":  # the one-point case of a generic scan's stacks
+        n, q, x = check_point(n, q, x)
+        params = np.array(as_boundary_params(eps, n))
+        return _solve_stacked(*coideal_stack(_conjugate_stacks(n, q, [x]), params)[0], rel_tol)
     raise ValueError(f"unknown boundary method {method!r}")
 
 

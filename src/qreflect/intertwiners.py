@@ -33,7 +33,7 @@ import numpy as np
 from .linalg import DEFAULT_REL_TOL, NullspaceResult, block_nullspace, isclose, nullspace
 from .linalg import scale_to_pivot, stack_nullities
 from .reps import EvaluationRep, check_point, coideal_generators, coproduct_coordinates, dual_rep
-from .reps import vector_rep
+from .reps import vector_rep, vector_stack
 
 # A rank decision whose cut lies within this factor of a singular value is flagged.
 NEAR_THRESHOLD_MARGIN = 1e3
@@ -594,7 +594,7 @@ def dimension_scan(kind: str, fixed: dict, grid) -> ScanResult:
         support = weight_support(left, vector_rep(n, q, grid[0]).gens)  # the qT images ignore x
 
         def rows(chunk):
-            right = np.array([vector_rep(n, q, x).gens for x in grid[chunk]])
+            right = vector_stack(n, q, grid[chunk])
             if not (np.isfinite(left).all() and np.isfinite(right).all()):
                 raise ValueError("matrix has non-finite entries")
             return _bulk_system(left, right, support)[0]

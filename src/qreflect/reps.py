@@ -9,7 +9,9 @@ A representation is stored as one complex (3, N, d, d) stack of generator
 matrices in GENERATOR_ORDER (Q, Qbar, D = image of q^{T_i}; node index
 minor) together with the deformation parameter q and the spectral
 parameter x = e^theta.  The D_i are diagonal, so their inverses are read
-off the diagonal where needed.
+off the diagonal where needed.  Many points are built at once as stacks
+with leading axes (``vector_stack``, ``dual_stack``, ``coideal_stack``),
+and the one-point builders are their one-point cases.
 """
 
 from __future__ import annotations
@@ -109,24 +111,58 @@ def check_point(n: int, q: complex, x: complex) -> tuple:
     return int(n), q, x
 
 
+def check_points(n: int, q: complex, xs) -> tuple:
+    """Validate (n, q) once and every x of ``xs``; return (int, complex, list of complex).
+
+    The rules and errors are ``check_point``'s, applied to each x.
+    """
+    n, q, _ = check_point(n, q, 1.0)
+    xs = [complex(x) for x in xs]
+    if not all(cmath.isfinite(x) and x != 0 for x in xs):
+        raise ValueError("q and x must be finite and nonzero")
+    return n, q, xs
+
+
 def vector_rep(n: int, q: complex, x: complex) -> EvaluationRep:
     """The N = n+1 dimensional vector evaluation representation.
 
     Q_i = x e^{i+1}_i, Qbar_i = x^{-1} e^i_{i+1}, and q^{T_i} acts
     diagonally with q^{-1} in slot i and q in slot i+1 (indices mod N).
+    Its ``gens`` are the one-point case of ``vector_stack``.
     """
     n, q, x = check_point(n, q, x)
+    return EvaluationRep(n=n, q=q, x=x, is_dual=False, gens=_vector_gens(n, q, [x])[0])
+
+
+def vector_stack(n: int, q: complex, xs) -> np.ndarray:
+    """The ``gens`` of ``vector_rep(n, q, x)`` for every x of ``xs``, one (P, 3, N, N, N) stack.
+
+    (n, q) is validated once and each x as ``vector_rep`` validates it, with
+    the same errors and root-of-unity warning; every entry is ``vector_rep``'s
+    bit for bit.
+    """
+    n, q, xs = check_points(n, q, xs)
+    return _vector_gens(n, q, xs)
+
+
+def _vector_gens(n: int, q: complex, xs: list) -> np.ndarray:
+    """``vector_stack`` at a validated (n, q) and validated x values."""
     _warn_if_low_root_of_unity(q)
     dim = n + 1
-    i = np.arange(dim)
-    up = (i + 1) % dim
-    gens = np.zeros((3, dim, dim, dim), dtype=np.complex128)
-    gens[0, i, up, i] = gens[1, i, i, up] = 1.0  # e^{i+1}_i and e^i_{i+1} per node i
-    gens[:2] *= np.array([x, 1.0 / x])[:, None, None, None]  # whole blocks: zeros take x's signs
-    gens[2, :, i, i] = 1.0  # D_i: q^{-1} in slot i, q in slot i+1, 1 elsewhere
-    gens[2, i, i, i] = 1.0 / q
-    gens[2, i, up, up] = q
-    return EvaluationRep(n=n, q=q, x=x, is_dual=False, gens=gens)
+    # entry (r, c) of node i sits at flat (i dim + r) dim + c of a kind; a step of
+    # dim^2 + dim + 1 moves i, r and c on by one each, so one strided slice sets an entry of
+    # every node i < n, and node n, whose i + 1 wraps to 0, is set on its own
+    walk, last = dim * dim + dim + 1, n * dim * dim
+    gens = np.zeros((len(xs), 3, dim ** 3), dtype=np.complex128)
+    gens[:, 0, dim::walk] = gens[:, 0, last + n] = 1.0  # Q_i = e^{i+1}_i
+    gens[:, 1, 1::walk] = gens[:, 1, last + n * dim] = 1.0  # Qbar_i = e^i_{i+1}
+    gens.reshape(len(xs), 3, dim, -1)[:, 2, :, ::dim + 1] = 1.0  # D_i: 1 on the diagonal, then
+    gens[:, 2, ::walk] = 1.0 / q  # q^{-1} in slot i
+    gens[:, 2, dim + 1::walk] = gens[:, 2, last] = q  # and q in slot i+1
+    # whole blocks, so zeros take x's signs; 1/x in Python complex arithmetic, as a point's is
+    scale = np.array([(x, 1.0 / x) for x in xs], dtype=np.complex128).reshape(-1, 2)
+    gens[:, :2] *= scale[:, :, None]
+    return gens.reshape(len(xs), 3, dim, dim, dim)
 
 
 def _warn_if_low_root_of_unity(q: complex) -> None:
@@ -135,7 +171,7 @@ def _warn_if_low_root_of_unity(q: complex) -> None:
             warnings.warn(
                 f"q is (close to) a root of unity of order {k}; "
                 "generic-parameter claims may degenerate",
-                stacklevel=3,
+                stacklevel=4,  # the caller of vector_rep or vector_stack
             )
             return
 
@@ -146,16 +182,30 @@ def dual_rep(rep: EvaluationRep) -> EvaluationRep:
     The antipode acts as S(Q_i) = -q^{-T_i} Q_i, S(Qbar_i) = -q^{-T_i} Qbar_i,
     S(q^{T_i}) = q^{-T_i}, and the dual matrices are transposes of the
     antipode images.  The dual at another spectral parameter is the dual of
-    a vector representation built there.
+    a vector representation built there.  Its ``gens`` are ``dual_stack``'s.
     """
-    diagonal = np.arange(rep.dim)
-    dinv = 1.0 / rep.D[:, diagonal, diagonal]  # every D_i is diagonal
-    gens = np.zeros_like(rep.gens)
+    return EvaluationRep(n=rep.n, q=rep.q, x=rep.x, is_dual=not rep.is_dual,
+                         gens=dual_stack(rep.gens))
+
+
+def dual_stack(gens: np.ndarray) -> np.ndarray:
+    """The ``gens`` of ``dual_rep`` of every (..., 3, nodes, d, d) stack of ``gens``."""
+    dinv = 1.0 / _diagonals(gens)  # every D_i is diagonal
+    out = np.zeros(gens.shape, dtype=np.complex128)  # C order, so its diagonals are a view
     # D_i^{-1} g entry by entry: each entry is one product, computed alike at every position, so
-    # the dual is as cyclic-covariant as rep (a matrix product rounds some positions otherwise)
-    gens[:2] = -(dinv[:, :, None] * rep.gens[:2]).swapaxes(-1, -2)
-    gens[2][:, diagonal, diagonal] = dinv  # diagonal, so its own transpose
-    return EvaluationRep(n=rep.n, q=rep.q, x=rep.x, is_dual=not rep.is_dual, gens=gens)
+    # the dual is as cyclic-covariant as its input (a matrix product rounds some positions
+    # otherwise).  A contiguous operand gives numpy one point's inner loop, and so its rounding,
+    # at any leading shape
+    charges = np.ascontiguousarray(gens[..., :2, :, :, :])
+    out[..., :2, :, :, :] = -(dinv[..., None, :, :, None] * charges).swapaxes(-1, -2)
+    _diagonals(out)[...] = dinv  # diagonal, so its own transpose
+    return out
+
+
+def _diagonals(gens: np.ndarray) -> np.ndarray:
+    """The diagonals of the q^{T_i} of (..., 3, nodes, d, d) stacks, a (..., nodes, d) view."""
+    cartan = gens[..., 2, :, :, :]
+    return cartan.reshape(*cartan.shape[:-2], -1)[..., ::cartan.shape[-1] + 1]
 
 
 def as_boundary_params(eps, n: int) -> tuple:
@@ -172,9 +222,24 @@ def as_boundary_params(eps, n: int) -> tuple:
 
 
 def coideal_generators(rep: EvaluationRep, eps) -> np.ndarray:
-    """Stack of the matrices Qhat_i = Q_i + Qbar_i + eps_i q^{T_i} of the boundary algebra."""
-    params = np.array(as_boundary_params(eps, rep.n))[:, None, None]
-    return rep.Q + rep.Qbar + params * rep.D
+    """Stack of the matrices Qhat_i = Q_i + Qbar_i + eps_i q^{T_i} of the boundary algebra.
+
+    The one-point case of ``coideal_stack``.
+    """
+    return coideal_stack(rep.gens, np.array(as_boundary_params(eps, rep.n)))
+
+
+def coideal_stack(gens: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """The Qhat_i of ``coideal_generators`` of (..., 3, nodes, d, d) stacks, as (..., nodes, d, d).
+
+    ``eps`` holds validated parameters (``as_boundary_params``), shaped
+    (..., nodes); its leading axes broadcast against the stacks', so one
+    stack takes many eps, or many stacks one eps.  The q^{T_i} enter as a
+    contiguous copy, which gives numpy one point's inner loop, and so its
+    rounding, at any leading shape.
+    """
+    cartan = np.ascontiguousarray(gens[..., 2, :, :, :])
+    return gens[..., 0, :, :, :] + gens[..., 1, :, :, :] + eps[..., None, None] * cartan
 
 
 @dataclass(frozen=True)

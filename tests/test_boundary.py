@@ -15,7 +15,8 @@ from qreflect.boundary import (
 )
 from qreflect.intertwiners import dimension_scan, reflection_dual, solve_boundary
 from qreflect.linalg import projective_compare
-from qreflect.reps import vector_rep
+from qreflect.reps import coideal_generators, coideal_stack, dual_rep, dual_stack, vector_rep
+from qreflect.reps import vector_stack
 
 Q_REF = 0.8 * np.exp(0.3j)
 X_REF = np.exp(0.7)
@@ -82,26 +83,92 @@ def test_paper_rows_are_the_family_loop_bit_for_bit():
 
 
 def test_generic_scan_rows_build_one_representation_per_eps_axis(monkeypatch):
-    # an eps axis has one x and builds its representation once, over every slice; a theta
-    # axis builds one per point, equal x or not
+    # an eps axis has one x and builds its representation and conjugate once, over every
+    # slice; a theta axis builds both in one stacked call per slice, equal x or not
     from qreflect import boundary
 
     built = []
 
-    def counted(n, q, x):
-        built.append(x)
-        return vector_rep(n, q, x)
+    def counted(n, q, xs):
+        built.append(list(xs))
+        return vector_stack(n, q, xs)
 
-    monkeypatch.setattr(boundary, "vector_rep", counted)
-    x, eps = complex(X_REF), (1 + 0j, -1 + 0j, 1 + 0j)
-    rows = k_scan_rows(2, complex(Q_REF), {"x": x, "method": "generic"}, [eps] * 5)
+    monkeypatch.setattr(boundary, "vector_stack", counted)
+    q, x, eps = complex(Q_REF), complex(X_REF), (1 + 0j, -1 + 0j, 1 + 0j)
+    rows = k_scan_rows(2, q, {"x": x, "method": "generic"}, [eps] * 5)
     assert [rows(slice(k, k + 2)).shape[0] for k in (0, 2, 4)] == [2, 2, 1]
-    assert built == [x]
+    assert built == [[x, -q / x]]
     built.clear()
     xs = [x, x, 2 + 0j, x]
-    rows = k_scan_rows(2, complex(Q_REF), {"eps": eps, "method": "generic"}, xs)
+    rows = k_scan_rows(2, q, {"eps": eps, "method": "generic"}, xs)
     assert rows(slice(None)).shape[0] == len(xs)
-    assert built == xs
+    assert [rows(slice(k, k + 2)).shape[0] for k in (0, 2)] == [2, 2]
+    conjugates = [[y, -q / y] for y in xs]
+    assert built == [sum(conjugates, []), sum(conjugates[:2], []), sum(conjugates[2:], [])]
+
+
+def _vector_gens_by_loop(n, q, x):
+    """``vector_rep``'s generators entry by entry, as its docstring reads them.
+
+    Every Q and Qbar entry, zero or one, is multiplied by x or by 1/x in
+    Python complex arithmetic, so zeros take the signs of x.
+    """
+    dim = n + 1
+    gens = np.zeros((3, dim, dim, dim), dtype=np.complex128)
+    for i, r, c in itertools.product(range(dim), repeat=3):
+        up = (i + 1) % dim
+        gens[0, i, r, c] = complex(float((r, c) == (up, i))) * x
+        gens[1, i, r, c] = complex(float((r, c) == (i, up))) * (1.0 / x)
+        if r == c:
+            gens[2, i, r, c] = 1.0 / q if r == i else q if r == up else 1.0
+    return gens
+
+
+@pytest.mark.parametrize("count", [1, 7, 33])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_stacked_builders_are_the_one_point_builders_bit_for_bit(n, count):
+    # every entry, signed zeros included, at real and complex x: the vector stack, its dual,
+    # the conjugate pair a generic scan chunk builds, and coideal stacks with one eps per
+    # point or one eps for all, with zero entries among the eps
+    from qreflect import boundary
+
+    rng = np.random.default_rng(1000 + 40 * n + count)
+    q = generic_point(rng)[0]
+    xs = [complex(rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 3.0),
+                  rng.choice([0.0, -0.0, rng.normal()])) for _ in range(count)]
+    eps = [tuple(complex(rng.choice([0.0, -0.0, 1.0, -1.0, rng.normal()]),
+                         rng.choice([0.0, -0.0, rng.normal()])) for _ in range(n + 1))
+           for _ in range(count)]
+    stack = vector_stack(n, q, xs)
+    duals = dual_stack(stack)
+    pairs = boundary._conjugate_stacks(n, complex(q), xs)
+    by_point = coideal_stack(pairs, np.array(eps)[:, None, :])
+    by_stack = coideal_stack(pairs, np.array(eps[0]))
+    assert stack.shape == duals.shape == (count, 3, n + 1, n + 1, n + 1)
+    assert by_point.shape == by_stack.shape == (count, 2, n + 1, n + 1, n + 1)
+    for p, x in enumerate(xs):
+        rep = vector_rep(n, q, x)
+        conjugate = reflection_dual(rep)
+        assert stack[p].tobytes() == pairs[p, 0].tobytes() == rep.gens.tobytes()
+        assert rep.gens.tobytes() == _vector_gens_by_loop(n, complex(q), x).tobytes()
+        assert duals[p].tobytes() == dual_rep(rep).gens.tobytes()
+        assert pairs[p, 1].tobytes() == conjugate.gens.tobytes()
+        for side, r in enumerate((rep, conjugate)):
+            assert by_point[p, side].tobytes() == coideal_generators(r, eps[p]).tobytes()
+            assert by_stack[p, side].tobytes() == coideal_generators(r, eps[0]).tobytes()
+
+
+def test_the_paper_plan_is_cached_per_n_and_read_only():
+    from qreflect import boundary
+
+    paper_boundary_system(3, Q_REF, X_REF, (1, 1, 1, 1))
+    plan = boundary._paper_plan(3)
+    paper_boundary_system(3, 2 * Q_REF, 2 * X_REF, (1, -1, 2, 0))
+    assert boundary._paper_plan(3) is plan
+    for arr in plan:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[...] = 0
 
 
 def test_solve_anchor_plus_plus():
@@ -174,6 +241,7 @@ BAD_POINTS = {"n0": (0, Q_REF, X_REF), "n-1": (-1, Q_REF, X_REF), "n1.5": (1.5, 
               "q0": (2, 0.0, X_REF), "x0": (2, Q_REF, 0.0), "n-true": (True, Q_REF, X_REF)}
 ENTRY_POINTS = {
     "vector_rep": vector_rep,
+    "vector_stack": lambda n, q, x: vector_stack(n, q, [X_REF, x]),
     "paper_boundary_system": lambda n, q, x: paper_boundary_system(n, q, x, (1,)),
     "closed_form_k": lambda n, q, x: closed_form_k(n, q, x, ClosedFormParams((1,))),
 }

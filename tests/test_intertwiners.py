@@ -14,7 +14,7 @@ from conftest import eps_star, generic_point
 from qreflect.boundary import solve_k, solve_paper_k
 from qreflect.checks import plain_r
 import qreflect
-from qreflect import intertwiners
+from qreflect import boundary, intertwiners
 from qreflect.intertwiners import (
     _solve_stacked,
     closed_form_s,
@@ -875,6 +875,16 @@ def test_the_near_threshold_bulk_point_stays_flagged_through_the_blocks(n, monke
     assert set(sol.flags) == {"equal-rapidity", "near-threshold"}
 
 
+@pytest.mark.parametrize("n", range(9, 13))
+def test_the_near_threshold_bulk_point_stays_flagged_past_n_8(n):
+    # the same point reports dimension 2 from n = 9 on, with margins 1.09-1.42, so its
+    # documented dimension 1 holds only up to n = 8; the rank is doubtful, and the flag says so
+    q = -(1 + 1e-8)
+    sol = solve_bulk(vector_rep(n, q, np.exp(0.7)), vector_rep(n, q, np.exp(0.7)))
+    assert sol.nullspace.margin < intertwiners.NEAR_THRESHOLD_MARGIN
+    assert set(sol.flags) == {"equal-rapidity", "near-threshold"}
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_blocked_bulk_scans_rank_as_their_solves_bit_for_bit(n):
     # scans and solves take the same values-only SVD of the same blocks: equal margins
@@ -1153,7 +1163,7 @@ def test_plan_caches_are_bounded_by_one_module_constant():
                for m in pkgutil.iter_modules(qreflect.__path__)]
     caches = {f for m in modules for f in vars(m).values() if hasattr(f, "cache_info")}
     assert caches == {intertwiners._bulk_plan, intertwiners._stack_plan,
-                      intertwiners._stack_defect_plan}
+                      intertwiners._stack_defect_plan, boundary._paper_plan}
     for cache in caches:
         assert cache.cache_info().maxsize == intertwiners.PLAN_CACHE_SIZE
 

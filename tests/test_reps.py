@@ -13,6 +13,7 @@ from qreflect.reps import (
     coproduct_matrix,
     dual_rep,
     vector_rep,
+    vector_stack,
 )
 
 
@@ -279,6 +280,12 @@ def test_check_relations_rejects_singular_q(rng):
         rep = vector_rep(1, -1.0, x)
     with pytest.raises(ValueError):
         check_relations(rep)
+
+
+def test_vector_stack_warns_once_near_a_low_root_of_unity():
+    with pytest.warns(UserWarning, match="root of unity of order 2") as record:
+        stack = vector_stack(1, -1.0, [2.0, 3.0, 0.5])
+    assert len(record) == 1 and stack.shape == (3, 3, 2, 2, 2)
 
 
 def test_check_relations_nan_generator_fails():
