@@ -27,10 +27,9 @@ import numpy as np
 from .linalg import DEFAULT_REL_TOL, as_matrix, check_tolerance, normalize_solution
 from .linalg import projective_compare
 from .linalg import nullspace  # noqa: F401  (bench/test_bench.py traces it in this namespace)
-from .intertwiners import PLAN_CACHE_SIZE, IntertwinerSolution, _solve_stacked, frozen
-from .intertwiners import solve_system, sylvester_rows
-from .reps import as_boundary_params, check_point, check_points, coideal_stack, dual_stack
-from .reps import vector_stack
+from .intertwiners import PLAN_CACHE_SIZE, IntertwinerSolution, frozen, reflection_dual
+from .intertwiners import reflection_pairs, solve_boundary, solve_system, sylvester_rows
+from .reps import as_boundary_params, check_point, check_points, coideal_stack, vector_rep
 
 
 # Every K method and the ``convention`` label of its documents.  ``solve_k`` and scans
@@ -95,19 +94,6 @@ def _paper_rows(n: int, q: complex, x, eps) -> np.ndarray:
     return rows
 
 
-def _conjugate_stacks(n: int, q: complex, xs) -> np.ndarray:
-    """The ``gens`` of V(x) and its ``reflection_dual`` at validated xs, a (P, 2, 3, N, N, N) stack.
-
-    One ``vector_stack`` call builds V at every x and at -q/x, the point of
-    the conjugate, which ``dual_stack`` then dualizes: the entries are those
-    of ``vector_rep`` and ``reflection_dual``, bit for bit.
-    """
-    gens = vector_stack(n, q, [y for x in xs for y in (x, -q / x)])
-    gens = gens.reshape(len(xs), 2, *gens.shape[1:])
-    gens[:, 1] = dual_stack(gens[:, 1])
-    return gens
-
-
 def k_scan_rows(n: int, q: complex, fixed: dict, grid: list):
     """The rows ``solve_k`` ranks at each point of a boundary scan, by a slice of ``grid``.
 
@@ -138,14 +124,14 @@ def k_scan_rows(n: int, q: complex, fixed: dict, grid: list):
         params = np.array(eps[0])
 
         def pairs(chunk):
-            return coideal_stack(_conjugate_stacks(n, q, xs[chunk]), params)
+            return coideal_stack(reflection_pairs(n, q, xs[chunk]), params)
     else:
-        conjugates, params = _conjugate_stacks(n, q, xs[:1]), np.array(eps)
+        conjugates, params = reflection_pairs(n, q, xs[:1]), np.array(eps)
 
         def pairs(chunk):
-            return coideal_stack(conjugates, params[chunk, None, :])
+            return coideal_stack(conjugates, params[chunk])
 
-    return lambda chunk: sylvester_rows(*pairs(chunk).swapaxes(0, 1), full)
+    return lambda chunk: sylvester_rows(*pairs(chunk), full)
 
 
 def solve_paper_k(
@@ -170,15 +156,13 @@ def solve_k(n: int, q: complex, x: complex, eps, method: str = DEFAULT_K_METHOD,
 
     "paper" solves the explicit family system (``solve_paper_k``);
     "generic" solves the antipode-dual engine system with the conjugate
-    from ``reflection_dual``, as ``solve_boundary`` does, from the stacks a
-    generic scan builds for one point.
+    from ``reflection_dual`` (``solve_boundary``).
     """
     if method == "paper":
         return solve_paper_k(n, q, x, eps, rel_tol)
-    if method == "generic":  # the one-point case of a generic scan's stacks
-        n, q, x = check_point(n, q, x)
-        params = np.array(as_boundary_params(eps, n))
-        return _solve_stacked(*coideal_stack(_conjugate_stacks(n, q, [x]), params)[0], rel_tol)
+    if method == "generic":
+        rep = vector_rep(n, q, x)
+        return solve_boundary(rep, reflection_dual(rep), eps, rel_tol)
     raise ValueError(f"unknown boundary method {method!r}")
 
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .linalg import DEFAULT_REL_TOL, NullspaceResult, block_nullspace, isclose, nullspace
 from .linalg import scale_to_pivot, stack_nullities
-from .reps import EvaluationRep, check_point, coideal_generators, coproduct_coordinates, dual_rep
+from .reps import EvaluationRep, check_point, coideal_generators, coproduct_coordinates, dual_stack
 from .reps import vector_rep, vector_stack
 
 # A rank decision whose cut lies within this factor of a singular value is flagged.
@@ -525,11 +525,31 @@ def reflection_dual(rep: EvaluationRep) -> EvaluationRep:
     The antipode dual built at spectral parameter 1/x (the naive
     theta -> -theta reading) admits no boundary intertwiners at generic
     points; the dual built at -q/x does.  This helper returns the latter:
-    the antipode dual of the vector representation at -q/x.
+    the antipode dual of the vector representation at -q/x, the one-point
+    case of ``reflection_pairs``.
     """
     if rep.is_dual:
         raise ValueError("reflection_dual expects a vector representation")
-    return dual_rep(vector_rep(rep.n, rep.q, -rep.q / rep.x))
+    gens = reflection_pairs(rep.n, rep.q, [rep.x])[1, 0]
+    return EvaluationRep(n=rep.n, q=rep.q, x=_reflected(rep.q, rep.x), is_dual=True, gens=gens)
+
+
+def reflection_pairs(n: int, q: complex, xs) -> np.ndarray:
+    """The ``gens`` of V(x) and its ``reflection_dual`` at validated xs, a (2, P, 3, N, N, N) stack.
+
+    One ``vector_stack`` call builds V at every x and at the point of its
+    conjugate, whose half ``dual_stack`` then dualizes.  A boundary scan
+    builds a chunk's pairs in one call.
+    """
+    gens = vector_stack(n, q, list(xs) + [_reflected(q, x) for x in xs])
+    gens = gens.reshape(2, len(xs), *gens.shape[1:])
+    gens[1] = dual_stack(gens[1])
+    return gens
+
+
+def _reflected(q: complex, x: complex) -> complex:
+    """The spectral parameter -q/x of the conjugate ``reflection_dual`` builds for V(x)."""
+    return -q / x
 
 
 def engine_point(n: int, q: complex, thetas, eps) -> dict:

@@ -112,15 +112,12 @@ def check_point(n: int, q: complex, x: complex) -> tuple:
 
 
 def check_points(n: int, q: complex, xs) -> tuple:
-    """Validate (n, q) once and every x of ``xs``; return (int, complex, list of complex).
+    """Validate every point (n, q, x) of ``xs`` with ``check_point``; return (int, complex, list).
 
-    The rules and errors are ``check_point``'s, applied to each x.
+    (n, q) is validated also when ``xs`` is empty.
     """
     n, q, _ = check_point(n, q, 1.0)
-    xs = [complex(x) for x in xs]
-    if not all(cmath.isfinite(x) and x != 0 for x in xs):
-        raise ValueError("q and x must be finite and nonzero")
-    return n, q, xs
+    return n, q, [check_point(n, q, x)[2] for x in xs]
 
 
 def vector_rep(n: int, q: complex, x: complex) -> EvaluationRep:
@@ -137,9 +134,9 @@ def vector_rep(n: int, q: complex, x: complex) -> EvaluationRep:
 def vector_stack(n: int, q: complex, xs) -> np.ndarray:
     """The ``gens`` of ``vector_rep(n, q, x)`` for every x of ``xs``, one (P, 3, N, N, N) stack.
 
-    (n, q) is validated once and each x as ``vector_rep`` validates it, with
-    the same errors and root-of-unity warning; every entry is ``vector_rep``'s
-    bit for bit.
+    Each point is validated as ``vector_rep`` validates it, with the same
+    errors and one root-of-unity warning; every entry is ``vector_rep``'s bit
+    for bit.
     """
     n, q, xs = check_points(n, q, xs)
     return _vector_gens(n, q, xs)
@@ -149,20 +146,17 @@ def _vector_gens(n: int, q: complex, xs: list) -> np.ndarray:
     """``vector_stack`` at a validated (n, q) and validated x values."""
     _warn_if_low_root_of_unity(q)
     dim = n + 1
-    # entry (r, c) of node i sits at flat (i dim + r) dim + c of a kind; a step of
-    # dim^2 + dim + 1 moves i, r and c on by one each, so one strided slice sets an entry of
-    # every node i < n, and node n, whose i + 1 wraps to 0, is set on its own
-    walk, last = dim * dim + dim + 1, n * dim * dim
-    gens = np.zeros((len(xs), 3, dim ** 3), dtype=np.complex128)
-    gens[:, 0, dim::walk] = gens[:, 0, last + n] = 1.0  # Q_i = e^{i+1}_i
-    gens[:, 1, 1::walk] = gens[:, 1, last + n * dim] = 1.0  # Qbar_i = e^i_{i+1}
-    gens.reshape(len(xs), 3, dim, -1)[:, 2, :, ::dim + 1] = 1.0  # D_i: 1 on the diagonal, then
-    gens[:, 2, ::walk] = 1.0 / q  # q^{-1} in slot i
-    gens[:, 2, dim + 1::walk] = gens[:, 2, last] = q  # and q in slot i+1
+    i = np.arange(dim)
+    up = (i + 1) % dim
+    gens = np.zeros((len(xs), 3, dim, dim, dim), dtype=np.complex128)
+    gens[:, 0, i, up, i] = gens[:, 1, i, i, up] = 1.0  # e^{i+1}_i and e^i_{i+1} per node i
     # whole blocks, so zeros take x's signs; 1/x in Python complex arithmetic, as a point's is
-    scale = np.array([(x, 1.0 / x) for x in xs], dtype=np.complex128).reshape(-1, 2)
-    gens[:, :2] *= scale[:, :, None]
-    return gens.reshape(len(xs), 3, dim, dim, dim)
+    scale = np.array([(x, 1.0 / x) for x in xs], dtype=np.complex128)
+    gens[:, :2] *= scale.reshape(-1, 2, 1, 1, 1)
+    gens[:, 2, :, i, i] = 1.0  # D_i: q^{-1} in slot i, q in slot i+1, 1 elsewhere
+    gens[:, 2, i, i, i] = 1.0 / q
+    gens[:, 2, i, up, up] = q
+    return gens
 
 
 def _warn_if_low_root_of_unity(q: complex) -> None:

@@ -13,7 +13,8 @@ from qreflect.boundary import (
     solve_k,
     solve_paper_k,
 )
-from qreflect.intertwiners import dimension_scan, reflection_dual, solve_boundary
+from qreflect.intertwiners import dimension_scan, reflection_dual, reflection_pairs
+from qreflect.intertwiners import solve_boundary
 from qreflect.linalg import projective_compare
 from qreflect.reps import coideal_generators, coideal_stack, dual_rep, dual_stack, vector_rep
 from qreflect.reps import vector_stack
@@ -85,7 +86,7 @@ def test_paper_rows_are_the_family_loop_bit_for_bit():
 def test_generic_scan_rows_build_one_representation_per_eps_axis(monkeypatch):
     # an eps axis has one x and builds its representation and conjugate once, over every
     # slice; a theta axis builds both in one stacked call per slice, equal x or not
-    from qreflect import boundary
+    from qreflect import intertwiners
 
     built = []
 
@@ -93,7 +94,7 @@ def test_generic_scan_rows_build_one_representation_per_eps_axis(monkeypatch):
         built.append(list(xs))
         return vector_stack(n, q, xs)
 
-    monkeypatch.setattr(boundary, "vector_stack", counted)
+    monkeypatch.setattr(intertwiners, "vector_stack", counted)
     q, x, eps = complex(Q_REF), complex(X_REF), (1 + 0j, -1 + 0j, 1 + 0j)
     rows = k_scan_rows(2, q, {"x": x, "method": "generic"}, [eps] * 5)
     assert [rows(slice(k, k + 2)).shape[0] for k in (0, 2, 4)] == [2, 2, 1]
@@ -103,8 +104,8 @@ def test_generic_scan_rows_build_one_representation_per_eps_axis(monkeypatch):
     rows = k_scan_rows(2, q, {"eps": eps, "method": "generic"}, xs)
     assert rows(slice(None)).shape[0] == len(xs)
     assert [rows(slice(k, k + 2)).shape[0] for k in (0, 2)] == [2, 2]
-    conjugates = [[y, -q / y] for y in xs]
-    assert built == [sum(conjugates, []), sum(conjugates[:2], []), sum(conjugates[2:], [])]
+    assert built == [xs + [-q / y for y in xs], xs[:2] + [-q / y for y in xs[:2]],
+                     xs[2:] + [-q / y for y in xs[2:]]]
 
 
 def _vector_gens_by_loop(n, q, x):
@@ -130,8 +131,6 @@ def test_stacked_builders_are_the_one_point_builders_bit_for_bit(n, count):
     # every entry, signed zeros included, at real and complex x: the vector stack, its dual,
     # the conjugate pair a generic scan chunk builds, and coideal stacks with one eps per
     # point or one eps for all, with zero entries among the eps
-    from qreflect import boundary
-
     rng = np.random.default_rng(1000 + 40 * n + count)
     q = generic_point(rng)[0]
     xs = [complex(rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 3.0),
@@ -141,21 +140,26 @@ def test_stacked_builders_are_the_one_point_builders_bit_for_bit(n, count):
            for _ in range(count)]
     stack = vector_stack(n, q, xs)
     duals = dual_stack(stack)
-    pairs = boundary._conjugate_stacks(n, complex(q), xs)
-    by_point = coideal_stack(pairs, np.array(eps)[:, None, :])
+    pairs = reflection_pairs(n, complex(q), xs)
+    by_point = coideal_stack(pairs, np.array(eps))
     by_stack = coideal_stack(pairs, np.array(eps[0]))
     assert stack.shape == duals.shape == (count, 3, n + 1, n + 1, n + 1)
-    assert by_point.shape == by_stack.shape == (count, 2, n + 1, n + 1, n + 1)
+    assert by_point.shape == by_stack.shape == (2, count, n + 1, n + 1, n + 1)
     for p, x in enumerate(xs):
         rep = vector_rep(n, q, x)
         conjugate = reflection_dual(rep)
-        assert stack[p].tobytes() == pairs[p, 0].tobytes() == rep.gens.tobytes()
+        assert stack[p].tobytes() == pairs[0, p].tobytes() == rep.gens.tobytes()
         assert rep.gens.tobytes() == _vector_gens_by_loop(n, complex(q), x).tobytes()
         assert duals[p].tobytes() == dual_rep(rep).gens.tobytes()
-        assert pairs[p, 1].tobytes() == conjugate.gens.tobytes()
+        assert pairs[1, p].tobytes() == conjugate.gens.tobytes()
+        # the engine's conjugate: the antipode dual of the vector representation at -q/x
+        at_reflection = dual_rep(vector_rep(n, q, -complex(q) / x))
+        assert conjugate.gens.tobytes() == at_reflection.gens.tobytes()
+        assert (conjugate.n, conjugate.q, conjugate.x, conjugate.is_dual) == (
+            at_reflection.n, at_reflection.q, at_reflection.x, True)
         for side, r in enumerate((rep, conjugate)):
-            assert by_point[p, side].tobytes() == coideal_generators(r, eps[p]).tobytes()
-            assert by_stack[p, side].tobytes() == coideal_generators(r, eps[0]).tobytes()
+            assert by_point[side, p].tobytes() == coideal_generators(r, eps[p]).tobytes()
+            assert by_stack[side, p].tobytes() == coideal_generators(r, eps[0]).tobytes()
 
 
 def test_the_paper_plan_is_cached_per_n_and_read_only():
