@@ -32,8 +32,9 @@ import numpy as np
 
 from .linalg import DEFAULT_REL_TOL, NullspaceResult, block_nullspace, isclose, nullspace
 from .linalg import scale_to_pivot, stack_nullities
-from .reps import EvaluationRep, check_point, coideal_generators, coproduct_coordinates, dual_stack
-from .reps import vector_rep, vector_stack
+from .reps import PLAN_CACHE_SIZE, EvaluationRep, check_point, coideal_generators
+from .reps import _vector_gens, coproduct_coordinates, dual_stack, frozen, last_axis, vector_rep
+from .reps import vector_stack
 
 # A rank decision whose cut lies within this factor of a singular value is flagged.
 NEAR_THRESHOLD_MARGIN = 1e3
@@ -44,11 +45,6 @@ NEAR_THRESHOLD_MARGIN = 1e3
 # 309 us, N = 9 17 against 1.4 ms.  Two SVD calls and two FFTs cost ~80 us however small the
 # blocks are.
 CYCLIC_MIN_NODES = 4
-
-# Structural plans each cache keeps, least recently used first out.  A plan is keyed on
-# shapes and nonzero patterns only, never on values such as q or x.
-PLAN_CACHE_SIZE = 128
-
 
 def pattern_key(a: np.ndarray, core: int) -> tuple:
     """Shape of the last ``core`` axes of ``a``, and the bytes of where any leading slice is nonzero.
@@ -65,13 +61,6 @@ def key_pattern(key: tuple) -> np.ndarray:
     """The read-only boolean pattern of a ``pattern_key``."""
     shape, pattern = key
     return np.frombuffer(pattern, dtype=bool).reshape(shape)
-
-
-def frozen(*arrays: np.ndarray) -> tuple:
-    """The arrays, made read-only, so that a cached plan cannot be written through."""
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
 
 
 @dataclass
@@ -121,17 +110,20 @@ class RowPlan:
         Leading axes broadcast and give one (rows, cols) system each.  Only the
         cells are summed, and only the kept equations are allocated.
         """
-        lead = np.broadcast_shapes(values_in.shape[:-1], values_out.shape[:-1])
+        lead = values_in.shape[:-1]
+        if lead != values_out.shape[:-1]:
+            lead = np.broadcast_shapes(lead, values_out.shape[:-1])
         cells = np.zeros((*lead, len(self.row)), dtype=np.complex128)
         # a cell takes at most one term of each kind: 0 + in - out, as in a dense sum
-        cells[..., self.target_in] += values_in[..., self.source_in]
-        cells[..., self.target_out] -= values_out[..., self.source_out]
+        cells[last_axis(self.target_in, lead)] += values_in.take(self.source_in, axis=-1)
+        cells[last_axis(self.target_out, lead)] -= values_out.take(self.source_out, axis=-1)
+        nonzero = cells.any(axis=tuple(range(len(lead)))) if lead else cells != 0
         kept = np.zeros(self.rows, dtype=bool)
-        kept[self.row[cells.any(axis=tuple(range(len(lead))))]] = True
+        kept[self.row[nonzero]] = True
         rank = np.cumsum(kept) - 1  # row of each kept equation in the system
         cell = kept[self.row]
         system = np.zeros((*lead, np.count_nonzero(kept), self.cols), dtype=np.complex128)
-        system[..., rank[self.row[cell]], self.col[cell]] = cells[..., cell]
+        system[..., rank[self.row[cell]], self.col[cell]] = cells[last_axis(cell, lead)]
         return system
 
 
@@ -362,8 +354,11 @@ class CyclicPlan:
 
     def covariant(self, *stacks) -> bool:
         """Whether every (..., 3, nodes, nodes, nodes) stack equals its own shift, exactly."""
-        flat = (s.reshape(*s.shape[:-4], -1) for s in stacks)
-        return all((f[..., self.shift] == f).all() for f in flat)
+        for stack in stacks:
+            flat = stack.reshape(*stack.shape[:-4], -1)
+            if not (flat.take(self.shift, axis=-1) == flat).all():
+                return False
+        return True
 
     def blocks(self, values_in, values_out) -> np.ndarray:
         """The (..., N, kept, orbits) Fourier blocks of coordinate values (see ``RowPlan``).
@@ -526,22 +521,26 @@ def reflection_dual(rep: EvaluationRep) -> EvaluationRep:
     theta -> -theta reading) admits no boundary intertwiners at generic
     points; the dual built at -q/x does.  This helper returns the latter:
     the antipode dual of the vector representation at -q/x, the one-point
-    case of ``reflection_pairs``.
+    case of the conjugate half of ``reflection_pairs``.
     """
     if rep.is_dual:
         raise ValueError("reflection_dual expects a vector representation")
-    gens = reflection_pairs(rep.n, rep.q, [rep.x])[1, 0]
-    return EvaluationRep(n=rep.n, q=rep.q, x=_reflected(rep.q, rep.x), is_dual=True, gens=gens)
+    x = _reflected(rep.q, rep.x)
+    gens = dual_stack(vector_stack(rep.n, rep.q, [x]))[0]
+    return EvaluationRep(n=rep.n, q=rep.q, x=x, is_dual=True, gens=gens)
 
 
 def reflection_pairs(n: int, q: complex, xs) -> np.ndarray:
     """The ``gens`` of V(x) and its ``reflection_dual`` at validated xs, a (2, P, 3, N, N, N) stack.
 
-    One ``vector_stack`` call builds V at every x and at the point of its
-    conjugate, whose half ``dual_stack`` then dualizes.  A boundary scan
-    builds a chunk's pairs in one call.
+    (n, q) and the xs come validated (``reps.check_points``); only each
+    conjugate's -q/x is validated here, with ``check_point``'s errors.  One
+    build makes V at every x and at the point of its conjugate, whose half
+    ``dual_stack`` then dualizes.  A boundary scan builds a chunk's pairs in
+    one call.
     """
-    gens = vector_stack(n, q, list(xs) + [_reflected(q, x) for x in xs])
+    conjugates = [check_point(n, q, _reflected(q, x))[2] for x in xs]
+    gens = _vector_gens(n, q, list(xs) + conjugates)
     gens = gens.reshape(2, len(xs), *gens.shape[1:])
     gens[1] = dual_stack(gens[1])
     return gens

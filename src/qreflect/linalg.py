@@ -16,6 +16,7 @@ singular values alone, through the same values-only SVD.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -136,12 +137,23 @@ def _decide(row: list, rel_tol: float) -> tuple:
     """(rank, sigma_max, margin) of one descending list of singular values (``rank_decision``)."""
     sigma_max = row[0]
     cut = rel_tol * sigma_max
-    if not cut:  # an all-zero row, or a cut that underflows: only exact zeros are dropped
-        return len(row) - row.count(0.0), sigma_max, math.inf
-    rank = len(row) - bisect.bisect_left(row[::-1], cut)  # the kept s >= cut lead the row
+    rank = _kept(row, cut)
+    if not cut:
+        return rank, sigma_max, math.inf
     low = row[rank - 1] / cut if rank else math.inf
     high = cut / row[rank] if rank < len(row) and row[rank] else math.inf
     return rank, sigma_max, min(low, high)
+
+
+def _kept(row: list, cut: float) -> int:
+    """How many of a descending list of singular values a rank keeps at ``cut``.
+
+    Those >= cut lead the row; a zero cut (an all-zero row, or a cut that
+    underflows) drops only exact zeros.
+    """
+    if not cut:
+        return len(row) - row.count(0.0)
+    return len(row) - bisect.bisect_left(row[::-1], cut)
 
 
 def nullspace(m, rel_tol: float = DEFAULT_REL_TOL) -> NullspaceResult:
@@ -186,26 +198,29 @@ def block_nullspace(blocks: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> Nul
     """``nullspace`` of the block-diagonal matrix whose diagonal blocks are ``blocks``.
 
     ``blocks`` is a finite (N, rows, cols) complex array; finiteness is the
-    caller's to check.  One ``rank_decision`` on the merged values of one
-    values-only SVD of every block decides the rank, so the cut is rel_tol
-    times the largest singular value of any block, and ``sigma_max`` and the
-    margin are the whole matrix's.  V^H is then computed, as ``nullspace``
-    computes it, only for the blocks with a null direction.  The basis is in
-    the block-diagonal matrix's coordinates, block-major: each vector lies
-    within one block's ``cols`` entries.
+    caller's to check.  One values-only SVD of every block gives the
+    singular values, and ``rank_decision``'s rule, in Python floats, decides
+    the rank on all of them merged, so the cut is rel_tol times the largest
+    singular value of any block, and ``sigma_max`` and the margin are the
+    whole matrix's.  Each block keeps its values at that cut.  V^H is then
+    computed, as ``nullspace`` computes it, only for the blocks with a null
+    direction.  The basis is in the block-diagonal matrix's coordinates,
+    block-major: each vector lies within one block's ``cols`` entries.
     """
+    rel_tol = check_tolerance(rel_tol)
     count, _, cols = blocks.shape
-    each = np.linalg.svd(blocks, compute_uv=False)
-    rank, sigma_max, margin = (x.item() for x in rank_decision(merged_singular_values(each),
-                                                                rel_tol))
+    each = np.linalg.svd(blocks, compute_uv=False).tolist()
+    merged = sorted(itertools.chain.from_iterable(each), reverse=True) or [0.0]  # as rank_decision
+    rank, sigma_max, margin = _decide(merged, rel_tol)
     cut = rel_tol * sigma_max
-    ranks = np.count_nonzero(each >= cut if cut else each, axis=-1)  # as _decide counts
     basis = np.zeros((count * cols - rank, count, cols), dtype=np.complex128)
     found = 0
-    for k in np.flatnonzero(ranks < cols):
-        null = _right_factors(blocks[k])[1][ranks[k]:].conj()
-        basis[found:found + len(null), k] = null
-        found += len(null)
+    for k, values in enumerate(each):
+        kept = _kept(values, cut)
+        if kept < cols:
+            null = _right_factors(blocks[k])[1][kept:].conj()
+            basis[found:found + len(null), k] = null
+            found += len(null)
     return NullspaceResult(len(basis), basis.reshape(len(basis), count * cols), sigma_max, margin)
 
 
@@ -268,7 +283,7 @@ def scale_to_pivot(v: np.ndarray) -> np.ndarray:
     top = float(mods.max())
     if top == 0.0:
         raise ValueError("cannot normalize the zero matrix")
-    pivot_index = int(np.nonzero(mods >= top * (1.0 - _TIE_TOL))[0][0])
+    pivot_index = int(np.argmax(mods >= top * (1.0 - _TIE_TOL)))  # the first near-tie
     out = flat / flat[pivot_index]
     out[pivot_index] = 1.0
     return out.reshape(v.shape)

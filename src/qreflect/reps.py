@@ -17,6 +17,7 @@ and the one-point builders are their one-point cases.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import numbers
 import warnings
@@ -25,6 +26,26 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import VerificationReport, isclose, relative_defect
+
+# Structural plans each cache keeps, least recently used first out.  A plan is keyed on
+# shapes and nonzero patterns only, never on values such as q or x.
+PLAN_CACHE_SIZE = 128
+
+
+def frozen(*arrays: np.ndarray) -> tuple:
+    """The arrays, made read-only, so that a cached plan cannot be written through."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def last_axis(index, lead: tuple):
+    """``index`` as an index into the last axis of arrays with the leading axes ``lead``.
+
+    Without leading axes it is the bare index, which numpy takes by its fast
+    one-dimensional path; ``(..., index)`` costs ~1.5 us more per use.
+    """
+    return (Ellipsis, index) if lead else index
 
 
 def cartan_inner(n: int, i: int, j: int) -> int:
@@ -146,20 +167,41 @@ def _vector_gens(n: int, q: complex, xs: list) -> np.ndarray:
     """``vector_stack`` at a validated (n, q) and validated x values."""
     _warn_if_low_root_of_unity(q)
     dim = n + 1
-    i = np.arange(dim)
-    up = (i + 1) % dim
-    gens = np.zeros((len(xs), 3, dim, dim, dim), dtype=np.complex128)
-    gens[:, 0, i, up, i] = gens[:, 1, i, i, up] = 1.0  # e^{i+1}_i and e^i_{i+1} per node i
-    # whole blocks, so zeros take x's signs; 1/x in Python complex arithmetic, as a point's is
+    charges, cartan = _vector_plan(n)
+    gens = np.empty((len(xs), 3, dim, dim, dim), dtype=np.complex128)
+    # the whole unit template times (x, 1/x), so zeros take x's signs; 1/x in Python complex
+    # arithmetic, as a point's is
     scale = np.array([(x, 1.0 / x) for x in xs], dtype=np.complex128)
-    gens[:, :2] *= scale.reshape(-1, 2, 1, 1, 1)
-    gens[:, 2, :, i, i] = 1.0  # D_i: q^{-1} in slot i, q in slot i+1, 1 elsewhere
-    gens[:, 2, i, i, i] = 1.0 / q
-    gens[:, 2, i, up, up] = q
+    np.multiply(charges, scale.reshape(-1, 2, 1, 1, 1), out=gens[:, :2])
+    gens[:, 2] = np.array([0.0, 1.0, 1.0 / q, q], dtype=np.complex128)[cartan]
     return gens
 
 
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _vector_plan(n: int) -> tuple:
+    """The read-only structure of ``vector_rep`` at rank n: (charges, cartan).
+
+    ``charges`` is the (2, N, N, N) stack of Q_i and Qbar_i at x = 1: e^{i+1}_i
+    and e^i_{i+1} per node i.  ``cartan`` gives each entry of the (N, N, N)
+    q^{T_i} stack as an index into (0, 1, 1/q, q): q^{-1} in slot i, q in slot
+    i+1, 1 elsewhere on the diagonal.
+    """
+    dim = n + 1
+    i = np.arange(dim)
+    up = (i + 1) % dim
+    charges = np.zeros((2, dim, dim, dim), dtype=np.complex128)
+    charges[0, i, up, i] = charges[1, i, i, up] = 1.0
+    cartan = np.zeros((dim, dim, dim), dtype=np.intp)
+    cartan[:, i, i] = 1
+    cartan[i, i, i] = 2
+    cartan[i, up, up] = 3
+    return frozen(charges, cartan)
+
+
 def _warn_if_low_root_of_unity(q: complex) -> None:
+    # |q^k - 1| >= ||q| - 1| for every k >= 1, so a modulus this far from 1 never warns
+    if abs(abs(q) - 1.0) > 1e-6:
+        return
     for k in range(1, 7):
         if abs(q**k - 1.0) < 1e-9:
             warnings.warn(
@@ -254,13 +296,17 @@ class CoproductCoordinates:
 
     def values(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Values at the coordinates for stacks (..., 3, nodes, d, d); leading axes broadcast."""
-        x, y = (g.reshape(*g.shape[:-4], -1) for g in (x, y))
-        lead = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
+        x = x.reshape(*x.shape[:-4], -1)
+        y = y.reshape(*y.shape[:-4], -1)
+        lead = x.shape[:-1]
+        if lead != y.shape[:-1]:
+            lead = np.broadcast_shapes(lead, y.shape[:-1])
         out = np.zeros((*lead, len(self.position)), dtype=np.complex128)
         entry, x_index, y_index = self.product
-        out[..., entry] = x[..., x_index] * y[..., y_index]
+        out[last_axis(entry, lead)] = x.take(x_index, axis=-1) * y.take(y_index, axis=-1)
         entry, x_index = self.plain
-        out[..., entry] += x[..., x_index]  # the q^{T_i} x g_i term first, as the formula sums
+        # the q^{T_i} x g_i term first, as the formula sums
+        out[last_axis(entry, lead)] += x.take(x_index, axis=-1)
         return out
 
     def dense(self, values: np.ndarray) -> np.ndarray:

@@ -86,15 +86,15 @@ def test_paper_rows_are_the_family_loop_bit_for_bit():
 def test_generic_scan_rows_build_one_representation_per_eps_axis(monkeypatch):
     # an eps axis has one x and builds its representation and conjugate once, over every
     # slice; a theta axis builds both in one stacked call per slice, equal x or not
-    from qreflect import intertwiners
+    from qreflect import intertwiners, reps
 
     built = []
 
     def counted(n, q, xs):
         built.append(list(xs))
-        return vector_stack(n, q, xs)
+        return reps._vector_gens(n, q, xs)
 
-    monkeypatch.setattr(intertwiners, "vector_stack", counted)
+    monkeypatch.setattr(intertwiners, "_vector_gens", counted)
     q, x, eps = complex(Q_REF), complex(X_REF), (1 + 0j, -1 + 0j, 1 + 0j)
     rows = k_scan_rows(2, q, {"x": x, "method": "generic"}, [eps] * 5)
     assert [rows(slice(k, k + 2)).shape[0] for k in (0, 2, 4)] == [2, 2, 1]

@@ -14,7 +14,7 @@ from conftest import eps_star, generic_point
 from qreflect.boundary import solve_k, solve_paper_k
 from qreflect.checks import plain_r
 import qreflect
-from qreflect import boundary, intertwiners
+from qreflect import boundary, intertwiners, reps
 from qreflect.intertwiners import (
     _solve_stacked,
     closed_form_s,
@@ -1163,7 +1163,7 @@ def test_plan_caches_are_bounded_by_one_module_constant():
                for m in pkgutil.iter_modules(qreflect.__path__)]
     caches = {f for m in modules for f in vars(m).values() if hasattr(f, "cache_info")}
     assert caches == {intertwiners._bulk_plan, intertwiners._stack_plan,
-                      intertwiners._stack_defect_plan, boundary._paper_plan}
+                      intertwiners._stack_defect_plan, boundary._paper_plan, reps._vector_plan}
     for cache in caches:
         assert cache.cache_info().maxsize == intertwiners.PLAN_CACHE_SIZE
 
