@@ -162,6 +162,35 @@ def test_stacked_builders_are_the_one_point_builders_bit_for_bit(n, count):
             assert by_stack[side, p].tobytes() == coideal_generators(r, eps[0]).tobytes()
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_reflection_dual_is_the_conjugate_half_of_reflection_pairs_bit_for_bit(n):
+    # reflection_dual builds only the conjugate, reflection_pairs V(x) beside it: every entry,
+    # signed zeros included, at real and complex x
+    rng = np.random.default_rng(2000 + n)
+    q = complex(generic_point(rng)[0])
+    for x in (complex(rng.uniform(0.3, 3.0)), complex(-rng.uniform(0.3, 3.0), 0.0),
+              complex(-rng.uniform(0.3, 3.0), -0.0), complex(rng.normal(), rng.normal())):
+        conjugate = reflection_dual(vector_rep(n, q, x))
+        assert conjugate.gens.tobytes() == reflection_pairs(n, q, [x])[1, 0].tobytes()
+        assert (conjugate.n, conjugate.q, conjugate.x, conjugate.is_dual) == (n, q, -q / x, True)
+
+
+@pytest.mark.parametrize("x", [0.0, float("nan"), float("inf"), 1e-320],
+                         ids=["zero", "nan", "inf", "overflowing-reflection"])
+def test_generic_boundary_paths_reject_a_bad_point_with_check_points_error(x):
+    # a generic scan validates each x once, and reflection_pairs only each -q/x; x = 1e-320
+    # is finite and nonzero, but its -q/x overflows
+    eps = (1 + 0j, 1 + 0j)
+    with np.errstate(all="ignore"):
+        for solve in (lambda: dimension_scan("boundary", {"n": 1, "q": Q_REF, "eps": eps,
+                                                           "method": "generic"}, [1.5, x]),
+                      lambda: dimension_scan("boundary", {"n": 1, "q": Q_REF, "x": x,
+                                                           "method": "generic"}, [eps]),
+                      lambda: solve_k(1, Q_REF, x, eps, "generic")):
+            with pytest.raises(ValueError, match="^q and x must be finite and nonzero$"):
+                solve()
+
+
 def test_the_paper_plan_is_cached_per_n_and_read_only():
     from qreflect import boundary
 

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from qreflect.linalg import (
+    NullspaceResult,
+    _right_factors,
     block_nullspace,
     embed_on_legs,
     flip_operator,
@@ -285,6 +287,57 @@ def test_rank_decision_is_the_numpy_rule_bit_for_bit():
             for got, expected in zip(decided, _numpy_rank_decision(s, rel_tol)):
                 assert got.dtype == expected.dtype and got.shape == expected.shape
                 assert got.tobytes() == expected.tobytes(), (s, rel_tol)
+
+
+def _numpy_block_nullspace(blocks, rel_tol):
+    """``block_nullspace``'s decision in numpy: the merged values under ``_numpy_rank_decision``,
+    and each block's rank counted at the one cut.  Returns (ranks, NullspaceResult)."""
+    count, _, cols = blocks.shape
+    each = np.linalg.svd(blocks, compute_uv=False)
+    rank, sigma_max, margin = (x.item() for x in _numpy_rank_decision(
+        merged_singular_values(each), rel_tol))
+    cut = rel_tol * sigma_max
+    ranks = np.count_nonzero(each >= cut if cut else each, axis=-1)
+    basis = np.zeros((count * cols - rank, count, cols), dtype=np.complex128)
+    found = 0
+    for k in np.flatnonzero(ranks < cols):
+        null = _right_factors(blocks[k])[1][ranks[k]:].conj()
+        basis[found:found + len(null), k] = null
+        found += len(null)
+    return ranks, NullspaceResult(len(basis), basis.reshape(len(basis), count * cols),
+                                  sigma_max, margin)
+
+
+def test_block_nullspace_decides_as_the_numpy_rule_bit_for_bit():
+    # random stacks whose blocks differ in rank and scale, blocks without rows, all-zero
+    # blocks and stacks, and singular values exactly on the cut; the Python-float decision
+    # gives the numpy rule's dimension, sigma_max, margin and basis, and so its block ranks
+    rng = np.random.default_rng(19)
+    on_cut = np.zeros((3, 3, 2), dtype=np.complex128)
+    on_cut[0, :2, :2] = np.diag([1.0, 1e-9])  # 1e-9 = 1e-9 * sigma_max: kept
+    on_cut[1, :2, :2] = np.diag([0.5, 1e-9])
+    on_cut[2, 0, 0] = 1e-9 * (1 - 2 ** -52)  # just under the cut: dropped
+    assert 1e-9 in np.linalg.svd(on_cut, compute_uv=False)
+    with_zero = _blocks_of_rank(rng, [2, 1, 3], 4, 3)
+    with_zero[1] = 0.0
+    cases = [on_cut, with_zero, np.zeros((3, 0, 4)), np.zeros((2, 5, 4)),
+             np.zeros((1, 1, 1)), _blocks_of_rank(rng, [1], 1, 1)]
+    for _ in range(60):
+        count, rows, cols = rng.integers(1, 5), rng.integers(1, 8), rng.integers(1, 6)
+        blocks = _blocks_of_rank(rng, rng.integers(0, min(rows, cols) + 1, count), rows, cols)
+        blocks *= 10.0 ** rng.integers(-12, 3, count)[:, None, None]
+        cases.append(blocks)
+    for rel_tol in (1e-9, 1e-320, 0.5, 2.0):
+        for blocks in cases:
+            ranks, expected = _numpy_block_nullspace(blocks, rel_tol)
+            got = block_nullspace(blocks, rel_tol)
+            assert got.dimension == expected.dimension == blocks.shape[0] * blocks.shape[2] - (
+                ranks.sum())
+            assert type(got.sigma_max) is float and type(got.margin) is float
+            assert (got.sigma_max, got.margin) == (expected.sigma_max, expected.margin)
+            assert got.basis.tobytes() == expected.basis.tobytes(), (blocks.shape, rel_tol)
+    on_cut_ranks, _ = _numpy_block_nullspace(on_cut, 1e-9)
+    assert list(on_cut_ranks) == [2, 2, 0] and block_nullspace(on_cut).dimension == 2
 
 
 @pytest.mark.parametrize("rel_tol", [0.0, -1e-9, float("nan"), float("inf")])

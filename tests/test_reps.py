@@ -288,6 +288,45 @@ def test_vector_stack_warns_once_near_a_low_root_of_unity():
     assert len(record) == 1 and stack.shape == (3, 3, 2, 2, 2)
 
 
+def test_the_root_of_unity_warning_skips_only_moduli_that_cannot_warn():
+    # a modulus more than 1e-6 from 1 returns before the powers; the warning fires exactly
+    # where the loop over q^k, k = 1..6, fires, for q on, near and off the unit circle
+    import warnings
+
+    from qreflect import reps
+
+    def loop_rule(q):
+        return next((k for k in range(1, 7) if abs(q**k - 1.0) < 1e-9), None)
+
+    rng = np.random.default_rng(6)
+    qs = [np.exp(2j * np.pi * j / k) * (1 + d) for k in range(1, 9) for j in range(k)
+          for d in (0.0, 1e-12, -1e-11, 1e-10, 1e-9, 1e-6, -1.1e-6)]
+    qs += list(rng.uniform(0.5, 1.5, 40) * np.exp(2j * np.pi * rng.random(40)))
+    for q in map(complex, qs):
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            reps._warn_if_low_root_of_unity(q)
+        order = loop_rule(q)
+        assert len(record) == (order is not None), q
+        if order is not None:
+            assert f"order {order};" in str(record[0].message)
+        if abs(abs(q) - 1.0) > 1e-6:
+            assert order is None
+
+
+def test_the_vector_plan_is_cached_per_n_and_read_only():
+    from qreflect import reps
+
+    vector_rep(3, 0.8 * np.exp(0.3j), 2.0)
+    plan = reps._vector_plan(3)
+    vector_stack(3, 0.5j, [1.5, -2j])
+    assert reps._vector_plan(3) is plan
+    for arr in plan:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[...] = 0
+
+
 def test_check_relations_nan_generator_fails():
     rep = vector_rep(1, 0.8 * np.exp(0.3j), 2.0)
     rep.Q[0] = np.full((2, 2), np.nan)
