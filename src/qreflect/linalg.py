@@ -210,7 +210,8 @@ def block_nullspace(blocks: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> Nul
     rel_tol = check_tolerance(rel_tol)
     count, _, cols = blocks.shape
     each = np.linalg.svd(blocks, compute_uv=False).tolist()
-    merged = sorted(itertools.chain.from_iterable(each), reverse=True) or [0.0]  # as rank_decision
+    # blocks without rows have no singular values: one zero, as rank_decision reads them
+    merged = sorted(itertools.chain.from_iterable(each), reverse=True) or [0.0]
     rank, sigma_max, margin = _decide(merged, rel_tol)
     cut = rel_tol * sigma_max
     basis = np.zeros((count * cols - rank, count, cols), dtype=np.complex128)

@@ -43,7 +43,7 @@ def last_axis(index, lead: tuple):
     """``index`` as an index into the last axis of arrays with the leading axes ``lead``.
 
     Without leading axes it is the bare index, which numpy takes by its fast
-    one-dimensional path; ``(..., index)`` costs ~1.5 us more per use.
+    one-dimensional path rather than the general one that ``(..., index)`` takes.
     """
     return (Ellipsis, index) if lead else index
 
