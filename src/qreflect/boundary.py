@@ -13,6 +13,11 @@ has a one-dimensional solution space whose representative is given in
 closed form by ``closed_form_k``; eps = 0 forces K proportional to the
 identity; other moduli leave no solution.  These claims are exercised, not
 assumed, by the test suite.
+
+The family rows are written from a per-n layout (``_paper_plan``) and each
+point's handful of coefficients.  The "generic" method, the antipode-dual
+engine system, is built the same way, by ``intertwiners.reflection_rows``
+on its own per-n plan; ``solve_k`` and boundary scans read both from here.
 """
 
 from __future__ import annotations
@@ -27,9 +32,9 @@ import numpy as np
 from .linalg import DEFAULT_REL_TOL, as_matrix, check_tolerance, normalize_solution
 from .linalg import projective_compare
 from .linalg import nullspace  # noqa: F401  (bench/test_bench.py traces it in this namespace)
-from .intertwiners import PLAN_CACHE_SIZE, IntertwinerSolution, frozen, reflection_dual
-from .intertwiners import reflection_pairs, solve_boundary, solve_system, sylvester_rows
-from .reps import as_boundary_params, check_point, check_points, coideal_stack, vector_rep
+from .intertwiners import PLAN_CACHE_SIZE, IntertwinerSolution, frozen, reflection_coefficients
+from .intertwiners import reflection_dual, reflection_rows, solve_reflection, solve_system
+from .reps import as_boundary_params, check_point, check_points, vector_rep
 
 
 # Every K method and the ``convention`` label of its documents.  ``solve_k`` and scans
@@ -101,11 +106,11 @@ def k_scan_rows(n: int, q: complex, fixed: dict, grid: list):
     holds x values at that eps (a theta axis), otherwise eps tuples at
     ``fixed["x"]`` (an eps axis).  Every point is validated before any rows
     are built.  ``fixed["method"]`` (default ``DEFAULT_K_METHOD``) picks the
-    rows: "paper" writes the family rows; "generic" takes each point's
-    coideal stacks on the representation at x and its ``reflection_dual``,
-    as ``solve_k`` does, and the points of a slice share one Sylvester row
-    set.  A theta axis builds a slice's representations in one stacked call;
-    an eps axis has one x, so it builds that pair once and broadcasts eps.
+    rows: "paper" writes the family rows; "generic" gathers each point's
+    ``reflection_coefficients`` into the cached ``reflection_rows`` plan, as
+    ``solve_k`` does, and the points of a slice share one row set.  A theta
+    axis builds a slice's coefficients in one call; an eps axis builds the
+    whole grid's once, at its one x, and each slice takes its rows.
     """
     method = fixed.get("method", DEFAULT_K_METHOD)
     if "eps" in fixed:
@@ -119,19 +124,11 @@ def k_scan_rows(n: int, q: complex, fixed: dict, grid: list):
         return lambda chunk: _paper_rows(n, q, xs[chunk], eps[chunk])
     if method != "generic":
         raise ValueError(f"unknown boundary method {method!r}")
-    full = np.ones((n + 1, n + 1), dtype=bool)
     if "eps" in fixed:
-        params = np.array(eps[0])
-
-        def pairs(chunk):
-            return coideal_stack(reflection_pairs(n, q, xs[chunk]), params)
-    else:
-        conjugates, params = reflection_pairs(n, q, xs[:1]), np.array(eps)
-
-        def pairs(chunk):
-            return coideal_stack(conjugates, params[chunk])
-
-    return lambda chunk: sylvester_rows(*pairs(chunk), full)
+        params = np.array(eps[:1])
+        return lambda chunk: reflection_rows(n, reflection_coefficients(n, q, xs[chunk], params))
+    coefficients = reflection_coefficients(n, q, xs[:1], np.array(eps))
+    return lambda chunk: reflection_rows(n, coefficients[chunk])
 
 
 def solve_paper_k(
@@ -156,13 +153,13 @@ def solve_k(n: int, q: complex, x: complex, eps, method: str = DEFAULT_K_METHOD,
 
     "paper" solves the explicit family system (``solve_paper_k``);
     "generic" solves the antipode-dual engine system with the conjugate
-    from ``reflection_dual`` (``solve_boundary``).
+    from ``reflection_dual`` (``solve_reflection``).
     """
     if method == "paper":
         return solve_paper_k(n, q, x, eps, rel_tol)
     if method == "generic":
         rep = vector_rep(n, q, x)
-        return solve_boundary(rep, reflection_dual(rep), eps, rel_tol)
+        return solve_reflection(rep, reflection_dual(rep), eps, rel_tol)
     raise ValueError(f"unknown boundary method {method!r}")
 
 

@@ -10,6 +10,14 @@ patterns and the support alone, never on q or x: it is planned once per
 structure and cached (``RowPlan``), and a solve or scan chunk only gathers
 its values into the plan.
 
+The generic boundary system, K Qhat_i(x) = Qhat_i(conjugate) K with the
+conjugate of ``reflection_dual``, has one structure per rank: its plan is
+keyed on n alone (``_reflection_plan``), and a point contributes a few
+coefficients, not two dense stacks (``reflection_coefficients``).  Scans,
+``boundary.solve_k`` and ``engine_point`` build its rows this one way
+(``reflection_rows``); ``solve_boundary`` keeps the Sylvester rows of any
+two stacks, which the rows equal bit for bit.
+
 The bulk generators are covariant under the cyclic Z_N symmetry of the
 a_n^(1) diagram: with C the shift e_r -> e_{r+1 mod N} on each leg,
 C g_i C^T = g_{i+1 mod N} exactly.  When the factors' nonzero patterns and
@@ -32,9 +40,9 @@ import numpy as np
 
 from .linalg import DEFAULT_REL_TOL, NullspaceResult, block_nullspace, isclose, nullspace
 from .linalg import scale_to_pivot, stack_nullities
-from .reps import PLAN_CACHE_SIZE, EvaluationRep, check_point, coideal_generators
-from .reps import _vector_gens, coproduct_coordinates, dual_stack, frozen, last_axis, vector_rep
-from .reps import vector_stack
+from .reps import PLAN_CACHE_SIZE, EvaluationRep, as_boundary_params, check_point
+from .reps import coideal_generators, coideal_stack, coproduct_coordinates, dual_stack, frozen
+from .reps import last_axis, vector_rep, vector_stack
 
 # A rank decision whose cut lies within this factor of a singular value is flagged.
 NEAR_THRESHOLD_MARGIN = 1e3
@@ -113,6 +121,8 @@ class RowPlan:
         lead = values_in.shape[:-1]
         if lead != values_out.shape[:-1]:
             lead = np.broadcast_shapes(lead, values_out.shape[:-1])
+        elif lead == (1,):  # one system, which numpy's one-dimensional indexing builds faster
+            return self.assemble(values_in[0], values_out[0])[None]
         cells = np.zeros((*lead, len(self.row)), dtype=np.complex128)
         # a cell takes at most one term of each kind: 0 + in - out, as in a dense sum
         cells[last_axis(self.target_in, lead)] += values_in.take(self.source_in, axis=-1)
@@ -206,13 +216,18 @@ def _scored(ns: NullspaceResult, residual, flags) -> IntertwinerSolution:
     return solution
 
 
-def _solve_stacked(m_in, m_out, rel_tol):
-    """Solve X m_in[g] = m_out[g] X for every g, on every entry of X."""
+def _solve_stacked(m_in, m_out, rel_tol, rows=None):
+    """Solve X m_in[g] = m_out[g] X for every g, on every entry of X.
+
+    ``rows`` are the stacks' ``sylvester_rows``, built from them unless given.
+    """
     support = np.ones((m_out.shape[1], m_in.shape[1]), dtype=bool)
     residual = functools.partial(intertwining_residual,
                                  plan=_stack_defect_plan(m_in.shape, m_out.shape),
                                  values_in=m_in.reshape(-1), values_out=m_out.reshape(-1))
-    return solve_system(sylvester_rows(m_in, m_out, support), support, rel_tol, residual)
+    if rows is None:
+        rows = sylvester_rows(m_in, m_out, support)
+    return solve_system(rows, support, rel_tol, residual)
 
 
 @dataclass(frozen=True)
@@ -495,7 +510,8 @@ def solve_boundary(
     Qhat_i = Q_i + Qbar_i + eps_i q^{T_i}, with pibar acting on whatever
     conjugate representation the caller supplies.  The solvable locus in
     (x, dual parameter, eps) is an empirical matter; see reflection_dual
-    for the convention under which solutions exist.
+    for the convention under which solutions exist.  With that conjugate,
+    ``solve_reflection`` solves the same system from ``reflection_rows``.
     """
     if not rep.same_algebra(dual):
         raise ValueError("boundary system requires matching (n, q)")
@@ -520,8 +536,7 @@ def reflection_dual(rep: EvaluationRep) -> EvaluationRep:
     The antipode dual built at spectral parameter 1/x (the naive
     theta -> -theta reading) admits no boundary intertwiners at generic
     points; the dual built at -q/x does.  This helper returns the latter:
-    the antipode dual of the vector representation at -q/x, the one-point
-    case of the conjugate half of ``reflection_pairs``.
+    the antipode dual of the vector representation at -q/x.
     """
     if rep.is_dual:
         raise ValueError("reflection_dual expects a vector representation")
@@ -530,25 +545,82 @@ def reflection_dual(rep: EvaluationRep) -> EvaluationRep:
     return EvaluationRep(n=rep.n, q=rep.q, x=x, is_dual=True, gens=gens)
 
 
-def reflection_pairs(n: int, q: complex, xs) -> np.ndarray:
-    """The ``gens`` of V(x) and its ``reflection_dual`` at validated xs, a (2, P, 3, N, N, N) stack.
-
-    (n, q) and the xs come validated (``reps.check_points``); only each
-    conjugate's -q/x is validated here, with ``check_point``'s errors.  One
-    build makes V at every x and at the point of its conjugate, whose half
-    ``dual_stack`` then dualizes.  A boundary scan builds a chunk's pairs in
-    one call.
-    """
-    conjugates = [check_point(n, q, _reflected(q, x))[2] for x in xs]
-    gens = _vector_gens(n, q, list(xs) + conjugates)
-    gens = gens.reshape(2, len(xs), *gens.shape[1:])
-    gens[1] = dual_stack(gens[1])
-    return gens
-
-
 def _reflected(q: complex, x: complex) -> complex:
     """The spectral parameter -q/x of the conjugate ``reflection_dual`` builds for V(x)."""
     return -q / x
+
+
+def reflection_coefficients(n: int, q: complex, xs, eps: np.ndarray) -> np.ndarray:
+    """The values of the coideal stacks of V(x) and its ``reflection_dual``, one (P, K) row each.
+
+    (n, q) and the xs come validated (``reps.check_points``), and so does
+    eps, a (P or 1, nodes) array whose one row serves every x; one x serves
+    every eps row.  Only each conjugate's y = -q/x is validated here, with
+    ``check_point``'s errors.  The columns are x and 1/x (V's Q_i and
+    Qbar_i), -(1/q) y and -(1/(1/q)) (1/y) (the conjugate's, -D_i^{-1} g
+    transposed), then per node i eps_i times (1, 1/q, q), V's q^{T_i}
+    entries, and times their reciprocals, the conjugate's.  Reciprocals of points are taken in Python
+    complex arithmetic, as ``vector_stack`` takes them, and products and the
+    reciprocals of (1, 1/q, q) by numpy, as ``dual_stack`` and
+    ``coideal_stack`` form them, so every value is theirs bit for bit.
+    """
+    conjugates = [check_point(n, q, _reflected(q, x))[2] for x in xs]
+    points = np.array([(x, 1.0 / x, y, 1.0 / y) for x, y in zip(xs, conjugates)],
+                      dtype=np.complex128)
+    cartan = np.array([1.0, 1.0 / q, q], dtype=np.complex128)
+    factors = np.concatenate((cartan, 1.0 / cartan))  # q^{T_i} entries of V, then of the conjugate
+    out = np.empty((max(len(points), len(eps)), 4 + 6 * (n + 1)), dtype=np.complex128)
+    out[:, :2] = points[:, :2]
+    out[:, 2:4] = -(factors[5:3:-1] * points[:, 2:])  # the conjugate's D_i^{-1} at slots i+1, i
+    out[:, 4:] = (eps[:, :, None] * factors).reshape(len(eps), -1)
+    return out
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _reflection_plan(n: int) -> RowPlan:
+    """``RowPlan`` of the generic K rows at rank n; sources index ``reflection_coefficients``.
+
+    V's Qhat_i has x at (i+1, i), 1/x at (i, i+1) and eps_i q^{T_i} on the
+    diagonal; the conjugate's has its Q_i at (i, i+1) and its Qbar_i at
+    (i+1, i).  It depends on n alone, so it is derived once per n and cached.
+    """
+    dim = n + 1
+    i = np.arange(dim)
+    up = (i + 1) % dim
+    node, slot = np.repeat(i, dim), np.tile(i, dim)
+    power = (slot == node) + 2 * (slot == up[node])  # slot of (1, 1/q, q) in q^{T_node}
+    diagonal = node * dim * dim + slot * (dim + 1)
+    lower, upper = (i * dim + up) * dim + i, (i * dim + i) * dim + up
+    plan = _row_plan(np.concatenate((lower, upper, diagonal)),
+                     np.concatenate((upper, lower, diagonal)), (dim,) * 3, (dim,) * 3,
+                     np.ones((dim, dim), dtype=bool))
+    column = 4 + 6 * node + power
+    source_in = np.concatenate((0 * i, 0 * i + 1, column))[plan.source_in]
+    source_out = np.concatenate((0 * i + 2, 0 * i + 3, column + 3))[plan.source_out]
+    return replace(plan, **dict(zip(("source_in", "source_out"),
+                                    frozen(source_in, source_out))))
+
+
+def reflection_rows(n: int, coefficients: np.ndarray) -> np.ndarray:
+    """The generic K system of ``reflection_coefficients``, one (rows, N*N) system per row.
+
+    Point p's system is ``sylvester_rows`` of its two coideal stacks bit for
+    bit, once all-zero rows are dropped; the points share one row set.
+    """
+    return _reflection_plan(n).assemble(coefficients, coefficients)
+
+
+def solve_reflection(rep: EvaluationRep, conjugate: EvaluationRep, eps,
+                     rel_tol: float = DEFAULT_REL_TOL) -> IntertwinerSolution:
+    """``solve_boundary(rep, conjugate, eps, rel_tol)`` for conjugate = ``reflection_dual(rep)``.
+
+    The rows come from ``reflection_rows``, as a boundary scan's do; the
+    residual is scored on the two coideal stacks.
+    """
+    params = np.array(as_boundary_params(eps, rep.n))
+    rows = reflection_rows(rep.n, reflection_coefficients(rep.n, rep.q, [rep.x], params[None]))
+    m_in, m_out = coideal_stack(rep.gens, params), coideal_stack(conjugate.gens, params)
+    return _solve_stacked(m_in, m_out, rel_tol, rows[0])
 
 
 def engine_point(n: int, q: complex, thetas, eps) -> dict:
@@ -563,8 +635,8 @@ def engine_point(n: int, q: complex, thetas, eps) -> dict:
     mu, nu = (vector_rep(n, q, cmath.exp(t)) for t in thetas[:2])
     mub, nub = reflection_dual(mu), reflection_dual(nu)
     solved = {
-        "k_mu": solve_boundary(mu, mub, eps),
-        "k_nu": solve_boundary(nu, nub, eps),
+        "k_mu": solve_reflection(mu, mub, eps),
+        "k_nu": solve_reflection(nu, nub, eps),
     }
     channels = {"s_mn": (mu, nu), "s_m_nb": (mu, nub), "s_n_mb": (nu, mub), "s_nb_mb": (nub, mub)}
     if len(thetas) > 2:
@@ -626,6 +698,6 @@ def dimension_scan(kind: str, fixed: dict, grid) -> ScanResult:
     dims, margins = [], []
     for start in range(0, len(grid), SCAN_CHUNK):
         nullity, margin = stack_nullities(rows(slice(start, start + SCAN_CHUNK)))
-        dims += nullity.tolist()
-        margins += margin.tolist()
+        dims += nullity
+        margins += margin
     return ScanResult(dims=dims, margins=margins)

@@ -225,12 +225,14 @@ def block_nullspace(blocks: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> Nul
     return NullspaceResult(len(basis), basis.reshape(len(basis), count * cols), sigma_max, margin)
 
 
-def stack_nullities(stack):
+def stack_nullities(stack) -> tuple:
     """Nullspace dimensions and margins of a stack of systems, from singular values only.
 
     A (points, rows, cols) stack holds one matrix per point; a (points, N,
     rows, cols) stack holds each point's block-diagonal matrix as its N
-    diagonal blocks, ranked as ``block_nullspace`` ranks them.
+    diagonal blocks, ranked as ``block_nullspace`` ranks them.  Each point is
+    decided in Python floats by ``rank_decision``'s rule; the dimensions and
+    margins come as two lists.
     """
     if not np.isfinite(stack).all():
         raise ValueError("matrix has non-finite entries")
@@ -238,8 +240,9 @@ def stack_nullities(stack):
     cols = stack.shape[-1]
     if stack.ndim == 4:
         s, cols = merged_singular_values(s), cols * stack.shape[1]
-    rank, _, margin = rank_decision(s)
-    return cols - rank, margin
+    # a matrix without rows has no singular values: one zero, as rank_decision reads it
+    decided = [_decide(row or [0.0], DEFAULT_REL_TOL) for row in s.tolist()]
+    return [cols - rank for rank, _, _ in decided], [margin for _, _, margin in decided]
 
 
 def projective_compare(a, b, tol: float):

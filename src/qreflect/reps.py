@@ -122,12 +122,13 @@ class EvaluationRep:
 def check_point(n: int, q: complex, x: complex) -> tuple:
     """Validate one point (n, q, x) and return it as (int, complex, complex).
 
-    n must be an integer >= 1, and not a bool; q and x must be finite and nonzero.
+    n must be an integer >= 1, and not a bool; q and x must be finite and nonzero, and so
+    must their reciprocals, which the generators hold (|x| below ~5.6e-309 overflows 1/x).
     """
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
         raise ValueError(f"rank index n must be an integer >= 1, got {n!r}")
     q, x = complex(q), complex(x)
-    if not (cmath.isfinite(q) and cmath.isfinite(x)) or q == 0 or x == 0:
+    if q == 0 or x == 0 or not all(map(cmath.isfinite, (q, x, 1.0 / q, 1.0 / x))):
         raise ValueError("q and x must be finite and nonzero")
     return int(n), q, x
 

@@ -13,8 +13,9 @@ from qreflect.boundary import (
     solve_k,
     solve_paper_k,
 )
-from qreflect.intertwiners import dimension_scan, reflection_dual, reflection_pairs
-from qreflect.intertwiners import solve_boundary
+from qreflect.intertwiners import dimension_scan, reflection_coefficients, reflection_dual
+from qreflect.intertwiners import reflection_rows, solve_boundary, solve_reflection
+from qreflect.intertwiners import sylvester_rows
 from qreflect.linalg import projective_compare
 from qreflect.reps import coideal_generators, coideal_stack, dual_rep, dual_stack, vector_rep
 from qreflect.reps import vector_stack
@@ -84,28 +85,27 @@ def test_paper_rows_are_the_family_loop_bit_for_bit():
 
 
 def test_generic_scan_rows_build_one_representation_per_eps_axis(monkeypatch):
-    # an eps axis has one x and builds its representation and conjugate once, over every
-    # slice; a theta axis builds both in one stacked call per slice, equal x or not
-    from qreflect import intertwiners, reps
+    # an eps axis has one x and builds its coefficients once, at every eps of the grid, over
+    # every slice; a theta axis builds a slice's coefficients in one call, equal x or not
+    from qreflect import boundary
 
     built = []
 
-    def counted(n, q, xs):
-        built.append(list(xs))
-        return reps._vector_gens(n, q, xs)
+    def counted(n, q, xs, eps):
+        built.append((list(xs), eps.shape[0]))
+        return reflection_coefficients(n, q, xs, eps)
 
-    monkeypatch.setattr(intertwiners, "_vector_gens", counted)
+    monkeypatch.setattr(boundary, "reflection_coefficients", counted)
     q, x, eps = complex(Q_REF), complex(X_REF), (1 + 0j, -1 + 0j, 1 + 0j)
     rows = k_scan_rows(2, q, {"x": x, "method": "generic"}, [eps] * 5)
     assert [rows(slice(k, k + 2)).shape[0] for k in (0, 2, 4)] == [2, 2, 1]
-    assert built == [[x, -q / x]]
+    assert built == [([x], 5)]
     built.clear()
     xs = [x, x, 2 + 0j, x]
     rows = k_scan_rows(2, q, {"eps": eps, "method": "generic"}, xs)
     assert rows(slice(None)).shape[0] == len(xs)
     assert [rows(slice(k, k + 2)).shape[0] for k in (0, 2)] == [2, 2]
-    assert built == [xs + [-q / y for y in xs], xs[:2] + [-q / y for y in xs[:2]],
-                     xs[2:] + [-q / y for y in xs[2:]]]
+    assert built == [(xs, 1), (xs[:2], 1), (xs[2:], 1)]
 
 
 def _vector_gens_by_loop(n, q, x):
@@ -129,7 +129,7 @@ def _vector_gens_by_loop(n, q, x):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_stacked_builders_are_the_one_point_builders_bit_for_bit(n, count):
     # every entry, signed zeros included, at real and complex x: the vector stack, its dual,
-    # the conjugate pair a generic scan chunk builds, and coideal stacks with one eps per
+    # the stack of conjugates at every -q/x, and coideal stacks of both with one eps per
     # point or one eps for all, with zero entries among the eps
     rng = np.random.default_rng(1000 + 40 * n + count)
     q = generic_point(rng)[0]
@@ -140,7 +140,7 @@ def test_stacked_builders_are_the_one_point_builders_bit_for_bit(n, count):
            for _ in range(count)]
     stack = vector_stack(n, q, xs)
     duals = dual_stack(stack)
-    pairs = reflection_pairs(n, complex(q), xs)
+    pairs = np.array([stack, dual_stack(vector_stack(n, q, [-complex(q) / x for x in xs]))])
     by_point = coideal_stack(pairs, np.array(eps))
     by_stack = coideal_stack(pairs, np.array(eps[0]))
     assert stack.shape == duals.shape == (count, 3, n + 1, n + 1, n + 1)
@@ -148,7 +148,7 @@ def test_stacked_builders_are_the_one_point_builders_bit_for_bit(n, count):
     for p, x in enumerate(xs):
         rep = vector_rep(n, q, x)
         conjugate = reflection_dual(rep)
-        assert stack[p].tobytes() == pairs[0, p].tobytes() == rep.gens.tobytes()
+        assert stack[p].tobytes() == rep.gens.tobytes()
         assert rep.gens.tobytes() == _vector_gens_by_loop(n, complex(q), x).tobytes()
         assert duals[p].tobytes() == dual_rep(rep).gens.tobytes()
         assert pairs[1, p].tobytes() == conjugate.gens.tobytes()
@@ -164,22 +164,89 @@ def test_stacked_builders_are_the_one_point_builders_bit_for_bit(n, count):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_reflection_dual_is_the_conjugate_half_of_reflection_pairs_bit_for_bit(n):
-    # reflection_dual builds only the conjugate, reflection_pairs V(x) beside it: every entry,
-    # signed zeros included, at real and complex x
+    # reflection_dual builds only the conjugate: the dual half of one stacked build of V at x
+    # and at -q/x, every entry, signed zeros included, at real and complex x
     rng = np.random.default_rng(2000 + n)
     q = complex(generic_point(rng)[0])
     for x in (complex(rng.uniform(0.3, 3.0)), complex(-rng.uniform(0.3, 3.0), 0.0),
               complex(-rng.uniform(0.3, 3.0), -0.0), complex(rng.normal(), rng.normal())):
-        conjugate = reflection_dual(vector_rep(n, q, x))
-        assert conjugate.gens.tobytes() == reflection_pairs(n, q, [x])[1, 0].tobytes()
+        rep = vector_rep(n, q, x)
+        conjugate = reflection_dual(rep)
+        pair = vector_stack(n, q, [x, -q / x])
+        assert rep.gens.tobytes() == pair[0].tobytes()
+        assert conjugate.gens.tobytes() == dual_stack(pair)[1].tobytes()
         assert (conjugate.n, conjugate.q, conjugate.x, conjugate.is_dual) == (n, q, -q / x, True)
+
+
+def _sylvester_reference(n, q, x, eps):
+    """The generic K system of one point as ``solve_boundary`` builds it, on every entry of K."""
+    rep = vector_rep(n, q, x)
+    m_in, m_out = (coideal_generators(r, eps) for r in (rep, reflection_dual(rep)))
+    return sylvester_rows(m_in, m_out, np.ones((n + 1, n + 1), dtype=bool))
+
+
+def _without_zero_rows(rows):
+    return rows[rows.any(axis=1)]
+
+
+@pytest.mark.parametrize("count", [1, 7, 33])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_reflection_rows_are_the_sylvester_rows_of_the_coideal_stacks_bit_for_bit(n, count):
+    # each point's slice of a chunk, without its all-zero rows, is the Sylvester system of
+    # its two coideal stacks, every byte: x real, negative with +-0 imaginary part, and
+    # complex; eps with 0, -0, +-1 and random complex entries, one per point or one for all
+    rng = np.random.default_rng(3000 + 40 * n + count)
+    q = complex(generic_point(rng)[0])
+    xs = [complex(rng.uniform(0.3, 3.0)) if k % 3 == 0 else
+          complex(-rng.uniform(0.3, 3.0), rng.choice([0.0, -0.0])) if k % 3 == 1 else
+          complex(rng.normal(), rng.normal()) for k in range(count)]
+    eps = [tuple(complex(rng.choice([0.0, -0.0, 1.0, -1.0, rng.normal()]),
+                         rng.choice([0.0, -0.0, rng.normal()])) for _ in range(n + 1))
+           for _ in range(count)]
+    eps[0] = (0j,) * (n + 1)
+    by_point = reflection_rows(n, reflection_coefficients(n, q, xs, np.array(eps)))
+    by_x = reflection_rows(n, reflection_coefficients(n, q, xs, np.array(eps[-1:])))
+    by_eps = reflection_rows(n, reflection_coefficients(n, q, xs[-1:], np.array(eps)))
+    assert len(by_point) == len(by_x) == len(by_eps) == count
+    assert by_point.shape[-1] == (n + 1) ** 2
+    for p, (x, e) in enumerate(zip(xs, eps)):
+        for rows, point in ((by_point, (x, e)), (by_x, (x, eps[-1])), (by_eps, (xs[-1], e))):
+            expected = _sylvester_reference(n, q, *point)
+            assert _without_zero_rows(rows[p]).tobytes() == expected.tobytes()
+    # a one-point solve ranks those rows, and scores its residual on the coideal stacks
+    rep = vector_rep(n, q, xs[-1])
+    for e in (eps[-1], eps[0]):
+        ours, theirs = (solve(rep, reflection_dual(rep), e)
+                        for solve in (solve_reflection, solve_boundary))
+        assert ours.dimension == theirs.dimension
+        assert ours.nullspace.basis.tobytes() == theirs.nullspace.basis.tobytes()
+        assert (ours.nullspace.sigma_max, ours.nullspace.margin, ours.flags) == (
+            theirs.nullspace.sigma_max, theirs.nullspace.margin, theirs.flags)
+        assert np.array_equal(ours.residual, theirs.residual, equal_nan=True)
+        if ours.normalized is not None:
+            assert ours.normalized.tobytes() == theirs.normalized.tobytes()
+
+
+def test_the_reflection_plan_is_cached_per_n_and_read_only():
+    from qreflect import intertwiners
+
+    coefficients = reflection_coefficients(3, complex(Q_REF), [complex(X_REF)], np.ones((1, 4)))
+    reflection_rows(3, coefficients)
+    plan = intertwiners._reflection_plan(3)
+    reflection_rows(3, 2 * coefficients)
+    assert intertwiners._reflection_plan(3) is plan
+    for arr in (plan.row, plan.col, plan.source_in, plan.target_in, plan.source_out,
+                plan.target_out):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[...] = 0
 
 
 @pytest.mark.parametrize("x", [0.0, float("nan"), float("inf"), 1e-320],
                          ids=["zero", "nan", "inf", "overflowing-reflection"])
 def test_generic_boundary_paths_reject_a_bad_point_with_check_points_error(x):
-    # a generic scan validates each x once, and reflection_pairs only each -q/x; x = 1e-320
-    # is finite and nonzero, but its -q/x overflows
+    # a generic scan validates each x once, and its coefficients only each -q/x; x = 1e-320
+    # is finite and nonzero, but its reciprocal and its -q/x overflow
     eps = (1 + 0j, 1 + 0j)
     with np.errstate(all="ignore"):
         for solve in (lambda: dimension_scan("boundary", {"n": 1, "q": Q_REF, "eps": eps,

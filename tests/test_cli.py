@@ -173,6 +173,32 @@ def test_eps_length_checked_on_every_path(argv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["smatrix", "--n", "1", "--q", "0.8@0.3", "--x1", "1e-320", "--x2", "1", "--out", "s.json"],
+    ["kmatrix", "--n", "1", "--q", "0.8@0.3", "--x", "1e-320", "--eps", "1,1",
+     "--method", "generic", "--out", "k.json"],
+    ["kmatrix", "--n", "1", "--q", "0.8@0.3", "--x", "1e-320", "--eps", "1,1",
+     "--method", "paper", "--out", "k.json"],
+    ["rep-check", "--n", "1", "--q", "0.8@0.3", "--x", "1e-320"],
+    ["scan", "theta", "--kind", "bulk", "--n", "1", "--q", "0.8@0.3", "--x", "1e-320",
+     "--grid", "0:1:3", "--out", "s.json"],
+    # x and 1/x are finite, but the reciprocal of the conjugate's -q/x overflows
+    ["kmatrix", "--n", "1", "--q", "0.8@0.3", "--x", "1.7e308", "--eps", "1,1",
+     "--method", "generic", "--out", "k.json"],
+    ["scan", "theta", "--kind", "boundary", "--n", "1", "--q", "0.8@0.3", "--eps", "1,1",
+     "--method", "generic", "--grid", "709.7:709.7:1", "--out", "s.json"],
+], ids=["smatrix", "kmatrix-generic", "kmatrix-paper", "rep-check", "scan-theta-bulk",
+        "kmatrix-generic-conjugate", "scan-theta-generic-conjugate"])
+def test_a_point_whose_reciprocal_overflows_exits_2_with_the_bad_point_error(
+        argv, tmp_path, monkeypatch, capsys):
+    # |x| = 1e-320 is finite and nonzero, but 1/x is not: every entry point refuses the point
+    # as it refuses x = 0, before any generator holds an inf or a NaN
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: q and x must be finite and nonzero\n"
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
     ["rep-check", "--n", "1", "--q", "1e308@0", "--x", "2"],
     ["verify", "ybe", "--n", "1", "--q", "0.8@0.3", "--rapidities", "800,0,1"],
 ])
@@ -183,11 +209,12 @@ def test_arithmetic_overflow_exits_2(argv, capsys):
 
 
 def test_a_non_finite_factor_exits_2_before_its_weight_support(tmp_path, monkeypatch, capsys):
-    # 1/q overflows to inf on the q^T diagonals; the error names the factor, not a product
+    # 1/q would overflow to inf on the q^T diagonals: the point is refused before any factor
+    # is built, with the error for a bad point, not one for a product
     monkeypatch.chdir(tmp_path)
     assert main(["smatrix", "--n", "1", "--q", "1e-320", "--x1", "2", "--x2", "3",
                  "--out", "s.json"]) == 2
-    assert capsys.readouterr().err == "error: matrix has non-finite entries\n"
+    assert capsys.readouterr().err == "error: q and x must be finite and nonzero\n"
     assert not any(tmp_path.iterdir())
 
 

@@ -1163,7 +1163,8 @@ def test_plan_caches_are_bounded_by_one_module_constant():
                for m in pkgutil.iter_modules(qreflect.__path__)]
     caches = {f for m in modules for f in vars(m).values() if hasattr(f, "cache_info")}
     assert caches == {intertwiners._bulk_plan, intertwiners._stack_plan,
-                      intertwiners._stack_defect_plan, boundary._paper_plan, reps._vector_plan}
+                      intertwiners._stack_defect_plan, intertwiners._reflection_plan,
+                      boundary._paper_plan, reps._vector_plan}
     for cache in caches:
         assert cache.cache_info().maxsize == intertwiners.PLAN_CACHE_SIZE
 

@@ -8,6 +8,7 @@ from qreflect.reps import (
     cartan_inner,
     check_relations,
     GENERATOR_ORDER,
+    check_point,
     coideal_generators,
     coproduct,
     coproduct_matrix,
@@ -15,6 +16,20 @@ from qreflect.reps import (
     vector_rep,
     vector_stack,
 )
+
+
+def test_check_point_refuses_a_q_or_x_whose_reciprocal_overflows():
+    # 1e-320 and 1e-320j are finite and nonzero, but their reciprocals are not; the smallest
+    # normal double has a finite reciprocal and is accepted
+    for value in (1e-320, -1e-320, 1e-320j, complex(1e-320, -1e-320)):
+        for point in ((0.8, value), (value, 2.0)):
+            with np.errstate(all="raise"), pytest.raises(
+                    ValueError, match="^q and x must be finite and nonzero$"):
+                check_point(1, *point)
+            with pytest.raises(ValueError, match="^q and x must be finite and nonzero$"):
+                vector_rep(1, *point)
+    tiny = 2.2250738585072014e-308
+    assert check_point(1, tiny, tiny) == (1, complex(tiny), complex(tiny))
 
 
 def test_cartan_inner_values():
