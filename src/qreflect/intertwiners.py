@@ -559,10 +559,12 @@ def reflection_coefficients(n: int, q: complex, xs, eps: np.ndarray) -> np.ndarr
     ``check_point``'s errors.  The columns are x and 1/x (V's Q_i and
     Qbar_i), -(1/q) y and -(1/(1/q)) (1/y) (the conjugate's, -D_i^{-1} g
     transposed), then per node i eps_i times (1, 1/q, q), V's q^{T_i}
-    entries, and times their reciprocals, the conjugate's.  Reciprocals of points are taken in Python
-    complex arithmetic, as ``vector_stack`` takes them, and products and the
-    reciprocals of (1, 1/q, q) by numpy, as ``dual_stack`` and
-    ``coideal_stack`` form them, so every value is theirs bit for bit.
+    entries, and times their reciprocals, the conjugate's.  Reciprocals of
+    points are taken in Python complex arithmetic, as ``vector_stack``
+    takes them, and products and the reciprocals of (1, 1/q, q) as numpy
+    array operations, as ``dual_stack`` and ``coideal_stack`` form them: a
+    numpy scalar or Python product rounds differently.  So every value is
+    theirs bit for bit.
     """
     conjugates = [check_point(n, q, _reflected(q, x))[2] for x in xs]
     points = np.array([(x, 1.0 / x, y, 1.0 / y) for x, y in zip(xs, conjugates)],
@@ -595,10 +597,9 @@ def _reflection_plan(n: int) -> RowPlan:
                      np.concatenate((upper, lower, diagonal)), (dim,) * 3, (dim,) * 3,
                      np.ones((dim, dim), dtype=bool))
     column = 4 + 6 * node + power
-    source_in = np.concatenate((0 * i, 0 * i + 1, column))[plan.source_in]
-    source_out = np.concatenate((0 * i + 2, 0 * i + 3, column + 3))[plan.source_out]
-    return replace(plan, **dict(zip(("source_in", "source_out"),
-                                    frozen(source_in, source_out))))
+    sources = frozen(np.concatenate((0 * i, 0 * i + 1, column))[plan.source_in],
+                     np.concatenate((0 * i + 2, 0 * i + 3, column + 3))[plan.source_out])
+    return replace(plan, source_in=sources[0], source_out=sources[1])
 
 
 def reflection_rows(n: int, coefficients: np.ndarray) -> np.ndarray:
