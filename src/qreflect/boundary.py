@@ -33,7 +33,7 @@ from .linalg import DEFAULT_REL_TOL, as_matrix, check_tolerance, normalize_solut
 from .linalg import projective_compare
 from .linalg import nullspace  # noqa: F401  (bench/test_bench.py traces it in this namespace)
 from .intertwiners import PLAN_CACHE_SIZE, IntertwinerSolution, frozen, reflection_coefficients
-from .intertwiners import reflection_dual, reflection_rows, solve_reflection, solve_system
+from .intertwiners import reflection_rows, solve_reflection, solve_system
 from .reps import as_boundary_params, check_point, check_points, vector_rep
 
 
@@ -153,13 +153,13 @@ def solve_k(n: int, q: complex, x: complex, eps, method: str = DEFAULT_K_METHOD,
 
     "paper" solves the explicit family system (``solve_paper_k``);
     "generic" solves the antipode-dual engine system with the conjugate
-    from ``reflection_dual`` (``solve_reflection``).
+    from ``reflection_dual`` (``solve_reflection``), built only for the
+    residual of a one-dimensional solution.
     """
     if method == "paper":
         return solve_paper_k(n, q, x, eps, rel_tol)
     if method == "generic":
-        rep = vector_rep(n, q, x)
-        return solve_reflection(rep, reflection_dual(rep), eps, rel_tol)
+        return solve_reflection(vector_rep(n, q, x), None, eps, rel_tol)
     raise ValueError(f"unknown boundary method {method!r}")
 
 

@@ -8,7 +8,10 @@ node index minor; q^{-T_i} rows are implied by invertibility and never
 stacked.  Which entry of a stack enters which row depends on nonzero
 patterns and the support alone, never on q or x: it is planned once per
 structure and cached (``RowPlan``), and a solve or scan chunk only gathers
-its values into the plan.
+its values into the plan.  The bulk support, the weight-conserving entries
+of S, depends on q through the factors' q^{T_i} diagonals but never on x:
+``weight_support`` computes it once per pair of diagonals, and a solve or
+scan chunk looks it up (``_support_key``).
 
 The generic boundary system, K Qhat_i(x) = Qhat_i(conjugate) K with the
 conjugate of ``reflection_dual``, has one structure per rank: its plan is
@@ -40,9 +43,9 @@ import numpy as np
 
 from .linalg import DEFAULT_REL_TOL, NullspaceResult, block_nullspace, isclose, nullspace
 from .linalg import scale_to_pivot, stack_nullities
-from .reps import PLAN_CACHE_SIZE, EvaluationRep, as_boundary_params, check_point
-from .reps import coideal_generators, coideal_stack, coproduct_coordinates, dual_stack, frozen
-from .reps import last_axis, vector_rep, vector_stack
+from .reps import PLAN_CACHE_SIZE, EvaluationRep, _vector_gens, as_boundary_params
+from .reps import check_point, coideal_generators, coideal_stack, coproduct_coordinates, dual_stack
+from .reps import frozen, last_axis, vector_rep, vector_stack
 
 # A rank decision whose cut lies within this factor of a singular value is flagged.
 NEAR_THRESHOLD_MARGIN = 1e3
@@ -216,18 +219,18 @@ def _scored(ns: NullspaceResult, residual, flags) -> IntertwinerSolution:
     return solution
 
 
-def _solve_stacked(m_in, m_out, rel_tol, rows=None):
-    """Solve X m_in[g] = m_out[g] X for every g, on every entry of X.
-
-    ``rows`` are the stacks' ``sylvester_rows``, built from them unless given.
-    """
+def _solve_stacked(m_in, m_out, rel_tol):
+    """Solve X m_in[g] = m_out[g] X for every g, on every entry of X."""
     support = np.ones((m_out.shape[1], m_in.shape[1]), dtype=bool)
-    residual = functools.partial(intertwining_residual,
-                                 plan=_stack_defect_plan(m_in.shape, m_out.shape),
-                                 values_in=m_in.reshape(-1), values_out=m_out.reshape(-1))
-    if rows is None:
-        rows = sylvester_rows(m_in, m_out, support)
-    return solve_system(rows, support, rel_tol, residual)
+    rows = sylvester_rows(m_in, m_out, support)
+    return solve_system(rows, support, rel_tol, _stacked_residual(m_in, m_out))
+
+
+def _stacked_residual(m_in, m_out):
+    """``intertwining_residual`` of X m_in[g] = m_out[g] X on every entry of X, as a function of X."""
+    return functools.partial(intertwining_residual,
+                             plan=_stack_defect_plan(m_in.shape, m_out.shape),
+                             values_in=m_in.reshape(-1), values_out=m_out.reshape(-1))
 
 
 @dataclass(frozen=True)
@@ -322,8 +325,9 @@ def solve_bulk(
     a, b = rep_a.gens, rep_b.gens
     if not (np.isfinite(a).all() and np.isfinite(b).all()):  # before any arithmetic on them
         raise ValueError("matrix has non-finite entries")
-    support = weight_support(a, b)
-    system, residual, cyclic = _bulk_system(a, b, support)
+    key = _support_key(_diagonal_key(a), _diagonal_key(b))
+    system, residual, cyclic = _bulk_system(a, b, key)
+    support = key_pattern(key)
     if cyclic is None:
         return solve_system(system, support, rel_tol, residual, flags)
     ns = block_nullspace(system, rel_tol)  # the factors' check above is the only one
@@ -346,6 +350,29 @@ def weight_support(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for node_in, node_out, bound in zip(d_in, d_out, 1e-4 * abs(d_in)):  # memory: one mask
         support &= abs(node_out[:, None] - node_in) <= bound
     return support
+
+
+def _diagonal_key(gens: np.ndarray) -> tuple:
+    """Shape and bytes of the q^{T_i} diagonals of a (3, nodes, d, d) stack."""
+    diagonals = np.diagonal(gens[2], axis1=1, axis2=2)
+    return diagonals.shape, diagonals.tobytes()
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _support_key(key_a: tuple, key_b: tuple) -> tuple:
+    """``pattern_key`` of the ``weight_support`` of factors with two ``_diagonal_key``s.
+
+    On a miss, ``weight_support`` reads stacks that hold those diagonals and
+    nothing else, so the mask is the rule's bit for bit.  The key is the
+    exact bytes: a diagonal one ulp away is an entry of its own.
+    """
+    stacks = []
+    for (nodes, dim), diagonals in (key_a, key_b):
+        gens = np.zeros((3, nodes, dim, dim), dtype=np.complex128)
+        slot = np.arange(dim)
+        gens[2][:, slot, slot] = np.frombuffer(diagonals, dtype=np.complex128).reshape(nodes, dim)
+        stacks.append(gens)
+    return pattern_key(weight_support(*stacks), 2)
 
 
 @dataclass(frozen=True)
@@ -447,8 +474,8 @@ def _bulk_plan(key_a: tuple, key_b: tuple, key_support: tuple) -> tuple:
     return into, onto, plan, defect, _cyclic_plan(a, b, support, into, onto)
 
 
-def _bulk_system(a: np.ndarray, b: np.ndarray, support: np.ndarray):
-    """The system of ``solve_bulk`` between finite factor stacks a, b on ``support``.
+def _bulk_system(a: np.ndarray, b: np.ndarray, key_support: tuple):
+    """The system of ``solve_bulk`` between finite factor stacks a, b on a support's ``pattern_key``.
 
     a and b are ``gens`` stacks, (..., 3, nodes, d, d), whose leading axes
     broadcast to one system per index.  Returns (system, residual, cyclic):
@@ -459,8 +486,7 @@ def _bulk_system(a: np.ndarray, b: np.ndarray, support: np.ndarray):
     (..., N, kept, orbits) Fourier blocks; otherwise ``cyclic`` is None and
     the system is the whole one, (..., rows, cols).
     """
-    key = pattern_key(a, 4), pattern_key(b, 4), pattern_key(support, 2)
-    into, onto, plan, defect, cyclic = _bulk_plan(*key)
+    into, onto, plan, defect, cyclic = _bulk_plan(pattern_key(a, 4), pattern_key(b, 4), key_support)
     values_in, values_out = into.values(a, b), onto.values(b, a)
     residual = functools.partial(intertwining_residual, plan=defect, values_in=values_in,
                                  values_out=values_out)
@@ -540,14 +566,18 @@ def reflection_dual(rep: EvaluationRep) -> EvaluationRep:
     """
     if rep.is_dual:
         raise ValueError("reflection_dual expects a vector representation")
-    x = _reflected(rep.q, rep.x)
-    gens = dual_stack(vector_stack(rep.n, rep.q, [x]))[0]
-    return EvaluationRep(n=rep.n, q=rep.q, x=x, is_dual=True, gens=gens)
+    point = check_point(rep.n, rep.q, _reflected(rep.q, rep.x))
+    return EvaluationRep(n=rep.n, q=rep.q, x=point[2], is_dual=True, gens=_conjugate_gens(*point))
 
 
 def _reflected(q: complex, x: complex) -> complex:
     """The spectral parameter -q/x of the conjugate ``reflection_dual`` builds for V(x)."""
     return -q / x
+
+
+def _conjugate_gens(n: int, q: complex, y: complex) -> np.ndarray:
+    """The ``gens`` of ``reflection_dual`` at a validated point (n, q, y = -q/x)."""
+    return dual_stack(_vector_gens(n, q, [y]))[0]
 
 
 def reflection_coefficients(n: int, q: complex, xs, eps: np.ndarray) -> np.ndarray:
@@ -567,6 +597,11 @@ def reflection_coefficients(n: int, q: complex, xs, eps: np.ndarray) -> np.ndarr
     theirs bit for bit.
     """
     conjugates = [check_point(n, q, _reflected(q, x))[2] for x in xs]
+    return _reflection_coefficients(n, q, xs, conjugates, eps)
+
+
+def _reflection_coefficients(n: int, q: complex, xs, conjugates, eps: np.ndarray) -> np.ndarray:
+    """``reflection_coefficients`` with each x's conjugate y = -q/x given, validated."""
     points = np.array([(x, 1.0 / x, y, 1.0 / y) for x, y in zip(xs, conjugates)],
                       dtype=np.complex128)
     cartan = np.array([1.0, 1.0 / q, q], dtype=np.complex128)
@@ -611,17 +646,26 @@ def reflection_rows(n: int, coefficients: np.ndarray) -> np.ndarray:
     return _reflection_plan(n).assemble(coefficients, coefficients)
 
 
-def solve_reflection(rep: EvaluationRep, conjugate: EvaluationRep, eps,
+def solve_reflection(rep: EvaluationRep, conjugate: EvaluationRep | None, eps,
                      rel_tol: float = DEFAULT_REL_TOL) -> IntertwinerSolution:
     """``solve_boundary(rep, conjugate, eps, rel_tol)`` for conjugate = ``reflection_dual(rep)``.
 
-    The rows come from ``reflection_rows``, as a boundary scan's do; the
-    residual is scored on the two coideal stacks.
+    The rows come from ``reflection_rows``, as a boundary scan's do.  The
+    residual is scored on the two coideal stacks, which are formed only for
+    a one-dimensional solution; a ``conjugate`` of None is built then too,
+    from the point -q/x, which is validated once, before eps.
     """
+    point = check_point(rep.n, rep.q, _reflected(rep.q, rep.x))
     params = np.array(as_boundary_params(eps, rep.n))
-    rows = reflection_rows(rep.n, reflection_coefficients(rep.n, rep.q, [rep.x], params[None]))
-    m_in, m_out = coideal_stack(rep.gens, params), coideal_stack(conjugate.gens, params)
-    return _solve_stacked(m_in, m_out, rel_tol, rows[0])
+    coefficients = _reflection_coefficients(rep.n, rep.q, [rep.x], point[2:], params[None])
+
+    def residual(k):
+        dual = _conjugate_gens(*point) if conjugate is None else conjugate.gens
+        m_in, m_out = coideal_stack(rep.gens, params), coideal_stack(dual, params)
+        return _stacked_residual(m_in, m_out)(k)
+
+    support = np.ones((rep.dim, rep.dim), dtype=bool)
+    return solve_system(reflection_rows(rep.n, coefficients)[0], support, rel_tol, residual)
 
 
 def engine_point(n: int, q: complex, thetas, eps) -> dict:
@@ -683,13 +727,13 @@ def dimension_scan(kind: str, fixed: dict, grid) -> ScanResult:
     n, q, _ = check_point(fixed["n"], fixed["q"], 1.0)  # as the solves take them
     if kind == "bulk":
         left = vector_rep(n, q, fixed["x_left"]).gens
-        support = weight_support(left, vector_rep(n, q, grid[0]).gens)  # the qT images ignore x
 
         def rows(chunk):
             right = vector_stack(n, q, grid[chunk])
             if not (np.isfinite(left).all() and np.isfinite(right).all()):
                 raise ValueError("matrix has non-finite entries")
-            return _bulk_system(left, right, support)[0]
+            key = _support_key(_diagonal_key(left), _diagonal_key(right[0]))  # q^{T_i} ignore x
+            return _bulk_system(left, right, key)[0]
     elif kind == "boundary":
         from .boundary import k_scan_rows  # local import, boundary builds on this module
 

@@ -27,8 +27,9 @@ import numpy as np
 
 from .linalg import VerificationReport, isclose, relative_defect
 
-# Structural plans each cache keeps, least recently used first out.  A plan is keyed on
-# shapes and nonzero patterns only, never on values such as q or x.
+# Entries each cache keeps, least recently used first out.  A plan is keyed on shapes and
+# nonzero patterns only, never on values such as q or x; the one cache keyed on values is the
+# bulk weight support, on the exact bytes of the factors' q^{T_i} diagonals, never on x.
 PLAN_CACHE_SIZE = 128
 
 

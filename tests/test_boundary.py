@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import generic_point
+from conftest import eps_star, generic_point
 from qreflect.boundary import (
     ClosedFormParams,
     closed_form_k,
@@ -383,6 +383,37 @@ def test_solve_k_dispatches_by_method():
     assert np.array_equal(generic.normalized, engine.normalized)
     with pytest.raises(ValueError, match="unknown boundary method"):
         solve_k(2, Q_REF, X_REF, (1, 1, 1), method="closed-form")
+
+
+def test_a_generic_solve_builds_its_conjugate_only_for_a_residual(monkeypatch):
+    # a dimension-0 point scores no residual, so it forms no conjugate and no coideal stack; a
+    # dimension-1 point forms each once, and both solve as the solve with the conjugate given
+    from qreflect import intertwiners
+
+    calls = []
+    for name in ("dual_stack", "coideal_stack"):
+        original = getattr(intertwiners, name)
+
+        def spy(*args, name=name, original=original):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(intertwiners, name, spy)
+    star = eps_star(Q_REF)
+    for signs, dimension, built in (((1, 1, 0.5, 1), 0, []),
+                                    ((1, 1, -1, 1), 1, ["dual_stack"] + ["coideal_stack"] * 2)):
+        eps = tuple(star * s for s in signs)
+        calls.clear()
+        solution = solve_k(3, Q_REF, 2.01, eps, "generic")
+        assert (solution.dimension, calls) == (dimension, built)
+        rep = vector_rep(3, Q_REF, 2.01)
+        given = solve_reflection(rep, reflection_dual(rep), eps)
+        assert solution.nullspace.basis.tobytes() == given.nullspace.basis.tobytes()
+        assert (solution.nullspace.margin, solution.flags) == (given.nullspace.margin, given.flags)
+        assert np.array_equal(solution.residual, given.residual, equal_nan=True)
+    # -q/x is validated before eps, as when the conjugate was built first: 1/(-q/x) overflows
+    with pytest.raises(ValueError, match="^q and x must be finite and nonzero$"):
+        solve_k(1, Q_REF, 1.7e308, (1,), "generic")
 
 
 def test_closed_form_accepts_phase_construction():

@@ -494,7 +494,7 @@ def test_bulk_residual_matches_the_dense_formula_off_the_solution(n, flavour):
     a, b = vector_rep(n, Q_REF, np.exp(0.7)), vector_rep(n, Q_REF, np.exp(0.23))
     a, b = (dual_rep(r) if flavour & bit else r for r, bit in ((a, 1), (b, 2)))
     support = intertwiners.weight_support(a.gens, b.gens)
-    _, residual, _ = intertwiners._bulk_system(a.gens, b.gens, support)
+    _, residual, _ = intertwiners._bulk_system(a.gens, b.gens, pattern_key(support, 2))
     solved = solve_bulk(a, b).normalized
     for size in (1e-9, 1e-3, 1.0):
         x = solved.copy()
@@ -818,13 +818,13 @@ def test_the_fourier_blocks_solve_what_the_whole_system_solves(n, monkeypatch):
     for left, right in itertools.product(("vector", "dual"), repeat=2):
         a, b = _all_reps(n, q, x)[left], _all_reps(n, q, y)[right]
         support = intertwiners.weight_support(a.gens, b.gens)
-        _, _, cyclic = intertwiners._bulk_system(a.gens, b.gens, support)
+        _, _, cyclic = intertwiners._bulk_system(a.gens, b.gens, pattern_key(support, 2))
         assert (cyclic is not None) == (n + 1 >= intertwiners.CYCLIC_MIN_NODES)
         rows = _whole_rows(a.gens, b.gens, support)
         whole = np.linalg.svd(rows, compute_uv=False)
         with monkeypatch.context() as patch:
             _blocks_at_every_n(patch)
-            blocks, _, _ = intertwiners._bulk_system(a.gens, b.gens, support)
+            blocks, _, _ = intertwiners._bulk_system(a.gens, b.gens, pattern_key(support, 2))
         assert blocks.shape == (n + 1, rows.shape[0] // (n + 1), rows.shape[1] // (n + 1))
         merged = merged_singular_values(np.linalg.svd(blocks, compute_uv=False))
         assert np.abs(merged - whole).max() <= 1e-14 * whole[0], (left, right)
@@ -848,7 +848,7 @@ def test_each_fourier_block_is_the_whole_system_on_its_modes(n):
         a, b = _all_reps(n, q, x)[left], _all_reps(n, q, y)[right]
         support = intertwiners.weight_support(a.gens, b.gens)
         rows = _whole_rows(a.gens, b.gens, support)
-        blocks, _, cyclic = intertwiners._bulk_system(a.gens, b.gens, support)
+        blocks, _, cyclic = intertwiners._bulk_system(a.gens, b.gens, pattern_key(support, 2))
         count, _, orbits = blocks.shape
         vectors = rng.normal(size=(count, orbits)) + 1j * rng.normal(size=(count, orbits))
         basis = np.zeros((count, count, orbits), dtype=complex)
@@ -988,6 +988,71 @@ def test_weight_support_node_by_node_is_the_one_pass_mask(n):
     gens[1, 2, 0, 0, 0] = 1.0
     expected = _weight_support_at_once(gens[0], gens[1])
     assert intertwiners.weight_support(gens[0], gens[1]).tobytes() == expected.tobytes()
+
+
+def _cached_support(a, b):
+    """The mask that ``solve_bulk`` reads from the cache for factor stacks a, b."""
+    return intertwiners.key_pattern(intertwiners._support_key(intertwiners._diagonal_key(a),
+                                                              intertwiners._diagonal_key(b)))
+
+
+@pytest.mark.filterwarnings("ignore:q is")
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_the_cached_weight_support_is_the_rule_byte_for_byte(n):
+    # the corpus of the node-by-node test, in all four flavours and on random diagonals with an
+    # entry on the cut: the cache keeps what weight_support computes, every byte
+    rng = np.random.default_rng(60 + n)
+    for k, delta in itertools.product((2, 3, 6), (0.0, 1e-6, 5e-5, 2e-4)):
+        q = cmath.exp(2j * cmath.pi / k) * (1 + delta)
+        a, b = vector_rep(n, q, 2.0), vector_rep(n, q, 1.3)
+        for left, right in itertools.product((a, dual_rep(a)), (b, dual_rep(b))):
+            expected = intertwiners.weight_support(left.gens, right.gens)
+            assert _cached_support(left.gens, right.gens).tobytes() == expected.tobytes()
+    gens = np.zeros((2, 3, n + 1, n + 1, n + 1), dtype=complex)
+    diagonal = np.arange(n + 1)
+    gens[:, 2, :, diagonal, diagonal] = rng.choice([1, 1 + 1e-4, 1j, -1, 0.5], size=(n + 1, 2, n + 1))
+    gens[0, 2, 0, :2, :2] = np.diag([1e4, 10001])  # |d_out - d_in| = 1e-4 |d_in| exactly
+    gens[1, 2, 0, 0, 0] = 1.0
+    expected = intertwiners.weight_support(gens[0], gens[1])
+    assert _cached_support(gens[0], gens[1]).tobytes() == expected.tobytes()
+
+
+def test_the_weight_support_is_looked_up_once_per_pair_of_diagonals():
+    # other x and other flavours' second solves at one q miss nothing, and a factor whose
+    # q^T diagonal moves by one ulp gets an entry of its own, holding the rule's mask
+    q = 0.71 * np.exp(0.4j)
+
+    def solve_every_flavour(x, y):
+        a, b = vector_rep(3, q, x), vector_rep(3, q, y)
+        for pair in itertools.product((a, dual_rep(a)), (b, dual_rep(b))):
+            solve_bulk(*pair)
+        return a, dual_rep(b)
+
+    a, b = solve_every_flavour(2.0, 1.3)
+    misses = intertwiners._support_key.cache_info().misses
+    solve_every_flavour(0.5j, -3.0)
+    dimension_scan("bulk", {"n": 3, "q": q, "x_left": 2.0}, [1.3, 0.7, 5.0])
+    assert intertwiners._support_key.cache_info().misses == misses
+    gens = a.gens.copy()
+    gens[2, 1, 2, 2] = np.nextafter(gens[2, 1, 2, 2].real, 2.0) + 1j * gens[2, 1, 2, 2].imag
+    moved = EvaluationRep(n=3, q=q, x=a.x, is_dual=False, gens=gens)
+    solve_bulk(moved, b)
+    assert intertwiners._support_key.cache_info().misses == misses + 1
+    assert _cached_support(gens, b.gens).tobytes() == \
+        intertwiners.weight_support(gens, b.gens).tobytes()
+
+
+def test_the_cached_weight_support_is_read_only():
+    a, b = vector_rep(2, Q_REF, 2.0), vector_rep(2, Q_REF, 1.3)
+    key = intertwiners._support_key(intertwiners._diagonal_key(a.gens),
+                                    intertwiners._diagonal_key(b.gens))
+    support = intertwiners.key_pattern(key)
+    assert not support.flags.writeable
+    with pytest.raises(ValueError):
+        support[...] = True
+    a.gens[2] *= 2.0  # the cached key holds bytes, never a view of a factor
+    assert intertwiners.key_pattern(key).tobytes() == support.tobytes()
+    assert key == pattern_key(intertwiners.weight_support(vector_rep(2, Q_REF, 2.0).gens, b.gens), 2)
 
 
 def test_bulk_assembly_allocates_only_the_kept_equations():
@@ -1158,13 +1223,14 @@ def test_cached_plans_are_read_only_and_outlive_writes_to_the_factors():
 
 
 def test_plan_caches_are_bounded_by_one_module_constant():
-    # the package's only caches are the structural plans, under the one bound
+    # the package's only caches are the structural plans and the weight support keyed on the
+    # q^T diagonals, under the one bound
     modules = [importlib.import_module(f"qreflect.{m.name}")
                for m in pkgutil.iter_modules(qreflect.__path__)]
     caches = {f for m in modules for f in vars(m).values() if hasattr(f, "cache_info")}
     assert caches == {intertwiners._bulk_plan, intertwiners._stack_plan,
                       intertwiners._stack_defect_plan, intertwiners._reflection_plan,
-                      boundary._paper_plan, reps._vector_plan}
+                      intertwiners._support_key, boundary._paper_plan, reps._vector_plan}
     for cache in caches:
         assert cache.cache_info().maxsize == intertwiners.PLAN_CACHE_SIZE
 
