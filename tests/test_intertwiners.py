@@ -969,52 +969,37 @@ def _weight_support_at_once(a, b):
     return (abs(d_out - d_in) <= 1e-4 * abs(d_in)).all(axis=0)
 
 
-@pytest.mark.filterwarnings("ignore:q is")
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_weight_support_node_by_node_is_the_one_pass_mask(n):
-    # near low roots of unity, where the relative cut decides, and on random diagonals
-    rng = np.random.default_rng(n)
-    for k, delta in itertools.product((2, 3, 6), (0.0, 1e-6, 5e-5, 2e-4)):
-        q = cmath.exp(2j * cmath.pi / k) * (1 + delta)
-        a, b = vector_rep(n, q, 2.0), dual_rep(vector_rep(n, q, 1.3))
-        for left, right in ((a, b), (b, a), (a, a)):
-            expected = _weight_support_at_once(left.gens, right.gens)
-            assert intertwiners.weight_support(left.gens, right.gens).tobytes() == expected.tobytes()
-    gens = np.zeros((2, 3, n + 1, n + 1, n + 1), dtype=complex)
-    diagonal = np.arange(n + 1)
-    gens[:, 2, :, diagonal, diagonal] = rng.choice([1, 1 + 1e-4, 1j, -1, 0.5], size=(n + 1, 2, n + 1))
-    # 10001 against 1e4 is |d_out - d_in| = 1e-4 |d_in| = 1 exactly: an entry on the cut
-    gens[0, 2, 0, :2, :2] = np.diag([1e4, 10001])
-    gens[1, 2, 0, 0, 0] = 1.0
-    expected = _weight_support_at_once(gens[0], gens[1])
-    assert intertwiners.weight_support(gens[0], gens[1]).tobytes() == expected.tobytes()
-
-
 def _cached_support(a, b):
     """The mask that ``solve_bulk`` reads from the cache for factor stacks a, b."""
     return intertwiners.key_pattern(intertwiners._support_key(intertwiners._diagonal_key(a),
                                                               intertwiners._diagonal_key(b)))
 
 
+def _assert_one_mask(a, b):
+    """The rule, its one-pass reference and the mask cached for the pair agree, every byte."""
+    expected = _weight_support_at_once(a, b).tobytes()
+    assert intertwiners.weight_support(a, b).tobytes() == expected
+    assert _cached_support(a, b).tobytes() == expected
+
+
 @pytest.mark.filterwarnings("ignore:q is")
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_the_cached_weight_support_is_the_rule_byte_for_byte(n):
-    # the corpus of the node-by-node test, in all four flavours and on random diagonals with an
-    # entry on the cut: the cache keeps what weight_support computes, every byte
-    rng = np.random.default_rng(60 + n)
+def test_weight_support_node_by_node_is_the_one_pass_mask(n):
+    # near low roots of unity, where the relative cut decides, in all four flavours, and on
+    # random diagonals; the mask solve_bulk reads from the cache is the rule's
+    rng = np.random.default_rng(n)
     for k, delta in itertools.product((2, 3, 6), (0.0, 1e-6, 5e-5, 2e-4)):
         q = cmath.exp(2j * cmath.pi / k) * (1 + delta)
         a, b = vector_rep(n, q, 2.0), vector_rep(n, q, 1.3)
         for left, right in itertools.product((a, dual_rep(a)), (b, dual_rep(b))):
-            expected = intertwiners.weight_support(left.gens, right.gens)
-            assert _cached_support(left.gens, right.gens).tobytes() == expected.tobytes()
+            _assert_one_mask(left.gens, right.gens)
     gens = np.zeros((2, 3, n + 1, n + 1, n + 1), dtype=complex)
     diagonal = np.arange(n + 1)
     gens[:, 2, :, diagonal, diagonal] = rng.choice([1, 1 + 1e-4, 1j, -1, 0.5], size=(n + 1, 2, n + 1))
-    gens[0, 2, 0, :2, :2] = np.diag([1e4, 10001])  # |d_out - d_in| = 1e-4 |d_in| exactly
+    # 10001 against 1e4 is |d_out - d_in| = 1e-4 |d_in| = 1 exactly: an entry on the cut
+    gens[0, 2, 0, :2, :2] = np.diag([1e4, 10001])
     gens[1, 2, 0, 0, 0] = 1.0
-    expected = intertwiners.weight_support(gens[0], gens[1])
-    assert _cached_support(gens[0], gens[1]).tobytes() == expected.tobytes()
+    _assert_one_mask(gens[0], gens[1])
 
 
 def test_the_weight_support_is_looked_up_once_per_pair_of_diagonals():
