@@ -11,7 +11,10 @@ structure and cached (``RowPlan``), and a solve or scan chunk only gathers
 its values into the plan.  The bulk support, the weight-conserving entries
 of S, depends on q through the factors' q^{T_i} diagonals but never on x:
 ``weight_support`` computes it once per pair of diagonals, and a solve or
-scan chunk looks it up (``_support_key``).
+scan chunk looks it up (``_support_key``).  So do the bulk qT equations: on
+the support, d_out / d_in = q^k, and a qT equation is planned only where
+k != 0 leaves it a coefficient above roundoff (``_qt_rows``), so the bulk
+rows are fixed when the plan is made.
 
 The generic boundary system, K Qhat_i(x) = Qhat_i(conjugate) K with the
 conjugate of ``reflection_dual``, has one structure per rank: its plan is
@@ -26,10 +29,12 @@ a_n^(1) diagram: with C the shift e_r -> e_{r+1 mod N} on each leg,
 C g_i C^T = g_{i+1 mod N} exactly.  When the factors' nonzero patterns and
 the support are shift-invariant, the bulk plan also holds a ``CyclicPlan``.
 A solve or scan chunk whose factor stacks equal their own shift, bit for
-bit, then gathers only the equations of node 0, one per orbit of the shift,
+bit, then takes only the equations of node 0, one per orbit of the shift,
 and a DFT along each orbit turns the system into N independent Fourier
-blocks with the same singular values (``linalg.block_nullspace``).  Other
-inputs assemble the whole system.
+blocks with the same singular values (``linalg.block_nullspace``).  The DFT
+is part of the plan: one phase-weighted gather of the coordinate values
+gives the blocks, and one product by the plan's unitary DFT matrix maps a
+null vector back.  Other inputs assemble the whole system.
 """
 
 from __future__ import annotations
@@ -52,9 +57,11 @@ NEAR_THRESHOLD_MARGIN = 1e3
 
 # Fewest nodes N at which a covariant bulk solve or scan chunk goes through the N Fourier
 # blocks.  Measured with OpenBLAS on 2 CPUs, one warm vector x vector solve_bulk, whole system
-# against blocks: N = 2 (n = 1) 142 against 214 us, N = 3 225 against 250 us, N = 4 475 against
-# 309 us, N = 9 17 against 1.4 ms.  Two SVD calls and two FFTs cost ~80 us however small the
-# blocks are.
+# against blocks, the best of 9 interleaved timings in one process: N = 2 (n = 1) 131 against
+# 129 us, N = 3 202 against 157 us, N = 4 420 against 193 us, N = 9 17 against 0.9 ms.  Gathered
+# in one pass, the blocks cost no more than the whole system from N = 2 on and win from N = 3;
+# the gate stays where two SVD calls and two FFTs (~80 us) used to put it, as moving it moves
+# the bits of every n = 2 solve.
 CYCLIC_MIN_NODES = 4
 
 def pattern_key(a: np.ndarray, core: int) -> tuple:
@@ -140,12 +147,14 @@ class RowPlan:
         return system
 
 
-def _row_plan(position_in, position_out, shape_in, shape_out, support, column=None) -> RowPlan:
+def _row_plan(position_in, position_out, shape_in, shape_out, support, column=None,
+              dropped=None) -> RowPlan:
     """The ``RowPlan`` of stacks whose coordinates sit at flat ``position_*`` in (G, d, d) stacks.
 
-    Equations come in order of g, then (r, c) row-major; the unknowns are
-    X[support], numbered row-major unless ``column`` gives the number of each
-    entry of X on the support.
+    Equations come in order of g, then (r, c) row-major, labelled by their
+    flat index (g, r, c); the labels in ``dropped`` are left out.  The
+    unknowns are X[support], numbered row-major unless ``column`` gives the
+    number of each entry of X on the support.
     """
     rows_x, cols_x = support.shape
     if column is None:
@@ -160,6 +169,11 @@ def _row_plan(position_in, position_out, shape_in, shape_out, support, column=No
     source_out, i = np.nonzero(support[o, :])
     equation_out = (g[source_out] * rows_x + r[source_out]) * cols_x + i
     unknown_out = column[o[source_out], i]
+    if dropped is not None:  # the terms of a dropped equation take no part
+        keep = ~np.isin(equation_in, dropped)
+        source_in, equation_in, unknown_in = source_in[keep], equation_in[keep], unknown_in[keep]
+        keep = ~np.isin(equation_out, dropped)
+        source_out, equation_out, unknown_out = source_out[keep], equation_out[keep], unknown_out[keep]
     touched = np.zeros(shape_in[0] * rows_x * cols_x, dtype=bool)
     touched[equation_in] = touched[equation_out] = True
     row = np.cumsum(touched) - 1  # rank among the touched equations, in label order
@@ -327,7 +341,7 @@ def solve_bulk(
         raise ValueError("matrix has non-finite entries")
     key = _support_key(_diagonal_key(a), _diagonal_key(b))
     system, residual, cyclic = _bulk_system(a, b, key)
-    support = key_pattern(key)
+    support = key_pattern(key[0])
     if cyclic is None:
         return solve_system(system, support, rel_tol, residual, flags)
     ns = block_nullspace(system, rel_tol)  # the factors' check above is the only one
@@ -341,15 +355,46 @@ def weight_support(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     It masks the S[out, in] whose qT eigenvalues, read off the diagonal of
     each factor's q^{T_i}, agree at every node to a relative 1e-4,
     |d_out - d_in| <= 1e-4 |d_in|: scale-free, and generous, as a kept
-    near-coincident entry still meets its qT rows.  It ignores x.
+    near-coincident entry still meets its qT rows (``_qt_rows``).  It
+    ignores x.  It is the only support rule; ``_support_key`` caches it.
     """
-    d_a, d_b = (np.diagonal(g[2], axis1=1, axis2=2) for g in (a, b))
-    d_in = (d_a[:, :, None] * d_b[:, None, :]).reshape(len(d_a), -1)  # q^{T_i} on V_a x V_b
-    d_out = (d_b[:, :, None] * d_a[:, None, :]).reshape(len(d_a), -1)
+    d_in, d_out = _cartan_products(a, b)
     support = np.ones((d_in.shape[1],) * 2, dtype=bool)
     for node_in, node_out, bound in zip(d_in, d_out, 1e-4 * abs(d_in)):  # memory: one mask
         support &= abs(node_out[:, None] - node_in) <= bound
     return support
+
+
+def _cartan_products(a: np.ndarray, b: np.ndarray) -> tuple:
+    """The q^{T_i} diagonals (nodes, d_a d_b) on V_a x V_b and on V_b x V_a of factor stacks a, b.
+
+    Each entry is one product of the factors' diagonal entries, in the order
+    ``CoproductCoordinates.values`` multiplies them.
+    """
+    d_a, d_b = (np.diagonal(g[2], axis1=1, axis2=2) for g in (a, b))
+    d_in = (d_a[:, :, None] * d_b[:, None, :]).reshape(len(d_a), -1)
+    d_out = (d_b[:, :, None] * d_a[:, None, :]).reshape(len(d_a), -1)
+    return d_in, d_out
+
+
+# A qT equation on the support is planned iff its coefficient d_in - d_out exceeds this many
+# units of roundoff of the larger diagonal entry.  With d_out / d_in = q^k, that keeps every
+# k != 0 equation unless q^k lies within a few ulp of 1, and no k = 0 one.
+QT_ROW_ROUNDOFF = 8 * np.finfo(float).eps
+
+
+def _qt_rows(d_in: np.ndarray, d_out: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """Which qT equations of the weight support carry a coefficient: a (nodes, unknowns) mask.
+
+    Unknown u, numbered row-major on ``support``, is S[o, i]; its equation
+    at node j reads (d_in[j, i] - d_out[j, o]) S[o, i] = 0.  Where k = 0 the
+    two products are equal up to roundoff (numpy's complex multiply is not
+    commutative bit for bit), and the equation is no constraint; it is kept
+    iff |d_in - d_out| > ``QT_ROW_ROUNDOFF`` max(|d_in|, |d_out|).
+    """
+    o, i = np.nonzero(support)
+    d_in, d_out = d_in[:, i], d_out[:, o]
+    return abs(d_in - d_out) > QT_ROW_ROUNDOFF * np.maximum(abs(d_in), abs(d_out))
 
 
 def _diagonal_key(gens: np.ndarray) -> tuple:
@@ -360,11 +405,13 @@ def _diagonal_key(gens: np.ndarray) -> tuple:
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _support_key(key_a: tuple, key_b: tuple) -> tuple:
-    """``pattern_key`` of the ``weight_support`` of factors with two ``_diagonal_key``s.
+    """The bulk rows' key of factors with two ``_diagonal_key``s: (support, qT rows).
 
-    On a miss, ``weight_support`` reads stacks that hold those diagonals and
-    nothing else, so the mask is the rule's bit for bit.  The key is the
-    exact bytes: a diagonal one ulp away is an entry of its own.
+    Both are ``pattern_key``s: of the ``weight_support``, and of the
+    (nodes, unknowns) ``_qt_rows`` mask on it.  On a miss, ``weight_support``
+    reads stacks that hold those diagonals and nothing else, so the masks
+    are the rules' bit for bit.  The key is the exact bytes: a diagonal one
+    ulp away is an entry of its own.
     """
     stacks = []
     for (nodes, dim), diagonals in (key_a, key_b):
@@ -372,7 +419,17 @@ def _support_key(key_a: tuple, key_b: tuple) -> tuple:
         slot = np.arange(dim)
         gens[2][:, slot, slot] = np.frombuffer(diagonals, dtype=np.complex128).reshape(nodes, dim)
         stacks.append(gens)
-    return pattern_key(weight_support(*stacks), 2)
+    support = weight_support(*stacks)
+    return pattern_key(support, 2), pattern_key(_qt_rows(*_cartan_products(*stacks), support), 2)
+
+
+def _roots(nodes: int) -> np.ndarray:
+    """w^{-m} for m = 0..N-1, w = e^{2 pi i / N}; exact at multiples of a quarter turn."""
+    m = np.arange(nodes)
+    roots = np.exp(-2j * np.pi * m / nodes)
+    quarter = 4 * m % nodes == 0
+    roots[quarter] = np.array([1, -1j, -1, 1j])[4 * m[quarter] // nodes]
+    return roots
 
 
 @dataclass(frozen=True)
@@ -383,16 +440,30 @@ class CyclicPlan:
     N.  A factor stack equals its shift iff its flat entries equal their
     gather at ``shift``.  An unknown S[o, i] goes to S[C o, C i], and each
     orbit of unknowns has N members: column c * N + s is the member at shift
-    s of orbit c, at flat index ``position`` of S.  ``rows`` plans the
-    equations of node 0, one per orbit of equations, on those columns.  Every
-    other equation is a shifted node-0 one, so the system is block-circulant
-    in these orbits, and the DFT along the shift axis makes it block-diagonal.
+    s of orbit c, at flat index ``position`` of S.  Every equation is a
+    shifted equation of node 0, one per orbit of equations, so the system is
+    block-circulant in these orbits, and the DFT along the shift axis makes
+    it block-diagonal: the (N, rows, orbits) ``shape``.
+
+    The DFT is folded into one gather.  The node-0 terms read coordinates
+    ``source_in`` of the input stack, then ``source_out`` of the output
+    stack.  Term ``spread[p]`` of that list, times ``phase[p]``, enters
+    block entry ``target[t]``, flat in ``shape``, for the p from ``start[t]``
+    on: a term of (r, c, s) enters (k, r, c) times w^{-ks}, and minus that
+    for an output term.  ``dft`` holds w^{-ks} / sqrt(N), unitary.
     """
 
     nodes: int
+    shape: tuple
     shift: np.ndarray
-    rows: RowPlan
     position: np.ndarray
+    source_in: np.ndarray
+    source_out: np.ndarray
+    spread: np.ndarray
+    phase: np.ndarray
+    start: np.ndarray
+    target: np.ndarray
+    dft: np.ndarray
 
     def covariant(self, *stacks) -> bool:
         """Whether every (..., 3, nodes, nodes, nodes) stack equals its own shift, exactly."""
@@ -403,14 +474,20 @@ class CyclicPlan:
         return True
 
     def blocks(self, values_in, values_out) -> np.ndarray:
-        """The (..., N, kept, orbits) Fourier blocks of coordinate values (see ``RowPlan``).
+        """The (..., N, rows, orbits) Fourier blocks of coordinate values (see ``RowPlan``).
 
         Entry (r, c) of block k is sum_s A[r, c, s] w^{-ks}, w = e^{2 pi i / N},
-        over the kept node-0 equations r; all-zero equations are dropped.
+        over the planned node-0 equations r, with A the node-0 rows on the
+        columns (c, s).  Leading axes, equal on both value arrays, give one
+        stack of blocks each, which is the unstacked call's bit for bit.
         """
-        rows = self.rows.assemble(values_in, values_out)
-        spectra = np.fft.fft(rows.reshape(*rows.shape[:-1], -1, self.nodes))
-        return spectra.transpose(*range(spectra.ndim - 3), -1, -3, -2)  # k to the front
+        lead = values_in.shape[:-1]
+        terms = np.concatenate((values_in.take(self.source_in, axis=-1),
+                                values_out.take(self.source_out, axis=-1)), axis=-1)
+        sums = np.add.reduceat(terms.take(self.spread, axis=-1) * self.phase, self.start, axis=-1)
+        blocks = np.zeros((*lead, math.prod(self.shape)), dtype=np.complex128)
+        blocks[last_axis(self.target, lead)] = sums
+        return blocks.reshape(*lead, *self.shape)
 
     def solutions(self, basis: np.ndarray, shape: tuple) -> np.ndarray:
         """Basis vectors in block coordinates (``block_nullspace``) as unknowns of ``shape``.
@@ -421,15 +498,18 @@ class CyclicPlan:
         count, columns = len(basis), len(self.position)
         coefficients = basis.reshape(count, self.nodes, columns // self.nodes).swapaxes(1, 2)
         full = np.zeros((count, math.prod(shape)), dtype=np.complex128)
-        full[:, self.position] = np.fft.fft(coefficients, norm="ortho").reshape(count, columns)
+        full[:, self.position] = (coefficients @ self.dft).reshape(count, columns)
         return full.reshape(count, *shape)
 
 
-def _cyclic_plan(a: np.ndarray, b: np.ndarray, support: np.ndarray, into, onto):
+def _cyclic_plan(a: np.ndarray, b: np.ndarray, support: np.ndarray, qt_rows: np.ndarray,
+                 into, onto, dropped: np.ndarray):
     """The ``CyclicPlan`` of factor patterns a, b and their coproduct coordinates, or None.
 
     None unless N = nodes >= ``CYCLIC_MIN_NODES``, every leg has dimension N,
-    and the shift maps both patterns and the support onto themselves.
+    and the shift maps both patterns, the support and the (nodes, unknowns)
+    ``_qt_rows`` mask onto themselves.  The equations labelled ``dropped``
+    (see ``_row_plan``) are not planned.
     """
     nodes = a.shape[1]
     if nodes < CYCLIC_MIN_NODES or a.shape[1:] != (nodes,) * 3 or b.shape != a.shape:
@@ -441,9 +521,12 @@ def _cyclic_plan(a: np.ndarray, b: np.ndarray, support: np.ndarray, into, onto):
         return None
     number = np.cumsum(support).reshape(support.shape) - 1  # row-major unknown index
     o, i = np.nonzero(support)
+    moved = number[step[o], step[i]]  # the unknown the shift makes of each
+    if not np.array_equal(np.roll(qt_rows, -1, axis=0)[:, moved], qt_rows):  # node j+1 of C u
+        return None
     walk = [np.arange(len(o))]  # walk[s][u]: the unknown that the shift applied s times makes of u
     for _ in range(nodes - 1):
-        walk.append(walk[-1][number[step[o], step[i]]])
+        walk.append(walk[-1][moved])
     walk = np.array(walk)
     members = walk[:, np.unique(walk.min(axis=0))].T.ravel()  # orbit-major, then shift
     column = np.zeros(support.shape, dtype=np.intp)
@@ -451,31 +534,50 @@ def _cyclic_plan(a: np.ndarray, b: np.ndarray, support: np.ndarray, into, onto):
     square = into.shape[1] * into.shape[2]
     first = [np.flatnonzero(c.position // square % nodes == 0) for c in (into, onto)]
     plan = _row_plan(into.position[first[0]], onto.position[first[1]], into.shape, onto.shape,
-                     support, column)
-    sources = frozen(first[0][plan.source_in], first[1][plan.source_out])
-    plan = replace(plan, source_in=sources[0], source_out=sources[1])
-    position = np.flatnonzero(support)[members]
-    return CyclicPlan(nodes, *frozen(shift), plan, *frozen(position))
+                     support, column, dropped)
+    # every node-0 term, input terms first, at each k: it enters block entry (k, r, c)
+    cell = np.concatenate((plan.target_in, plan.target_out))
+    orbit, s = np.divmod(plan.col[cell], nodes)
+    k = np.arange(nodes)[:, None]
+    target = ((k * plan.rows + plan.row[cell]) * (len(members) // nodes) + orbit).ravel()
+    sign = np.repeat([1.0, -1.0], [len(plan.target_in), len(plan.target_out)])
+    phase = (sign * _roots(nodes)[k * s % nodes]).ravel()
+    order = np.argsort(target, kind="stable")  # a block entry's terms in order: input first
+    target = target[order]
+    start = np.flatnonzero(np.diff(target, prepend=-1))
+    spread = np.tile(np.arange(len(cell)), nodes)[order]
+    dft = _roots(nodes)[k * np.arange(nodes) % nodes] / math.sqrt(nodes)
+    return CyclicPlan(nodes, (nodes, plan.rows, len(members) // nodes), *frozen(
+        shift, np.flatnonzero(support)[members], first[0][plan.source_in],
+        first[1][plan.source_out], spread, phase[order], start, target[start], dft))
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _bulk_plan(key_a: tuple, key_b: tuple, key_support: tuple) -> tuple:
     """Coordinates of both coproduct stacks, their ``RowPlan``, ``DefectPlan`` and ``CyclicPlan``.
 
-    The plans are keyed by ``pattern_key``s; the ``CyclicPlan`` is None below
-    the gate or where the shift does not map the patterns and support onto
-    themselves.
+    The factor plans are keyed by ``pattern_key``s, and the rows by a
+    ``_support_key`` value: unknowns on the support, and qT equations only
+    where its qT mask keeps them.  The ``CyclicPlan`` is None below the gate
+    or where the shift does not map the patterns and masks onto themselves.
+    The residual's ``DefectPlan`` covers every equation.
     """
-    a, b, support = key_pattern(key_a), key_pattern(key_b), key_pattern(key_support)
+    a, b = key_pattern(key_a), key_pattern(key_b)
+    support, qt_rows = (key_pattern(key) for key in key_support)
     into, onto = coproduct_coordinates(a, b), coproduct_coordinates(b, a)
     frozen(*(arr for c in (into, onto) for arr in (c.position, *c.product, *c.plain)))
-    plan = _row_plan(into.position, onto.position, into.shape, onto.shape, support)
+    rows_x, cols_x = support.shape
+    o, i = np.nonzero(support)
+    node, unknown = np.nonzero(~qt_rows)
+    dropped = ((2 * a.shape[1] + node) * rows_x + o[unknown]) * cols_x + i[unknown]
+    plan = _row_plan(into.position, onto.position, into.shape, onto.shape, support,
+                     dropped=dropped)
     defect = _defect_plan(into.position, onto.position, into.shape, onto.shape, support)
-    return into, onto, plan, defect, _cyclic_plan(a, b, support, into, onto)
+    return into, onto, plan, defect, _cyclic_plan(a, b, support, qt_rows, into, onto, dropped)
 
 
 def _bulk_system(a: np.ndarray, b: np.ndarray, key_support: tuple):
-    """The system of ``solve_bulk`` between finite factor stacks a, b on a support's ``pattern_key``.
+    """The system of ``solve_bulk`` between finite factor stacks a, b on their ``_support_key``.
 
     a and b are ``gens`` stacks, (..., 3, nodes, d, d), whose leading axes
     broadcast to one system per index.  Returns (system, residual, cyclic):
@@ -483,7 +585,7 @@ def _bulk_system(a: np.ndarray, b: np.ndarray, key_support: tuple):
     coordinates, apart from the rows.  Factors of at least
     ``CYCLIC_MIN_NODES`` nodes that equal their own shift, on a plan with a
     ``CyclicPlan``, give that plan as ``cyclic`` and the system as its
-    (..., N, kept, orbits) Fourier blocks; otherwise ``cyclic`` is None and
+    (..., N, rows, orbits) Fourier blocks; otherwise ``cyclic`` is None and
     the system is the whole one, (..., rows, cols).
     """
     into, onto, plan, defect, cyclic = _bulk_plan(pattern_key(a, 4), pattern_key(b, 4), key_support)

@@ -20,6 +20,8 @@ import cmath
 import functools
 import math
 import numbers
+import os
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -28,8 +30,9 @@ import numpy as np
 from .linalg import VerificationReport, isclose, relative_defect
 
 # Entries each cache keeps, least recently used first out.  A plan is keyed on shapes and
-# nonzero patterns only, never on values such as q or x; the one cache keyed on values is the
-# bulk weight support, on the exact bytes of the factors' q^{T_i} diagonals, never on x.
+# nonzero patterns only, never on values such as q or x; the one cache keyed on values holds the
+# bulk weight support and its qT rows, on the exact bytes of the factors' q^{T_i} diagonals,
+# never on x.
 PLAN_CACHE_SIZE = 128
 
 
@@ -209,9 +212,24 @@ def _warn_if_low_root_of_unity(q: complex) -> None:
             warnings.warn(
                 f"q is (close to) a root of unity of order {k}; "
                 "generic-parameter claims may degenerate",
-                stacklevel=4,  # the caller of vector_rep or vector_stack
+                stacklevel=_outside_stacklevel(),
             )
             return
+
+
+def _outside_stacklevel() -> int:
+    """The ``stacklevel`` that names the first frame outside this package, for its caller's warning.
+
+    So a command or a library call that builds several representations warns
+    once per line of the caller's, not once per line of this package's.
+    """
+    frame, level = sys._getframe(1), 1  # the frame that calls warnings.warn
+    while frame is not None and os.path.dirname(frame.f_code.co_filename) == _PACKAGE_DIR:
+        frame, level = frame.f_back, level + 1
+    return level
+
+
+_PACKAGE_DIR = os.path.dirname(__file__)
 
 
 def dual_rep(rep: EvaluationRep) -> EvaluationRep:

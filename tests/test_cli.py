@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from qreflect.cli import MAX_SCAN_POINTS, main, parse_complex
 from qreflect.intertwiners import NEAR_THRESHOLD_MARGIN, dimension_scan
 from qreflect.io import deserialize_matrix
 from qreflect.linalg import DEFAULT_REL_TOL
+from qreflect.reps import vector_rep
 
 
 def test_parse_complex_forms():
@@ -567,3 +569,29 @@ def test_near_threshold_bulk_solve_warns_on_stderr(tmp_path, capsys):
     assert main(argv) == 0
     out, err = capsys.readouterr()
     assert err.count("warning:") == 1 and out.startswith("smatrix: dimension 1")
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "theta", "--kind", "bulk", "--n", "3", "--q", "1@2.0943951023931953", "--x", "2",
+     "--grid", "0.1:1.5:5"],
+    ["smatrix", "--n", "2", "--q", "1@2.0943951023931953", "--x1", "2", "--x2", "1.3",
+     "--dual-right"],
+])
+def test_a_command_warns_once_for_a_root_of_unity(argv, tmp_path, capsys):
+    # the command builds two representations on two lines of the package; the warning names
+    # the first frame outside it, here this test's line, so the default filter shows it once
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("default")
+        assert main([*argv, "--out", str(tmp_path / "out.json")]) == 0
+    capsys.readouterr()
+    assert [str(w.message).split(";")[0] for w in record] == \
+        ["q is (close to) a root of unity of order 3"]
+    assert record[0].filename == __file__
+
+
+def test_a_library_call_names_its_callers_line_for_a_root_of_unity():
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        line = inspect.currentframe().f_lineno + 1
+        vector_rep(1, -1.0, 2.0)
+    assert len(record) == 1 and (record[0].filename, record[0].lineno) == (__file__, line)

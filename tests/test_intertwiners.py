@@ -494,7 +494,7 @@ def test_bulk_residual_matches_the_dense_formula_off_the_solution(n, flavour):
     a, b = vector_rep(n, Q_REF, np.exp(0.7)), vector_rep(n, Q_REF, np.exp(0.23))
     a, b = (dual_rep(r) if flavour & bit else r for r, bit in ((a, 1), (b, 2)))
     support = intertwiners.weight_support(a.gens, b.gens)
-    _, residual, _ = intertwiners._bulk_system(a.gens, b.gens, pattern_key(support, 2))
+    _, residual, _ = intertwiners._bulk_system(a.gens, b.gens, _bulk_key(a.gens, b.gens))
     solved = solve_bulk(a, b).normalized
     for size in (1e-9, 1e-3, 1.0):
         x = solved.copy()
@@ -509,22 +509,26 @@ def test_the_bulk_residual_does_not_read_the_rows(fault, monkeypatch):
     # a corrupt row plan: one input term moved to another cell of its equation, or the
     # first two unknowns swapped, which keeps the dimension and scatters a wrong S; the
     # residual, read from the coordinates alone, catches either.  At n = 2 the solve reads
-    # the whole system's plan, at n = 3 the Fourier blocks' plan: each solve gets the
-    # corruption in the plan it reads
+    # the whole system's plan, at n = 3 the Fourier blocks' gather, where the first input
+    # term's phase is negated instead of its term moved: each solve gets the corruption in
+    # the plan it reads
     original = intertwiners._bulk_plan
 
     def corrupt(*key):
-        into, onto, plan, defect, cyclic = original(*key)
+        into, onto, rows, defect, cyclic = original(*key)
         blocked = cyclic is not None and cyclic.nodes >= intertwiners.CYCLIC_MIN_NODES
-        rows = cyclic.rows if blocked else plan
-        if fault == "moved-term":
+        if fault == "moved-term" and blocked:
+            phase = cyclic.phase.copy()
+            phase[cyclic.spread == 0] *= -1
+            cyclic = replace(cyclic, phase=phase)
+        elif fault == "moved-term":
             target_in = rows.target_in.copy()
             target_in[0] = np.flatnonzero((rows.row == rows.row[target_in[0]])
                                           & (rows.col != rows.col[target_in[0]]))[0]
             rows = replace(rows, target_in=target_in)
         elif blocked:  # the columns of unknowns 0 and 1 scatter to each other's entry of S
             position = cyclic.position.copy()
-            first = np.flatnonzero(intertwiners.key_pattern(key[2]))[:2]
+            first = np.flatnonzero(intertwiners.key_pattern(key[2][0]))[:2]
             i, j = (np.flatnonzero(position == p)[0] for p in first)
             position[i], position[j] = position[j], position[i]
             cyclic = replace(cyclic, position=position)
@@ -532,8 +536,6 @@ def test_the_bulk_residual_does_not_read_the_rows(fault, monkeypatch):
             col = rows.col.copy()
             col[rows.col == 0], col[rows.col == 1] = 1, 0
             rows = replace(rows, col=col)
-        if blocked:
-            return into, onto, plan, defect, replace(cyclic, rows=rows)
         return into, onto, rows, defect, cyclic
 
     for n in (2, 3):
@@ -699,10 +701,15 @@ def test_closed_form_s_rejects_bad_input():
             closed_form_s(n, q, theta, 0.2)
 
 
-def _whole_rows(a, b, support):
+def _bulk_key(a, b):
+    """The ``_support_key`` of factor stacks a, b: their support and qT rows, as solves read it."""
+    return intertwiners._support_key(intertwiners._diagonal_key(a), intertwiners._diagonal_key(b))
+
+
+def _whole_rows(a, b):
     """The whole bulk system of factor stacks a, b, which solves off the cyclic path assemble."""
-    key = pattern_key(a, 4), pattern_key(b, 4), pattern_key(support, 2)
-    into, onto, plan, _, _ = intertwiners._bulk_plan(*key)
+    into, onto, plan, _, _ = intertwiners._bulk_plan(pattern_key(a, 4), pattern_key(b, 4),
+                                                     _bulk_key(a, b))
     return plan.assemble(into.values(a, b), onto.values(b, a))
 
 
@@ -733,9 +740,8 @@ def test_the_generators_are_cyclic_covariant_exactly(n, monkeypatch):
 
 
 def _cyclic_plan_of(a, b):
-    support = intertwiners.weight_support(a.gens, b.gens)
     return intertwiners._bulk_plan(pattern_key(a.gens, 4), pattern_key(b.gens, 4),
-                                   pattern_key(support, 2))[4]
+                                   _bulk_key(a.gens, b.gens))[4]
 
 
 def _whole_system_path(monkeypatch):
@@ -765,9 +771,10 @@ def _same_bits(one, other):
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_a_stack_off_its_shift_by_one_part_in_2_to_40_takes_the_whole_system(n, monkeypatch):
-    # value covariance is not structural: one entry scaled by 1 + 2^-40 keeps every pattern,
-    # so the plan is cyclic, but the solve must see the stack differ from its shift and
-    # give what the whole-system path gives, bit for bit
+    # value covariance is not structural: one entry scaled by 1 + 2^-40 keeps every pattern.
+    # On a charge the plan stays cyclic, and the solve must see the stack differ from its
+    # shift; on a q^T entry it gives k = 0 qT equations a coefficient, and the plan is not
+    # cyclic.  Either way the solve gives what the whole-system path gives, bit for bit
     rng = np.random.default_rng(60 + n)
     q, x = generic_point(rng)
     _, y = generic_point(rng)
@@ -780,8 +787,11 @@ def test_a_stack_off_its_shift_by_one_part_in_2_to_40_takes_the_whole_system(n, 
         assert gens[entry] != rep.gens[entry]
         pair[side] = EvaluationRep(n=n, q=rep.q, x=rep.x, is_dual=rep.is_dual, gens=gens)
         plan = _cyclic_plan_of(*pair)
-        assert plan is not None and plan.covariant(pair[1 - side].gens)
-        assert not plan.covariant(gens)
+        if entry[0] < 2:  # a charge: the patterns and masks keep their shift, the values do not
+            assert plan is not None and plan.covariant(pair[1 - side].gens)
+            assert not plan.covariant(gens)
+        else:  # a q^T entry gives k = 0 qT equations off the shift a coefficient: no cyclic plan
+            assert plan is None
         with monkeypatch.context() as patch:
             systems = _record_systems(patch)
             solution = solve_bulk(*pair)
@@ -817,14 +827,14 @@ def test_the_fourier_blocks_solve_what_the_whole_system_solves(n, monkeypatch):
     _, y = generic_point(rng)
     for left, right in itertools.product(("vector", "dual"), repeat=2):
         a, b = _all_reps(n, q, x)[left], _all_reps(n, q, y)[right]
-        support = intertwiners.weight_support(a.gens, b.gens)
-        _, _, cyclic = intertwiners._bulk_system(a.gens, b.gens, pattern_key(support, 2))
+        key = _bulk_key(a.gens, b.gens)
+        _, _, cyclic = intertwiners._bulk_system(a.gens, b.gens, key)
         assert (cyclic is not None) == (n + 1 >= intertwiners.CYCLIC_MIN_NODES)
-        rows = _whole_rows(a.gens, b.gens, support)
+        rows = _whole_rows(a.gens, b.gens)
         whole = np.linalg.svd(rows, compute_uv=False)
         with monkeypatch.context() as patch:
             _blocks_at_every_n(patch)
-            blocks, _, _ = intertwiners._bulk_system(a.gens, b.gens, pattern_key(support, 2))
+            blocks, _, _ = intertwiners._bulk_system(a.gens, b.gens, key)
         assert blocks.shape == (n + 1, rows.shape[0] // (n + 1), rows.shape[1] // (n + 1))
         merged = merged_singular_values(np.linalg.svd(blocks, compute_uv=False))
         assert np.abs(merged - whole).max() <= 1e-14 * whole[0], (left, right)
@@ -834,6 +844,83 @@ def test_the_fourier_blocks_solve_what_the_whole_system_solves(n, monkeypatch):
     blocked, whole = _both_paths(monkeypatch, solve)
     for key in ENGINE_CHANNELS:
         _assert_same_solution(blocked[key], whole[key], key)
+
+
+def _flavoured(n, q, x, y, flavour):
+    """V(x) and V(y) at (n, q), each its ``dual_rep`` where bit 0 or bit 1 of ``flavour`` says."""
+    pair = vector_rep(n, q, x), vector_rep(n, q, y)
+    return tuple(dual_rep(r) if flavour & bit else r for r, bit in zip(pair, (1, 2)))
+
+
+def _fourier_blocks_by_definition(a, b, cyclic):
+    """Node 0's dense Sylvester rows without their roundoff rows, on the orbit columns, through
+    ``np.fft.fft`` along the shift, block axis first: the reference of the gathered blocks."""
+    node_0 = [0, a.nodes, 2 * a.nodes]
+    support = _cached_support(a.gens, b.gens)
+    rows = sylvester_rows(coproduct(a, b)[node_0], coproduct(b, a)[node_0], support)
+    rows = rows[~_roundoff_rows(rows)][:, (np.cumsum(support) - 1)[cyclic.position]]
+    return np.fft.fft(rows.reshape(len(rows), -1, a.nodes)).transpose(2, 0, 1)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_the_gathered_fourier_blocks_are_the_node_0_rows_transformed(n):
+    # four flavours, one point and a stack of three right-hand points: each point's slice of
+    # the stack is its own blocks bit for bit, and both are the reference to roundoff
+    rng = np.random.default_rng(110 + n)
+    q, x = generic_point(rng)
+    ys = [generic_point(rng)[1] for _ in range(3)]
+    for flavour in range(4):
+        a, _ = _flavoured(n, q, x, ys[0], flavour)
+        right = reps.vector_stack(n, q, ys)
+        right = reps.dual_stack(right) if flavour & 2 else right
+        key = _bulk_key(a.gens, right[0])
+        stacked, _, cyclic = intertwiners._bulk_system(a.gens, right, key)
+        assert stacked.shape[:2] == (3, n + 1) and stacked.flags.c_contiguous
+        for y, gens, blocks in zip(ys, right, stacked):
+            alone = intertwiners._bulk_system(a.gens, gens, key)[0]
+            assert alone.tobytes() == blocks.tobytes()
+            b = EvaluationRep(n=n, q=q, x=y, is_dual=bool(flavour & 2), gens=gens)
+            reference = _fourier_blocks_by_definition(a, b, cyclic)
+            assert blocks.shape == reference.shape
+            assert abs(blocks - reference).max() <= 1e-14 * abs(reference).max(), flavour
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_qt_rows_are_planned_only_near_a_root_of_unity_and_keep_their_shift(n, monkeypatch):
+    # at generic q no qT equation on the support has a coefficient above roundoff; at
+    # q = -(1 + 1e-8) some do, on a mask the shift maps onto itself, and the solve, with or
+    # without equal rapidities, ranks as the dense system that keeps every nonzero qT row
+    q = -(1 + 1e-8)
+    for flavour in range(4):
+        a, b = _flavoured(n, Q_REF, 2.0, 1.3, flavour)
+        assert not intertwiners.key_pattern(_bulk_key(a.gens, b.gens)[1]).any()
+        for y in (np.exp(0.7), 1.3):
+            a, b = _flavoured(n, q, np.exp(0.7), y, flavour)
+            assert intertwiners.key_pattern(_bulk_key(a.gens, b.gens)[1]).any()
+            with monkeypatch.context() as patch:
+                _blocks_at_every_n(patch)
+                assert _cyclic_plan_of(a, b) is not None
+            support = _cached_support(a.gens, b.gens)
+            dense = intertwiners.nullspace(sylvester_rows(coproduct(a, b), coproduct(b, a), support))
+            solution = solve_bulk(a, b)
+            case = (flavour, y)
+            assert solution.dimension == dense.dimension, case
+            near = dense.margin < intertwiners.NEAR_THRESHOLD_MARGIN
+            assert ("near-threshold" in solution.flags) == near, case
+
+
+def test_blocked_solves_and_scans_call_no_fft(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.fft was called")
+
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, refuse)
+    intertwiners._bulk_plan.cache_clear()  # the plans too are built without it
+    systems, stacks = _record_systems(monkeypatch), _record_scan_stacks(monkeypatch)
+    a, b = vector_rep(4, Q_REF, 2.0), dual_rep(vector_rep(4, Q_REF, 1.3))
+    assert solve_bulk(a, b).dimension == 1 and systems[-1].ndim == 3
+    assert dimension_scan("bulk", {"n": 4, "q": Q_REF, "x_left": 2.0}, [1.3, 0.7]).dims == [1, 1]
+    assert stacks[-1].ndim == 4
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -847,8 +934,8 @@ def test_each_fourier_block_is_the_whole_system_on_its_modes(n):
     for left, right in itertools.product(("vector", "dual"), repeat=2):
         a, b = _all_reps(n, q, x)[left], _all_reps(n, q, y)[right]
         support = intertwiners.weight_support(a.gens, b.gens)
-        rows = _whole_rows(a.gens, b.gens, support)
-        blocks, _, cyclic = intertwiners._bulk_system(a.gens, b.gens, pattern_key(support, 2))
+        rows = _whole_rows(a.gens, b.gens)
+        blocks, _, cyclic = intertwiners._bulk_system(a.gens, b.gens, _bulk_key(a.gens, b.gens))
         count, _, orbits = blocks.shape
         vectors = rng.normal(size=(count, orbits)) + 1j * rng.normal(size=(count, orbits))
         basis = np.zeros((count, count, orbits), dtype=complex)
@@ -935,8 +1022,7 @@ def _tall_systems():
         for flavour in range(4):
             a, b = vector_rep(n, Q_REF, np.exp(0.7)), vector_rep(n, Q_REF, np.exp(0.23))
             a, b = (dual_rep(r) if flavour & bit else r for r, bit in ((a, 1), (b, 2)))
-            support = intertwiners.weight_support(a.gens, b.gens)
-            yield _whole_rows(a.gens, b.gens, support)
+            yield _whole_rows(a.gens, b.gens)
         rep = vector_rep(n, Q_REF, 2.0)
         m_in, m_out = (coideal_generators(r, [eps_star(Q_REF)] * (n + 1))
                        for r in (rep, reflection_dual(rep)))
@@ -971,8 +1057,7 @@ def _weight_support_at_once(a, b):
 
 def _cached_support(a, b):
     """The mask that ``solve_bulk`` reads from the cache for factor stacks a, b."""
-    return intertwiners.key_pattern(intertwiners._support_key(intertwiners._diagonal_key(a),
-                                                              intertwiners._diagonal_key(b)))
+    return intertwiners.key_pattern(_bulk_key(a, b)[0])
 
 
 def _assert_one_mask(a, b):
@@ -1029,34 +1114,37 @@ def test_the_weight_support_is_looked_up_once_per_pair_of_diagonals():
 
 def test_the_cached_weight_support_is_read_only():
     a, b = vector_rep(2, Q_REF, 2.0), vector_rep(2, Q_REF, 1.3)
-    key = intertwiners._support_key(intertwiners._diagonal_key(a.gens),
-                                    intertwiners._diagonal_key(b.gens))
+    key, rows = _bulk_key(a.gens, b.gens)
     support = intertwiners.key_pattern(key)
-    assert not support.flags.writeable
-    with pytest.raises(ValueError):
-        support[...] = True
+    for mask in (support, intertwiners.key_pattern(rows)):
+        assert not mask.flags.writeable
+        with pytest.raises(ValueError):
+            mask[...] = True
     a.gens[2] *= 2.0  # the cached key holds bytes, never a view of a factor
     assert intertwiners.key_pattern(key).tobytes() == support.tobytes()
     assert key == pattern_key(intertwiners.weight_support(vector_rep(2, Q_REF, 2.0).gens, b.gens), 2)
 
 
-def test_bulk_assembly_allocates_only_the_kept_equations():
-    # at n = 8, 1 359 of the 1 953 planned equations of a vector x vector system cancel to
-    # exact zeros on the support; the assembly's peak stays below the planned dense size
-    a, b = vector_rep(8, Q_REF, 2.0), vector_rep(8, Q_REF, 1.3)
-    support = intertwiners.weight_support(a.gens, b.gens)
-    rows = _whole_rows(a.gens, b.gens, support)  # the plan is cached
-    plan = intertwiners._bulk_plan(pattern_key(a.gens, 4), pattern_key(b.gens, 4),
-                                   pattern_key(support, 2))[2]
-    assert rows.shape[0] < plan.rows and rows.shape[1] == plan.cols
-    tracemalloc.start()
-    try:
-        again = _whole_rows(a.gens, b.gens, support)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert again.tobytes() == rows.tobytes()
-    assert peak < plan.rows * plan.cols * rows.itemsize
+@pytest.mark.parametrize("n, q", [(8, Q_REF), (3, -(1 + 1e-8))])
+def test_the_bulk_plan_leaves_out_exactly_the_roundoff_rows(n, q):
+    # the dense Sylvester rows of the coproduct stacks drop only exact zeros, and keep the
+    # qT rows that hold roundoff (k = 0); the planned whole system is those rows without
+    # them, bit for bit, and no planned row is zero.  Near q = -1 the k != 0 qT rows stay
+    for flavour in range(4):
+        a, b = vector_rep(n, q, 2.0), vector_rep(n, q, 1.3)
+        a, b = (dual_rep(r) if flavour & bit else r for r, bit in ((a, 1), (b, 2)))
+        rows = _whole_rows(a.gens, b.gens)
+        dense = sylvester_rows(coproduct(a, b), coproduct(b, a), _cached_support(a.gens, b.gens))
+        roundoff = _roundoff_rows(dense)
+        assert roundoff.any() == (q == Q_REF) and rows.any(axis=1).all()
+        assert rows.tobytes() == dense[~roundoff].tobytes(), flavour
+        kept = intertwiners.key_pattern(_bulk_key(a.gens, b.gens)[1])
+        assert kept.any() == (q != Q_REF)
+
+
+def _roundoff_rows(rows):
+    """The rows of a bulk system that hold only roundoff against its largest entry."""
+    return abs(rows).max(axis=1) <= 1e-13 * abs(rows).max()
 
 
 def _kronecker_rows(m_in, m_out, support):
@@ -1161,7 +1249,7 @@ def test_another_nonzero_pattern_gets_its_own_plan(monkeypatch):
     m_in, m_out = _kron_coproduct(zeroed, b), _kron_coproduct(b, zeroed)
     support = _isclose_support(m_in, m_out, zeroed.nodes)
     expected = _nonzero_rows(m_in, m_out, support)
-    assert systems[-1].tobytes() == expected.tobytes()
+    assert systems[-1].tobytes() == expected[~_roundoff_rows(expected)].tobytes()
     assert solution.dimension == intertwiners.nullspace(expected).dimension
     assert solution.dimension != solve_bulk(a, b).dimension  # the algebra is broken
 
@@ -1175,13 +1263,13 @@ def _plan_arrays(plan):
     return [into.position, *into.product, *into.plain, onto.position, *onto.product, *onto.plain,
             *_row_plan_arrays(rows), defect.generator_in, defect.generator_out, defect.value,
             defect.entry, defect.start, defect.generator, cyclic.shift, cyclic.position,
-            *_row_plan_arrays(cyclic.rows)]
+            cyclic.source_in, cyclic.source_out, cyclic.spread, cyclic.phase, cyclic.start,
+            cyclic.target, cyclic.dft]
 
 
 def test_cached_plans_are_read_only_and_outlive_writes_to_the_factors():
     a, b = vector_rep(3, Q_REF, np.exp(0.7)), vector_rep(3, Q_REF, np.exp(0.23))
-    key = (pattern_key(a.gens, 4), pattern_key(b.gens, 4),
-           pattern_key(intertwiners.weight_support(a.gens, b.gens), 2))
+    key = pattern_key(a.gens, 4), pattern_key(b.gens, 4), _bulk_key(a.gens, b.gens)
     before = solve_bulk(a, b)
     plan = intertwiners._bulk_plan(*key)
     saved = [arr.copy() for arr in _plan_arrays(plan)]
