@@ -380,7 +380,7 @@ def _cartan_products(a: np.ndarray, b: np.ndarray) -> tuple:
 # A qT equation on the support is planned iff its coefficient d_in - d_out exceeds this many
 # units of roundoff of the larger diagonal entry.  With d_out / d_in = q^k, that keeps every
 # k != 0 equation unless q^k lies within a few ulp of 1, and no k = 0 one.
-QT_ROW_ROUNDOFF = 8 * np.finfo(float).eps
+QT_ROW_ROUNDOFF = 8 * 2.0**-52  # float64's machine epsilon is 2^-52; a literal costs no import time
 
 
 def _qt_rows(d_in: np.ndarray, d_out: np.ndarray, support: np.ndarray) -> np.ndarray:
