@@ -2,7 +2,6 @@ import cmath
 import importlib
 import itertools
 import pkgutil
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
