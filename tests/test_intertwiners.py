@@ -908,6 +908,18 @@ def test_qt_rows_are_planned_only_near_a_root_of_unity_and_keep_their_shift(n, m
             assert ("near-threshold" in solution.flags) == near, case
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_roundoff_qt_rows_constrain_nothing(n):
+    # factors with their charges zeroed leave only the qT equations, which vanish on the
+    # weight support up to roundoff (k = 0), so every unknown is free; ranked as rows, that
+    # roundoff fixed 2 of 6 unknowns at n = 1 and 8 or 16 of 28 at n = 3, with margins ~1e9
+    gens = vector_rep(n, Q_REF, 2.0).gens.copy()
+    gens[:2] = 0.0
+    a = EvaluationRep(n=n, q=Q_REF, x=2.0, is_dual=False, gens=gens)
+    for b in (a, dual_rep(a)):
+        assert solve_bulk(a, b).dimension == _cached_support(a.gens, b.gens).sum()
+
+
 def test_blocked_solves_and_scans_call_no_fft(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("numpy.fft was called")
