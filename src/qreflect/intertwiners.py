@@ -34,7 +34,10 @@ and a DFT along each orbit turns the system into N independent Fourier
 blocks with the same singular values (``linalg.block_nullspace``).  The DFT
 is part of the plan: one phase-weighted gather of the coordinate values
 gives the blocks, and one product by the plan's unitary DFT matrix maps a
-null vector back.  Other inputs assemble the whole system.
+null vector back.  Other inputs assemble the whole system.  Bulk solves and
+bulk scan chunks take their systems from one checked front end
+(``_bulk_system``): it refuses non-finite factors, looks the support up,
+picks the blocks or the whole system, and refuses a non-finite system.
 """
 
 from __future__ import annotations
@@ -55,14 +58,6 @@ from .reps import frozen, last_axis, vector_rep, vector_stack
 # A rank decision whose cut lies within this factor of a singular value is flagged.
 NEAR_THRESHOLD_MARGIN = 1e3
 
-# Fewest nodes N at which a covariant bulk solve or scan chunk goes through the N Fourier
-# blocks.  Measured with OpenBLAS on 2 CPUs, one warm vector x vector solve_bulk, whole system
-# against blocks, the best of 9 interleaved timings in one process: N = 2 (n = 1) 131 against
-# 129 us, N = 3 202 against 157 us, N = 4 420 against 193 us, N = 9 17 against 0.9 ms.  Gathered
-# in one pass, the blocks cost no more than the whole system from N = 2 on and win from N = 3;
-# the gate stays where two SVD calls and two FFTs (~80 us) used to put it, as moving it moves
-# the bits of every n = 2 solve.
-CYCLIC_MIN_NODES = 4
 
 def pattern_key(a: np.ndarray, core: int) -> tuple:
     """Shape of the last ``core`` axes of ``a``, and the bytes of where any leading slice is nonzero.
@@ -336,15 +331,10 @@ def solve_bulk(
         raise ValueError("bulk channels require matching (n, q)")
     equal = isclose(rep_a.x, rep_b.x) and rep_a.is_dual == rep_b.is_dual
     flags = ("equal-rapidity",) if equal else ()
-    a, b = rep_a.gens, rep_b.gens
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):  # before any arithmetic on them
-        raise ValueError("matrix has non-finite entries")
-    key = _support_key(_diagonal_key(a), _diagonal_key(b))
-    system, residual, cyclic = _bulk_system(a, b, key)
-    support = key_pattern(key[0])
+    system, support, residual, cyclic = _bulk_system(rep_a.gens, rep_b.gens)
     if cyclic is None:
         return solve_system(system, support, rel_tol, residual, flags)
-    ns = block_nullspace(system, rel_tol)  # the factors' check above is the only one
+    ns = block_nullspace(system, rel_tol)
     ns.basis = cyclic.solutions(ns.basis, support.shape)
     return _scored(ns, residual, flags)
 
@@ -398,8 +388,8 @@ def _qt_rows(d_in: np.ndarray, d_out: np.ndarray, support: np.ndarray) -> np.nda
 
 
 def _diagonal_key(gens: np.ndarray) -> tuple:
-    """Shape and bytes of the q^{T_i} diagonals of a (3, nodes, d, d) stack."""
-    diagonals = np.diagonal(gens[2], axis1=1, axis2=2)
+    """Shape and bytes of the q^{T_i} diagonals of the first (3, nodes, d, d) slice of a stack."""
+    diagonals = np.diagonal(gens[(0,) * (gens.ndim - 4) + (2,)], axis1=1, axis2=2)
     return diagonals.shape, diagonals.tobytes()
 
 
@@ -506,13 +496,13 @@ def _cyclic_plan(a: np.ndarray, b: np.ndarray, support: np.ndarray, qt_rows: np.
                  into, onto, dropped: np.ndarray):
     """The ``CyclicPlan`` of factor patterns a, b and their coproduct coordinates, or None.
 
-    None unless N = nodes >= ``CYCLIC_MIN_NODES``, every leg has dimension N,
-    and the shift maps both patterns, the support and the (nodes, unknowns)
-    ``_qt_rows`` mask onto themselves.  The equations labelled ``dropped``
-    (see ``_row_plan``) are not planned.
+    None unless every leg has dimension N = nodes, and the shift maps both
+    patterns, the support and the (nodes, unknowns) ``_qt_rows`` mask onto
+    themselves.  The equations labelled ``dropped`` (see ``_row_plan``) are
+    not planned.
     """
     nodes = a.shape[1]
-    if nodes < CYCLIC_MIN_NODES or a.shape[1:] != (nodes,) * 3 or b.shape != a.shape:
+    if a.shape[1:] != (nodes,) * 3 or b.shape != a.shape:
         return None
     shift = np.roll(np.arange(a.size).reshape(a.shape), 1, axis=(1, 2, 3)).reshape(-1)
     step = np.roll(np.arange(nodes * nodes).reshape(nodes, nodes), -1, axis=(0, 1)).reshape(-1)
@@ -558,8 +548,8 @@ def _bulk_plan(key_a: tuple, key_b: tuple, key_support: tuple) -> tuple:
 
     The factor plans are keyed by ``pattern_key``s, and the rows by a
     ``_support_key`` value: unknowns on the support, and qT equations only
-    where its qT mask keeps them.  The ``CyclicPlan`` is None below the gate
-    or where the shift does not map the patterns and masks onto themselves.
+    where its qT mask keeps them.  The ``CyclicPlan`` is None where the shift
+    does not map the patterns and masks onto themselves.
     The residual's ``DefectPlan`` covers every equation.
     """
     a, b = key_pattern(key_a), key_pattern(key_b)
@@ -576,25 +566,36 @@ def _bulk_plan(key_a: tuple, key_b: tuple, key_support: tuple) -> tuple:
     return into, onto, plan, defect, _cyclic_plan(a, b, support, qt_rows, into, onto, dropped)
 
 
-def _bulk_system(a: np.ndarray, b: np.ndarray, key_support: tuple):
-    """The system of ``solve_bulk`` between finite factor stacks a, b on their ``_support_key``.
+def _bulk_system(a: np.ndarray, b: np.ndarray):
+    """The system of ``solve_bulk`` between factor stacks a, b, checked: its one front end.
 
     a and b are ``gens`` stacks, (..., 3, nodes, d, d), whose leading axes
-    broadcast to one system per index.  Returns (system, residual, cyclic):
-    ``residual(x)`` scores an unstacked solution on the coproduct
-    coordinates, apart from the rows.  Factors of at least
-    ``CYCLIC_MIN_NODES`` nodes that equal their own shift, on a plan with a
-    ``CyclicPlan``, give that plan as ``cyclic`` and the system as its
-    (..., N, rows, orbits) Fourier blocks; otherwise ``cyclic`` is None and
-    the system is the whole one, (..., rows, cols).
+    broadcast to one system per index.  A non-finite factor is refused
+    before any arithmetic.  The support and qT rows are looked up
+    (``_support_key``) from each stack's first leading slice: a scan
+    chunk's points share q, and the q^{T_i} diagonals ignore x.  Returns
+    (system, support, residual, cyclic): ``residual(x)`` scores an
+    unstacked solution on the coproduct coordinates, apart from the rows.
+    Factors that equal their own shift, on a plan with a ``CyclicPlan``,
+    give that plan as ``cyclic`` and the system as its (..., N, rows,
+    orbits) Fourier blocks; otherwise ``cyclic`` is None and the system is
+    the whole one, (..., rows, cols).  A system that is not finite, as
+    products of finite factors can overflow, is refused before any SVD.
     """
-    into, onto, plan, defect, cyclic = _bulk_plan(pattern_key(a, 4), pattern_key(b, 4), key_support)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):  # before any arithmetic on them
+        raise ValueError("matrix has non-finite entries")
+    key = _support_key(_diagonal_key(a), _diagonal_key(b))
+    into, onto, plan, defect, cyclic = _bulk_plan(pattern_key(a, 4), pattern_key(b, 4), key)
     values_in, values_out = into.values(a, b), onto.values(b, a)
+    if cyclic is not None and cyclic.covariant(a, b):
+        system = cyclic.blocks(values_in, values_out)
+    else:
+        system, cyclic = plan.assemble(values_in, values_out), None
+    if not np.isfinite(system).all():
+        raise ValueError("matrix has non-finite entries")
     residual = functools.partial(intertwining_residual, plan=defect, values_in=values_in,
                                  values_out=values_out)
-    if cyclic is not None and cyclic.nodes >= CYCLIC_MIN_NODES and cyclic.covariant(a, b):
-        return cyclic.blocks(values_in, values_out), residual, cyclic
-    return plan.assemble(values_in, values_out), residual, None
+    return system, key_pattern(key[0]), residual, cyclic
 
 
 def closed_form_s(n: int, q: complex, theta_a: complex, theta_b: complex) -> np.ndarray:
@@ -800,7 +801,7 @@ SCAN_CHUNK = 32
 
 @dataclass
 class ScanResult:
-    """Nullspace dimensions and rank margins (see ``linalg.rank_decision``), in grid order."""
+    """Nullspace dimensions and rank margins (see ``NullspaceResult.margin``), in grid order."""
 
     dims: list
     margins: list
@@ -831,11 +832,7 @@ def dimension_scan(kind: str, fixed: dict, grid) -> ScanResult:
         left = vector_rep(n, q, fixed["x_left"]).gens
 
         def rows(chunk):
-            right = vector_stack(n, q, grid[chunk])
-            if not (np.isfinite(left).all() and np.isfinite(right).all()):
-                raise ValueError("matrix has non-finite entries")
-            key = _support_key(_diagonal_key(left), _diagonal_key(right[0]))  # q^{T_i} ignore x
-            return _bulk_system(left, right, key)[0]
+            return _bulk_system(left, vector_stack(n, q, grid[chunk]))[0]
     elif kind == "boundary":
         from .boundary import k_scan_rows  # local import, boundary builds on this module
 

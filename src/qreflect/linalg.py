@@ -10,13 +10,14 @@ takes one matrix; ``block_nullspace`` takes a block-diagonal matrix as its
 (N, rows, cols) stack of diagonal blocks, as the Fourier blocks of a
 cyclic-covariant bulk system come, and ranks all blocks' singular values
 under one cut.  ``stack_nullities`` ranks a scan's stack of either kind from
-singular values alone, through the same values-only SVD.
+singular values alone, through the same values-only SVD.  All three decide
+with one rule, ``_decide``, and merge blocks' values with one function,
+``merged_singular_values``.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -112,29 +113,57 @@ class NullspaceResult:
     margin: float  # min(kept sigma_min / cut, cut / dropped sigma_max)
 
 
-def rank_decision(s, rel_tol: float = DEFAULT_REL_TOL):
-    """Rank of one matrix or a stack of them, read off singular values alone.
+def nullspace(m, rel_tol: float = DEFAULT_REL_TOL) -> NullspaceResult:
+    """Orthonormal basis of the right nullspace of ``m``, ranked by ``_decide``.
 
-    ``s`` holds each matrix's singular values in descending order along its
-    last axis.  A singular value counts iff it is >= cut = rel_tol * sigma_max,
-    and a matrix with sigma_max = 0 (all zero, or without rows) has rank 0.
-    The margin is min(kept sigma_min / cut, cut / dropped sigma_max): the
-    factor between the cut and the nearest singular value, inf for a side
-    that has none or only exact zeros.  Returns (rank, sigma_max, margin),
-    each shaped like ``s[..., 0]``.
+    An all-zero matrix, also one with no rows, yields the full space with
+    ``sigma_max`` 0.  Only s and V^H are read, and no U of a tall matrix is
+    formed.  A matrix with at least 17 rows per 9 columns, where zgesdd
+    itself factors QR first (its ``MNTHR1``), and at least
+    ``QR_FIRST_MIN_COLS`` columns is factored QR first here, and the SVD is
+    taken of R alone (Chan's R-SVD): its s and V^H are the matrix's own.
     """
-    check_tolerance(rel_tol)
-    s = np.asarray(s, dtype=float)
-    if not s.shape[-1]:  # a matrix without rows: one zero singular value
-        s = np.zeros(s.shape[:-1] + (1,))
-    # a few Python-float steps per matrix cost less than a dozen numpy calls on 0-d arrays
-    decided = [_decide(row, rel_tol) for row in s.reshape(-1, s.shape[-1]).tolist()]
-    decided = np.array(decided, dtype=float).reshape(*s.shape[:-1], 3)
-    return decided[..., 0].astype(np.intp), decided[..., 1], decided[..., 2]
+    m = as_matrix(m)
+    s, vh = _right_factors(m)
+    rank, sigma_max, margin = _decide(s.tolist(), check_tolerance(rel_tol))
+    return NullspaceResult(m.shape[1] - rank, vh[rank:].conj(), sigma_max, margin)
+
+
+def _right_factors(m: np.ndarray) -> tuple:
+    """The singular values and V^H of a finite matrix, as ``nullspace`` reads them."""
+    rows, cols = m.shape
+    if not m.any():
+        return np.zeros(0), np.eye(cols, dtype=np.complex128)
+    if 9 * rows >= 17 * cols and cols >= QR_FIRST_MIN_COLS:
+        _, s, vh = np.linalg.svd(np.linalg.qr(m, mode="r"), full_matrices=False)
+    else:
+        # a wide matrix needs the full V^H for its complement; a tall one has it thin
+        _, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
+    return s, vh
+
+
+def merged_singular_values(s: np.ndarray) -> np.ndarray:
+    """Singular values (..., N, k) of N diagonal blocks as one descending row (..., N k) each.
+
+    These are the singular values of the block-diagonal matrix, in the order
+    ``_decide`` reads.  One block's values are already descending and are
+    not sorted again.
+    """
+    merged = s.reshape(*s.shape[:-2], -1)
+    return merged if s.shape[-2] == 1 else np.sort(merged, axis=-1)[..., ::-1]
 
 
 def _decide(row: list, rel_tol: float) -> tuple:
-    """(rank, sigma_max, margin) of one descending list of singular values (``rank_decision``)."""
+    """(rank, sigma_max, margin) of one descending list of singular values: the one rank rule.
+
+    A singular value counts iff it is >= cut = rel_tol * sigma_max.  A
+    matrix without rows has no singular values and reads as one zero, and a
+    matrix with sigma_max = 0 has rank 0.  The margin is min(kept sigma_min
+    / cut, cut / dropped sigma_max): the factor between the cut and the
+    nearest singular value, inf for a side that has none or only exact
+    zeros.  A few Python-float steps cost less than numpy calls on 0-d arrays.
+    """
+    row = row or [0.0]
     sigma_max = row[0]
     cut = rel_tol * sigma_max
     rank = _kept(row, cut)
@@ -156,51 +185,13 @@ def _kept(row: list, cut: float) -> int:
     return len(row) - bisect.bisect_left(row[::-1], cut)
 
 
-def nullspace(m, rel_tol: float = DEFAULT_REL_TOL) -> NullspaceResult:
-    """Orthonormal basis of the right nullspace of ``m``, ranked by ``rank_decision``.
-
-    An all-zero matrix, also one with no rows, yields the full space with
-    ``sigma_max`` 0.  Only s and V^H are read, and no U of a tall matrix is
-    formed.  A matrix with at least 17 rows per 9 columns, where zgesdd
-    itself factors QR first (its ``MNTHR1``), and at least
-    ``QR_FIRST_MIN_COLS`` columns is factored QR first here, and the SVD is
-    taken of R alone (Chan's R-SVD): its s and V^H are the matrix's own.
-    """
-    m = as_matrix(m)
-    s, vh = _right_factors(m)
-    rank, sigma_max, margin = (x.item() for x in rank_decision(s, rel_tol))
-    return NullspaceResult(m.shape[1] - rank, vh[rank:].conj(), sigma_max, margin)
-
-
-def _right_factors(m: np.ndarray) -> tuple:
-    """The singular values and V^H of a finite matrix, as ``nullspace`` reads them."""
-    rows, cols = m.shape
-    if not m.any():
-        return np.zeros(0), np.eye(cols, dtype=np.complex128)
-    if 9 * rows >= 17 * cols and cols >= QR_FIRST_MIN_COLS:
-        _, s, vh = np.linalg.svd(np.linalg.qr(m, mode="r"), full_matrices=False)
-    else:
-        # a wide matrix needs the full V^H for its complement; a tall one has it thin
-        _, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
-    return s, vh
-
-
-def merged_singular_values(s: np.ndarray) -> np.ndarray:
-    """Singular values (..., N, k) of N diagonal blocks as one descending row (..., N k) each.
-
-    These are the singular values of the block-diagonal matrix, in the order
-    ``rank_decision`` reads.
-    """
-    return np.sort(s.reshape(*s.shape[:-2], -1), axis=-1)[..., ::-1]
-
-
 def block_nullspace(blocks: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> NullspaceResult:
     """``nullspace`` of the block-diagonal matrix whose diagonal blocks are ``blocks``.
 
     ``blocks`` is a finite (N, rows, cols) complex array; finiteness is the
     caller's to check.  One values-only SVD of every block gives the
-    singular values, and ``rank_decision``'s rule, in Python floats, decides
-    the rank on all of them merged, so the cut is rel_tol times the largest
+    singular values, and ``_decide`` ranks them merged
+    (``merged_singular_values``), so the cut is rel_tol times the largest
     singular value of any block, and ``sigma_max`` and the margin are the
     whole matrix's.  Each block keeps its values at that cut.  V^H is then
     computed, as ``nullspace`` computes it, only for the blocks with a null
@@ -209,14 +200,12 @@ def block_nullspace(blocks: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> Nul
     """
     rel_tol = check_tolerance(rel_tol)
     count, _, cols = blocks.shape
-    each = np.linalg.svd(blocks, compute_uv=False).tolist()
-    # blocks without rows have no singular values: one zero, as rank_decision reads them
-    merged = sorted(itertools.chain.from_iterable(each), reverse=True) or [0.0]
-    rank, sigma_max, margin = _decide(merged, rel_tol)
+    s = np.linalg.svd(blocks, compute_uv=False)
+    rank, sigma_max, margin = _decide(merged_singular_values(s).tolist(), rel_tol)
     cut = rel_tol * sigma_max
     basis = np.zeros((count * cols - rank, count, cols), dtype=np.complex128)
     found = 0
-    for k, values in enumerate(each):
+    for k, values in enumerate(s.tolist()):
         kept = _kept(values, cut)
         if kept < cols:
             null = _right_factors(blocks[k])[1][kept:].conj()
@@ -228,20 +217,17 @@ def block_nullspace(blocks: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> Nul
 def stack_nullities(stack) -> tuple:
     """Nullspace dimensions and margins of a stack of systems, from singular values only.
 
-    A (points, rows, cols) stack holds one matrix per point; a (points, N,
-    rows, cols) stack holds each point's block-diagonal matrix as its N
-    diagonal blocks, ranked as ``block_nullspace`` ranks them.  Each point is
-    decided in Python floats by ``rank_decision``'s rule; the dimensions and
-    margins come as two lists.
+    A (points, N, rows, cols) stack holds each point's block-diagonal matrix
+    as its N diagonal blocks, and a (points, rows, cols) stack one matrix per
+    point, ranked as one block.  Each point is decided as ``block_nullspace``
+    decides; the dimensions and margins come as two lists.
     """
     if not np.isfinite(stack).all():
         raise ValueError("matrix has non-finite entries")
-    s = np.linalg.svd(stack, compute_uv=False)
-    cols = stack.shape[-1]
-    if stack.ndim == 4:
-        s, cols = merged_singular_values(s), cols * stack.shape[1]
-    # a matrix without rows has no singular values: one zero, as rank_decision reads it
-    decided = [_decide(row or [0.0], DEFAULT_REL_TOL) for row in s.tolist()]
+    blocks = stack.reshape(len(stack), math.prod(stack.shape[1:-2]), *stack.shape[-2:])
+    s = merged_singular_values(np.linalg.svd(blocks, compute_uv=False))
+    cols = blocks.shape[1] * blocks.shape[3]
+    decided = [_decide(row, DEFAULT_REL_TOL) for row in s.tolist()]
     return [cols - rank for rank, _, _ in decided], [margin for _, _, margin in decided]
 
 
@@ -281,7 +267,11 @@ def normalize_solution(v) -> np.ndarray:
 
 
 def scale_to_pivot(v: np.ndarray) -> np.ndarray:
-    """``normalize_solution`` of a finite complex array, which is not checked again."""
+    """``normalize_solution`` of a finite complex array, which is not checked again.
+
+    Every zero part comes out +0.0: an exact zero divided by the pivot would
+    take the sign of the order of arithmetic, not of the algebra.
+    """
     flat = v.ravel()
     mods = np.abs(flat)
     top = float(mods.max())
@@ -289,6 +279,7 @@ def scale_to_pivot(v: np.ndarray) -> np.ndarray:
         raise ValueError("cannot normalize the zero matrix")
     pivot_index = int(np.argmax(mods >= top * (1.0 - _TIE_TOL)))  # the first near-tie
     out = flat / flat[pivot_index]
+    out += 0.0  # -0.0 + 0.0 is +0.0; the identity on the rest
     out[pivot_index] = 1.0
     return out.reshape(v.shape)
 

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import importlib
 import itertools
 import pkgutil
@@ -26,8 +27,8 @@ from qreflect.intertwiners import (
     solve_equivalence,
     sylvester_rows,
 )
-from qreflect.linalg import DEFAULT_REL_TOL, merged_singular_values, projective_compare
-from qreflect.linalg import rank_decision
+from qreflect.linalg import DEFAULT_REL_TOL, _decide, merged_singular_values, normalize_solution
+from qreflect.linalg import projective_compare
 from qreflect.reps import EvaluationRep, coideal_generators, coproduct, dual_rep, vector_rep
 
 Q_REF = 0.8 * np.exp(0.3j)
@@ -408,7 +409,8 @@ def _record_scan_stacks(monkeypatch) -> list:
 def test_scan_stacks_hold_the_per_point_systems_bit_for_bit(case, monkeypatch):
     # each point's slice of a chunk, without its all-zero rows, is the system its solve ranks;
     # q and x are numpy scalars, which scans and solves alike take as Python complex.  At
-    # n = 3 a bulk point's slice is its stack of Fourier blocks, and so is its solve's system
+    # n = 3 a bulk point's slice is its stack of Fourier blocks, and so is its solve's system;
+    # at n = 2 scan and solves are held to the whole system
     rng = np.random.default_rng(900)
     q, x = generic_point(rng)
     star = eps_star(q)
@@ -425,6 +427,8 @@ def test_scan_stacks_hold_the_per_point_systems_bit_for_bit(case, monkeypatch):
         solve = lambda y: solve_k(2, q, y, eps, "generic")  # noqa: E731
     else:
         n = 3 if case.startswith("blocked") else 2
+        if n == 2:
+            _whole_system_path(monkeypatch)
         fixed, grid = {"n": n, "q": q, "x_left": x}, thetas
         solve = lambda y: solve_bulk(vector_rep(n, q, x), vector_rep(n, q, y))  # noqa: E731
     stacks = _record_scan_stacks(monkeypatch)
@@ -493,7 +497,7 @@ def test_bulk_residual_matches_the_dense_formula_off_the_solution(n, flavour):
     a, b = vector_rep(n, Q_REF, np.exp(0.7)), vector_rep(n, Q_REF, np.exp(0.23))
     a, b = (dual_rep(r) if flavour & bit else r for r, bit in ((a, 1), (b, 2)))
     support = intertwiners.weight_support(a.gens, b.gens)
-    _, residual, _ = intertwiners._bulk_system(a.gens, b.gens, _bulk_key(a.gens, b.gens))
+    _, _, residual, _ = intertwiners._bulk_system(a.gens, b.gens)
     solved = solve_bulk(a, b).normalized
     for size in (1e-9, 1e-3, 1.0):
         x = solved.copy()
@@ -507,15 +511,13 @@ def test_bulk_residual_matches_the_dense_formula_off_the_solution(n, flavour):
 def test_the_bulk_residual_does_not_read_the_rows(fault, monkeypatch):
     # a corrupt row plan: one input term moved to another cell of its equation, or the
     # first two unknowns swapped, which keeps the dimension and scatters a wrong S; the
-    # residual, read from the coordinates alone, catches either.  At n = 2 the solve reads
-    # the whole system's plan, at n = 3 the Fourier blocks' gather, where the first input
-    # term's phase is negated instead of its term moved: each solve gets the corruption in
-    # the plan it reads
-    original = intertwiners._bulk_plan
-
-    def corrupt(*key):
+    # residual, read from the coordinates alone, catches either.  At n = 2 the solve is held
+    # to the whole system's plan, at n = 3 it reads the Fourier blocks' gather, where the
+    # first input term's phase is negated instead of its term moved: each solve gets the
+    # corruption in the plan it reads
+    def corrupt(original, *key):
         into, onto, rows, defect, cyclic = original(*key)
-        blocked = cyclic is not None and cyclic.nodes >= intertwiners.CYCLIC_MIN_NODES
+        blocked = cyclic is not None
         if fault == "moved-term" and blocked:
             phase = cyclic.phase.copy()
             phase[cyclic.spread == 0] *= -1
@@ -541,7 +543,10 @@ def test_the_bulk_residual_does_not_read_the_rows(fault, monkeypatch):
         a, b = vector_rep(n, Q_REF, np.exp(0.7)), vector_rep(n, Q_REF, np.exp(0.23))
         assert solve_bulk(a, b).residual < 1e-13
         with monkeypatch.context() as patch:
-            patch.setattr(intertwiners, "_bulk_plan", corrupt)
+            if n == 2:
+                _whole_system_path(patch)
+            patch.setattr(intertwiners, "_bulk_plan",
+                          functools.partial(corrupt, intertwiners._bulk_plan))
             systems = _record_systems(patch)
             wrong = solve_bulk(a, b)
         assert systems[-1].ndim == (2 if n == 2 else 3)  # the whole system, or the blocks
@@ -592,7 +597,7 @@ def test_closed_form_s_matches_solve_bulk(n, monkeypatch):
         assert equal, dev
     dim = n + 1
     assert [_unknowns(m) for m in systems] == [2 * dim * dim - dim] * 2
-    assert [m.ndim for m in systems] == [3 if dim >= intertwiners.CYCLIC_MIN_NODES else 2] * 2
+    assert [m.ndim for m in systems] == [3] * 2  # the Fourier blocks, at every n
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
@@ -725,10 +730,9 @@ def _all_reps(n, q, x):
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_the_generators_are_cyclic_covariant_exactly(n, monkeypatch):
+def test_the_generators_are_cyclic_covariant_exactly(n):
     # the Z_N automorphism of the a_n^(1) diagram: C g_i C^T = g_{i+1 mod N} with a
     # difference of exactly 0, the fact the Fourier blocks rest on
-    _blocks_at_every_n(monkeypatch)
     rng = np.random.default_rng(40 + n)
     for _ in range(4):
         q, x = generic_point(rng)
@@ -744,17 +748,14 @@ def _cyclic_plan_of(a, b):
 
 
 def _whole_system_path(monkeypatch):
-    """Patch the gate so that every bulk solve assembles the whole system, as below it."""
-    monkeypatch.setattr(intertwiners, "CYCLIC_MIN_NODES", 10**9)
+    """Hold every bulk solve and scan to the whole system, the blocks' reference.
 
-
-def _blocks_at_every_n(monkeypatch):
-    """Patch the gate so that every covariant bulk solve takes the blocks, even at N = 2.
-
-    Plans cached under the real gate hold no ``CyclicPlan`` below it, so they are dropped.
+    No plan holds a ``CyclicPlan``, and ``_bulk_plan`` plans on an empty cache of its own
+    while patched, so the shared cache neither serves nor keeps a plan without one.
     """
-    monkeypatch.setattr(intertwiners, "CYCLIC_MIN_NODES", 1)
-    intertwiners._bulk_plan.cache_clear()
+    monkeypatch.setattr(intertwiners, "_cyclic_plan", lambda *args: None)
+    uncached = intertwiners._bulk_plan.__wrapped__
+    monkeypatch.setattr(intertwiners, "_bulk_plan", functools.lru_cache(maxsize=None)(uncached))
 
 
 def _same_bits(one, other):
@@ -800,10 +801,9 @@ def test_a_stack_off_its_shift_by_one_part_in_2_to_40_takes_the_whole_system(n, 
 
 
 def _both_paths(monkeypatch, solve):
-    """``solve()`` through the Fourier blocks at every n, and through the whole system."""
+    """``solve()`` through the Fourier blocks, and through the whole system."""
+    blocked = solve()
     with monkeypatch.context() as patch:
-        _blocks_at_every_n(patch)
-        blocked = solve()
         _whole_system_path(patch)
         return blocked, solve()
 
@@ -818,22 +818,18 @@ def _assert_same_solution(blocked, whole, case):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_the_fourier_blocks_solve_what_the_whole_system_solves(n, monkeypatch):
-    # the four flavours and the eight engine channels, with the gate moved so that both
-    # paths run at every n: equal dimensions and flags, the blocks' merged singular values
-    # are the whole system's, and the normalized S agree to roundoff
+    # the four flavours and the eight engine channels, through both paths: equal dimensions
+    # and flags, the blocks' merged singular values are the whole system's, and the
+    # normalized S agree to roundoff
     rng = np.random.default_rng(80 + n)
     q, x = generic_point(rng)
     _, y = generic_point(rng)
     for left, right in itertools.product(("vector", "dual"), repeat=2):
         a, b = _all_reps(n, q, x)[left], _all_reps(n, q, y)[right]
-        key = _bulk_key(a.gens, b.gens)
-        _, _, cyclic = intertwiners._bulk_system(a.gens, b.gens, key)
-        assert (cyclic is not None) == (n + 1 >= intertwiners.CYCLIC_MIN_NODES)
+        blocks, _, _, cyclic = intertwiners._bulk_system(a.gens, b.gens)
+        assert cyclic is not None
         rows = _whole_rows(a.gens, b.gens)
         whole = np.linalg.svd(rows, compute_uv=False)
-        with monkeypatch.context() as patch:
-            _blocks_at_every_n(patch)
-            blocks, _, _ = intertwiners._bulk_system(a.gens, b.gens, key)
         assert blocks.shape == (n + 1, rows.shape[0] // (n + 1), rows.shape[1] // (n + 1))
         merged = merged_singular_values(np.linalg.svd(blocks, compute_uv=False))
         assert np.abs(merged - whole).max() <= 1e-14 * whole[0], (left, right)
@@ -872,11 +868,10 @@ def test_the_gathered_fourier_blocks_are_the_node_0_rows_transformed(n):
         a, _ = _flavoured(n, q, x, ys[0], flavour)
         right = reps.vector_stack(n, q, ys)
         right = reps.dual_stack(right) if flavour & 2 else right
-        key = _bulk_key(a.gens, right[0])
-        stacked, _, cyclic = intertwiners._bulk_system(a.gens, right, key)
+        stacked, _, _, cyclic = intertwiners._bulk_system(a.gens, right)
         assert stacked.shape[:2] == (3, n + 1) and stacked.flags.c_contiguous
         for y, gens, blocks in zip(ys, right, stacked):
-            alone = intertwiners._bulk_system(a.gens, gens, key)[0]
+            alone = intertwiners._bulk_system(a.gens, gens)[0]
             assert alone.tobytes() == blocks.tobytes()
             b = EvaluationRep(n=n, q=q, x=y, is_dual=bool(flavour & 2), gens=gens)
             reference = _fourier_blocks_by_definition(a, b, cyclic)
@@ -885,7 +880,7 @@ def test_the_gathered_fourier_blocks_are_the_node_0_rows_transformed(n):
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_qt_rows_are_planned_only_near_a_root_of_unity_and_keep_their_shift(n, monkeypatch):
+def test_qt_rows_are_planned_only_near_a_root_of_unity_and_keep_their_shift(n):
     # at generic q no qT equation on the support has a coefficient above roundoff; at
     # q = -(1 + 1e-8) some do, on a mask the shift maps onto itself, and the solve, with or
     # without equal rapidities, ranks as the dense system that keeps every nonzero qT row
@@ -896,9 +891,7 @@ def test_qt_rows_are_planned_only_near_a_root_of_unity_and_keep_their_shift(n, m
         for y in (np.exp(0.7), 1.3):
             a, b = _flavoured(n, q, np.exp(0.7), y, flavour)
             assert intertwiners.key_pattern(_bulk_key(a.gens, b.gens)[1]).any()
-            with monkeypatch.context() as patch:
-                _blocks_at_every_n(patch)
-                assert _cyclic_plan_of(a, b) is not None
+            assert _cyclic_plan_of(a, b) is not None
             support = _cached_support(a.gens, b.gens)
             dense = intertwiners.nullspace(sylvester_rows(coproduct(a, b), coproduct(b, a), support))
             solution = solve_bulk(a, b)
@@ -934,6 +927,90 @@ def test_blocked_solves_and_scans_call_no_fft(monkeypatch):
     assert stacks[-1].ndim == 4
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_covariant_solves_and_scans_take_the_blocks_from_two_nodes(n, monkeypatch):
+    # N = 2 and 3 solve through the Fourier blocks, as every larger N does, in four flavours,
+    # at equal rapidities and in the engine channels, and so do their scan chunks; the whole
+    # system gives the same dimensions and flags, and the normalized S to 1e-14
+    rng = np.random.default_rng(130 + n)
+    q, x = generic_point(rng)
+    _, y = generic_point(rng)
+    pairs = [_flavoured(n, q, x, y, flavour) for flavour in range(4)]
+    pairs.append((vector_rep(n, q, x), vector_rep(n, q, x)))
+
+    def solve(patch):
+        systems, stacks = _record_systems(patch), _record_scan_stacks(patch)
+        solved = [solve_bulk(a, b) for a, b in pairs]
+        engine = intertwiners.engine_point(n, q, (0.7, 0.23, -0.41), (0,) * (n + 1))
+        scan = dimension_scan("bulk", {"n": n, "q": q, "x_left": x}, [y, 2.0, 1.3j])
+        solved += [engine[key] for key in ENGINE_CHANNELS]
+        return solved, scan, [m.ndim for m in systems], [m.ndim for m in stacks]
+
+    with monkeypatch.context() as patch:
+        blocked, blocked_scan, ndims, stack_ndims = solve(patch)
+    assert ndims == [3] * 5 + [2, 2] + [3] * 8 and stack_ndims == [4]  # the K channels first
+    with monkeypatch.context() as patch:
+        _whole_system_path(patch)
+        whole, whole_scan, ndims, stack_ndims = solve(patch)
+    assert ndims == [2] * 15 and stack_ndims == [3]
+    for k, (one, other) in enumerate(zip(blocked, whole)):
+        assert one.dimension == other.dimension == 1 and one.flags == other.flags, k
+        assert abs(one.normalized - other.normalized).max() <= 1e-14, k
+    assert "equal-rapidity" in blocked[4].flags
+    assert blocked_scan.dims == whole_scan.dims == [1, 1, 1]
+    assert [m < intertwiners.NEAR_THRESHOLD_MARGIN for m in blocked_scan.margins] == \
+        [m < intertwiners.NEAR_THRESHOLD_MARGIN for m in whole_scan.margins]
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_factors_whose_coproduct_products_overflow_are_refused_before_any_svd(n, monkeypatch,
+                                                                               capfd):
+    # finite factors whose products overflow: q = 1e200 at x = 1e200, or q = 2 at x = 1e308.
+    # Solves and scans refuse the system as non-finite, and no SVD runs, so LAPACK prints
+    # nothing; ranked, the blocks gave dimension 0 with a NaN margin and no flag
+    def refuse(*args, **kwargs):
+        raise AssertionError("an SVD ran")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    for q, x, y in ((1e200, 1e200, 1.0), (2.0, 1e308, 1.3)):
+        with np.errstate(all="ignore"):
+            a, b = vector_rep(n, q, x), vector_rep(n, q, y)
+            assert np.isfinite(a.gens).all() and np.isfinite(b.gens).all()
+            for left, right in ((a, b), (a, dual_rep(b))):
+                with pytest.raises(ValueError, match="non-finite"):
+                    solve_bulk(left, right)
+            with pytest.raises(ValueError, match="non-finite"):
+                dimension_scan("bulk", {"n": n, "q": q, "x_left": x}, [y, 2.0])
+    assert capfd.readouterr() == ("", "")
+
+
+def _negative_zeros(m) -> int:
+    """How many real or imaginary parts of a complex array are -0.0."""
+    parts = np.asarray(m, dtype=np.complex128).view(np.float64)
+    return int(np.count_nonzero((parts == 0) & np.signbit(parts)))
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_normalized_solutions_carry_no_negative_zero(n):
+    # an exact zero divided by the pivot took the pivot's sign: the n = 3 smatrix document
+    # held 228 entries -0.0, every one off the support.  Bulk solves in four flavours, paper
+    # and generic K, and the closed-form K through normalize_solution write +0.0 only
+    rng = np.random.default_rng(140 + n)
+    q, x = generic_point(rng)
+    _, y = generic_point(rng)
+    solved = [solve_bulk(*_flavoured(n, q, x, y, flavour)) for flavour in range(4)]
+    solved.append(solve_bulk(*_flavoured(n, 0.8 * np.exp(0.3j), 2.0, 1.3, 0)))
+    for eps in ((0.0,) * (n + 1), tuple((-1.0) ** i for i in range(n + 1))):
+        solved.append(solve_paper_k(n, 0.8 * np.exp(0.3j), 2.01, eps))
+    solved.append(solve_k(n, q, x, [eps_star(q)] * (n + 1), "generic"))
+    matrices = [solution.normalized for solution in solved]
+    assert all(m is not None for m in matrices)
+    for q_k, x_k in ((2.0, 3.0), (0.8 * np.exp(0.3j), 2.0)):
+        params = boundary.ClosedFormParams((1.0, -1.0) + (1.0,) * (n - 1))
+        matrices.append(normalize_solution(boundary.closed_form_k(n, q_k, x_k, params)))
+    assert [_negative_zeros(m) for m in matrices] == [0] * len(matrices)
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_each_fourier_block_is_the_whole_system_on_its_modes(n):
     # a vector v in block k comes back as the S that the whole system maps to a vector of
@@ -946,7 +1023,7 @@ def test_each_fourier_block_is_the_whole_system_on_its_modes(n):
         a, b = _all_reps(n, q, x)[left], _all_reps(n, q, y)[right]
         support = intertwiners.weight_support(a.gens, b.gens)
         rows = _whole_rows(a.gens, b.gens)
-        blocks, _, cyclic = intertwiners._bulk_system(a.gens, b.gens, _bulk_key(a.gens, b.gens))
+        blocks, _, _, cyclic = intertwiners._bulk_system(a.gens, b.gens)
         count, _, orbits = blocks.shape
         vectors = rng.normal(size=(count, orbits)) + 1j * rng.normal(size=(count, orbits))
         basis = np.zeros((count, count, orbits), dtype=complex)
@@ -996,8 +1073,9 @@ def test_blocked_bulk_scans_rank_as_their_solves_bit_for_bit(n):
 
 
 def _kept_margin(rows):
-    """Smallest singular value counted in the rank, relative to the largest."""
-    s = np.linalg.svd(rows, compute_uv=False)
+    """Smallest singular value counted in the rank, relative to the largest, of a whole
+    system or of the block-diagonal system of a stack of blocks."""
+    s = np.sort(np.linalg.svd(rows, compute_uv=False), axis=None)[::-1]
     return s[s >= DEFAULT_REL_TOL * s[0]][-1] / s[0]
 
 
@@ -1048,7 +1126,7 @@ def test_nullspace_of_the_tall_systems_matches_the_direct_svd():
         qr_first += 9 * rows.shape[0] >= 17 * rows.shape[1] and rows.shape[1] >= 16
         ns = intertwiners.nullspace(rows)
         _, s, vh = np.linalg.svd(rows, full_matrices=False)
-        rank, sigma_max, margin = (v.item() for v in rank_decision(s))
+        rank, sigma_max, margin = _decide(s.tolist(), DEFAULT_REL_TOL)
         assert ns.dimension == rows.shape[1] - rank
         assert ns.sigma_max == pytest.approx(sigma_max, rel=1e-14)
         assert ns.margin == pytest.approx(margin, rel=1e-14)

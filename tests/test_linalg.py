@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from qreflect.linalg import (
+    DEFAULT_REL_TOL,
     NullspaceResult,
+    _decide,
     _right_factors,
     block_nullspace,
     embed_on_legs,
@@ -12,7 +14,6 @@ from qreflect.linalg import (
     normalize_solution,
     nullspace,
     projective_compare,
-    rank_decision,
     stack_nullities,
 )
 
@@ -157,27 +158,29 @@ def test_nullspace_margin_is_the_factor_to_the_nearest_singular_value():
         assert nullspace(np.diag([1.0, 0.0]), rel_tol=1e-320).margin == float("inf")
 
 
-def test_rank_decision_decides_a_stack_as_nullspace_decides_each_matrix():
+def test_the_rank_rule_decides_a_stack_as_nullspace_decides_each_matrix():
     # rank-deficient, near-cut, full-rank and all-zero 4 x 3 matrices with exact singular
     # values, so that roundoff sets no margin
     mats = [np.vstack([np.diag(d)[::-1], np.zeros((1, 3))])
             for d in ([1, 1, 0], [1, 2e-9, 1e-15], [3, 2, 1], [0, 0, 0])]
     stack = np.array(mats)
     s = np.linalg.svd(stack, compute_uv=False)
-    rank, sigma_max, margin = rank_decision(s)
     nullity, scan_margin = stack_nullities(stack)
+    ranks = []
     for k, m in enumerate(mats):
+        rank, sigma_max, margin = _decide(s[k].tolist(), DEFAULT_REL_TOL)
         ns = nullspace(m)
-        assert (3 - rank[k], 3 - rank[k]) == (ns.dimension, nullity[k])
-        assert sigma_max[k] == pytest.approx(ns.sigma_max, rel=1e-12)
-        assert margin[k] == scan_margin[k] == pytest.approx(ns.margin, rel=1e-12)
-    assert list(rank) == [2, 2, 3, 0] and margin[3] == float("inf")
-    # matrices without rows have no singular values: rank 0, infinitely far from the cut
-    rank, sigma_max, margin = rank_decision(np.zeros((2, 0)))
-    assert list(rank) == [0, 0] and list(sigma_max) == [0, 0] and list(margin) == [np.inf] * 2
+        assert (3 - rank, 3 - rank) == (ns.dimension, nullity[k])
+        assert sigma_max == pytest.approx(ns.sigma_max, rel=1e-12)
+        assert margin == scan_margin[k] == pytest.approx(ns.margin, rel=1e-12)
+        ranks.append(rank)
+    assert ranks == [2, 2, 3, 0] and scan_margin[3] == float("inf")
+    # a matrix without rows has no singular values: rank 0, infinitely far from the cut
+    assert _decide([], DEFAULT_REL_TOL) == (0, 0.0, float("inf"))
+    assert stack_nullities(np.zeros((2, 0, 3))) == ([3, 3], [float("inf")] * 2)
     with np.errstate(all="raise"):  # the CLI's error state: deciding a rank never raises
         # cut / dropped overflows to inf; the kept side decides
-        assert rank_decision(np.array([[1e300, 1e-320]]))[2][0] == pytest.approx(1e9)
+        assert _decide([1e300, 1e-320], DEFAULT_REL_TOL)[2] == pytest.approx(1e9)
     with pytest.raises(ValueError, match="non-finite"):
         stack_nullities(np.full((1, 2, 2), np.nan))
 
@@ -256,7 +259,7 @@ def test_stack_nullities_rank_stacks_of_blocks_as_block_nullspace_does(rng):
 
 
 def _numpy_rank_decision(s, rel_tol):
-    """The rank rule in numpy on whole stacks: the reference of ``rank_decision``."""
+    """The rank rule in numpy on whole stacks: the reference of ``_decide``."""
     s = np.asarray(s, dtype=float)
     if not s.shape[-1]:
         s = np.zeros(s.shape[:-1] + (1,))
@@ -269,24 +272,48 @@ def _numpy_rank_decision(s, rel_tol):
     return kept.sum(axis=-1), sigma_max, np.fmin(low, high)
 
 
-def test_rank_decision_is_the_numpy_rule_bit_for_bit():
-    # descending rows with exact zeros, spans that overflow or underflow the cut, and stacks
-    rng = np.random.default_rng(5)
-    cases = [np.zeros(0), np.zeros((3, 0)), np.zeros(4), np.array([[1e300, 1e-320]]),
-             np.array([5e-324, 0.0]), np.array([1e-300, 1e-310, 0.0]), np.linspace(1, 1e-12, 28),
-             np.array([2.0, 1.0, 0.5]), np.array([1.0, 1e-9, 0.0])]  # a value on the cut
+def _descending_rows(rng):
+    """Descending rows of singular values: exact zeros, spans that overflow or underflow the
+    cut, a value on the cut, and no values at all."""
+    rows = [np.zeros(0), np.zeros(4), np.array([1e300, 1e-320]), np.array([5e-324, 0.0]),
+            np.array([1e-300, 1e-310, 0.0]), np.linspace(1, 1e-12, 28),
+            np.array([2.0, 1.0, 0.5]), np.array([1.0, 1e-9, 0.0])]
     for _ in range(300):
         k = rng.integers(1, 9)
-        s = np.abs(rng.normal(size=(rng.integers(1, 4), k))) * 10.0 ** rng.integers(-320, 300, k)
-        s[rng.random(s.shape) < 0.2] = 0.0
-        cases.append(-np.sort(-s, axis=-1))
-    for rel_tol in (1e-9, 1e-320, 0.5, 2.0):
-        for s in cases:
-            with np.errstate(all="raise"):
-                decided = rank_decision(s, rel_tol)
-            for got, expected in zip(decided, _numpy_rank_decision(s, rel_tol)):
-                assert got.dtype == expected.dtype and got.shape == expected.shape
-                assert got.tobytes() == expected.tobytes(), (s, rel_tol)
+        s = np.abs(rng.normal(size=k)) * 10.0 ** rng.integers(-320, 300, k)
+        s[rng.random(k) < 0.2] = 0.0
+        rows.append(-np.sort(-s))
+    return rows
+
+
+@pytest.mark.parametrize("rel_tol", [1e-9, 1e-320, 0.5, 2.0])
+def test_the_rank_rule_is_the_numpy_rule_bit_for_bit(rel_tol):
+    for s in _descending_rows(np.random.default_rng(5)):
+        with np.errstate(all="raise"):
+            decided = _decide(s.tolist(), rel_tol)
+        expected = _numpy_rank_decision(s, rel_tol)
+        assert type(decided[0]) is int and all(type(x) is float for x in decided[1:])
+        assert decided[0] == expected[0]
+        assert np.array(decided[1:]).tobytes() == np.array(expected[1:]).tobytes(), (s, rel_tol)
+
+
+@pytest.mark.parametrize("rel_tol", [1e-9, 1e-320, 0.5, 2.0])
+def test_nullspace_decides_as_the_numpy_rule_on_its_own_singular_values(rel_tol):
+    # diagonal matrices, wide and tall, on the rows above, and matrices without rows: the
+    # dimension, sigma_max and margin are the numpy rule's on the values nullspace factors
+    rng = np.random.default_rng(6)
+    mats = [np.zeros((0, 3)), np.zeros((2, 3))]
+    for s in _descending_rows(rng)[1:]:
+        extra = np.zeros((len(s), rng.integers(0, 3)))
+        mats.append(np.hstack([np.diag(s), extra]).T if rng.random() < 0.5 else
+                    np.hstack([np.diag(s), extra]))
+    for m in mats:
+        rank, sigma_max, margin = _numpy_rank_decision(_right_factors(m.astype(complex))[0],
+                                                       rel_tol)
+        ns = nullspace(m, rel_tol)
+        assert ns.dimension == m.shape[1] - rank
+        assert np.array([ns.sigma_max, ns.margin]).tobytes() == \
+            np.array([sigma_max, margin]).tobytes(), (m.shape, rel_tol)
 
 
 def _numpy_block_nullspace(blocks, rel_tol):
