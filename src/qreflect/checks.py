@@ -8,14 +8,26 @@ and multiplying any one input by a nonzero scalar cannot flip a verdict.
 R-matrix conventions: a braiding S maps V_a x V_b -> V_b x V_a; the plain
 R on V_a x V_b is flip . S, and the opposite R on V_b x V_a is the
 flip-conjugation P R P of the plain one.
+
+The YBE, reflection-equation and Sklyanin sides and the B blocks are
+composed on nonzeros, one factor on chosen tensor legs at a time
+(``_on_legs``), never as dense Kronecker embeddings: a solved S has
+2N^2 - N nonzeros (weight conservation), so a YBE side costs what its
+nonzeros cost, not N^9.  ``check_coideal_property`` and
+``check_b_commutation`` act on no legs and stay dense.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+from typing import NamedTuple
+
 import numpy as np
 
-from .linalg import VerificationReport, as_matrix, embed_on_legs, kron, relative_defect
-from .reps import EvaluationRep, as_boundary_params, coideal_generators, coproduct
+from .linalg import VerificationReport, as_matrix, check_tolerance, relative_defect
+from .reps import PLAN_CACHE_SIZE, EvaluationRep, as_boundary_params, coideal_generators
+from .reps import coproduct, frozen
 
 
 def plain_r(braiding, d_a: int, d_b: int) -> np.ndarray:
@@ -36,25 +48,206 @@ def opposite_r(r_plain, d_a: int, d_b: int) -> np.ndarray:
     return r_plain.reshape(d_a, d_b, d_a, d_b).transpose(1, 0, 3, 2).reshape(size, size)
 
 
+class _Factor(NamedTuple):
+    """A finite complex matrix and its nonzero pattern as row-major bytes, its plans' key."""
+
+    matrix: np.ndarray
+    pattern: bytes
+
+
+def _factor(op) -> _Factor:
+    op = as_matrix(op)
+    return _Factor(op, (op != 0).tobytes())
+
+
+class _Product(NamedTuple):
+    """A map held on its nonzero entries: ``values`` at ascending ``keys``.
+
+    A key indexes (column, output legs) row-major over (columns, *dims), so
+    each column, the image of one input basis vector, is one run of keys.
+    ``pattern`` is the keys' bytes, which ``keys`` views; None after column
+    ranges, since a product that large takes ranges again.
+    """
+
+    columns: int
+    dims: tuple
+    keys: np.ndarray
+    values: np.ndarray
+    pattern: bytes | None
+
+
+def _compose(dims: tuple, *steps) -> _Product:
+    """The identity on legs of ``dims``, then each (factor, legs[, out_dims]) step in turn."""
+    size = math.prod(dims)
+    pattern = (np.arange(size) * (size + 1)).tobytes()
+    product = _Product(size, dims, np.frombuffer(pattern, dtype=np.int64),
+                       np.ones(size, dtype=np.complex128), pattern)
+    for step in steps:
+        product = _on_legs(product, *step)
+    return product
+
+
+def _on_legs(product: _Product, factor: _Factor, legs: tuple, out_dims=None) -> _Product:
+    """``factor`` applied to ``legs`` of ``product``, which it maps to ``out_dims``.
+
+    The factor maps the legs' joint index, row-major over their dims, to one
+    over ``out_dims`` (by default their own dims); other legs and the
+    columns are carried, and terms that land on one key are summed.  A step
+    of at most ``_whole_terms`` terms runs on its plan, cached on the two
+    nonzero patterns; a larger one, and any step after one, in ``_ranges``.
+    """
+    plan = product.pattern is not None and _leg_plan(
+        product.pattern, product.columns, product.dims, factor.pattern, factor.matrix.shape,
+        legs, out_dims)
+    if plan:
+        src, pos, starts, keys, pattern, dims = plan
+        values = np.add.reduceat(product.values[src] * factor.matrix.ravel()[pos], starts)
+        return _Product(product.columns, dims, keys, values, pattern)
+    dims = _step_dims(product.dims, factor.matrix.shape, legs, out_dims)
+    return _Product(product.columns, dims, *_ranges(product, factor, legs, dims), None)
+
+
+def _ranges(product: _Product, factor: _Factor, legs: tuple, dims: tuple) -> tuple:
+    """(keys, values) of a step too large to plan whole, summed range by range.
+
+    A range holds whole columns, so no two share a key, and about a quarter
+    of ``_whole_terms`` terms: a term's index and value temporaries take some
+    70 bytes, a dense entry 16.  ``np.bincount`` sums each range into its
+    columns' slice of one dense side, whose nonzeros are the result.
+    """
+    table = _column_table(factor.matrix != 0)
+    flat = factor.matrix.ravel()
+    rows_in, rows_out = math.prod(product.dims), math.prod(dims)
+    sums = np.zeros(product.columns * rows_out, dtype=np.complex128)
+    per = max(1, _whole_terms(product.columns, dims) // (4 * max(len(table[0]), 1)))
+    cuts = np.unique(np.searchsorted(product.keys, product.keys[::per] // rows_in * rows_in))
+    for a, b in zip(cuts, np.append(cuts[1:], len(product.keys))):
+        keys = product.keys[a:b]
+        _, pos, out = _terms(keys, product.dims, table, legs, dims)
+        first, last = keys[0] // rows_in * rows_out, (keys[-1] // rows_in + 1) * rows_out
+        out -= first
+        terms = product.values[a:b] * flat[pos]
+        sums.real[first:last] = np.bincount(out.ravel(), terms.real.ravel(), last - first)
+        sums.imag[first:last] = np.bincount(out.ravel(), terms.imag.ravel(), last - first)
+    keys = np.flatnonzero(sums)
+    return keys, sums[keys]
+
+
+def _step_dims(dims: tuple, shape: tuple, legs: tuple, out_dims) -> tuple:
+    """The leg dims after a factor of ``shape`` maps ``legs`` to ``out_dims``; else ValueError."""
+    dims = list(dims)
+    out_dims = tuple(dims[leg] for leg in legs) if out_dims is None else out_dims
+    if shape != (math.prod(out_dims), math.prod(dims[leg] for leg in legs)):
+        raise ValueError(f"operator shape {shape} does not map legs {legs} of dims "
+                         f"{tuple(dims)} to {out_dims}")
+    for leg, dim in zip(legs, out_dims):
+        dims[leg] = dim
+    return tuple(dims)
+
+
+def _whole_terms(columns: int, dims: tuple) -> int:
+    """Terms a step may hold at once: one dense side's entries, and no fewer than 4096.
+
+    Below 4096 terms (~130 KB of plan) ranges only add work per call: the
+    n = 1 checks' products are nearly dense, on sides of 16 or 64 entries.
+    """
+    return max(columns * math.prod(dims), 4096)
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _leg_plan(pattern: bytes, columns: int, dims: tuple, factor_pattern: bytes, shape: tuple,
+              legs: tuple, out_dims) -> tuple | None:
+    """One whole ``_on_legs`` step on the keys in ``pattern``, or None if it is too large.
+
+    (src, pos, starts, keys, pattern, dims): term t multiplies product entry
+    src[t] by the factor's row-major entry pos[t]; the terms from starts[k]
+    to starts[k + 1] sum to the entry at keys[k], a read-only view of the
+    new pattern; ``dims`` are the leg dims after the step.
+    """
+    new_dims = _step_dims(dims, shape, legs, out_dims)
+    keys = np.frombuffer(pattern, dtype=np.int64)
+    table = _column_table(np.frombuffer(factor_pattern, dtype=bool).reshape(shape))
+    if len(keys) * len(table[0]) > _whole_terms(columns, new_dims):
+        return None
+    live, pos, out = _terms(keys, dims, table, legs, new_dims)
+    live = np.flatnonzero(live)
+    out = out.ravel()[live]
+    order = np.argsort(out, kind="stable")
+    out = out[order]
+    head = np.ones(len(out), dtype=bool)
+    head[1:] = out[1:] != out[:-1]
+    starts = np.flatnonzero(head)
+    pattern = out[starts].tobytes()
+    src, pos, starts = frozen((live % len(keys))[order], pos.ravel()[live][order], starts)
+    return src, pos, starts, np.frombuffer(pattern, dtype=np.int64), pattern, new_dims
+
+
+def _column_table(nonzero: np.ndarray) -> tuple:
+    """(rows, live), both (width, columns): each column's nonzero rows, ascending, then zero rows.
+
+    Width is the most nonzeros in one column; ``live`` marks the nonzeros.
+    """
+    width = int(nonzero.sum(axis=0).max(initial=0))
+    rows = np.argsort(~nonzero, axis=0, kind="stable")[:width]
+    return rows, np.take_along_axis(nonzero, rows, axis=0)
+
+
+def _terms(keys: np.ndarray, dims: tuple, table: tuple, legs: tuple, new_dims: tuple) -> tuple:
+    """(live, pos, out), each (width, entries): every product entry against its factor column.
+
+    The entry's digits on ``legs`` select a factor column; against each of
+    its slots, pos is the factor entry's row-major index, out the output key
+    and live whether the factor entry is a nonzero.  Only index arithmetic
+    and gathers: nothing is contracted densely.
+    """
+    rows, live = table
+    digits = [None] * len(dims)
+    column = keys
+    for leg in reversed(range(len(dims))):
+        column, digits[leg] = np.divmod(column, dims[leg])
+    selected, base = 0, column
+    for leg in legs:
+        selected = selected * dims[leg] + digits[leg]
+    for leg, dim in enumerate(new_dims):
+        base = base * dim + (0 if leg in legs else digits[leg])
+    strides = np.cumprod((1,) + new_dims[:0:-1])[::-1]
+    out_digits = np.unravel_index(np.arange(math.prod(new_dims[leg] for leg in legs)),
+                                  [new_dims[leg] for leg in legs])
+    lands = sum(digit * strides[leg] for leg, digit in zip(legs, out_digits))  # key offset per row
+    rows = rows[:, selected]
+    return live[:, selected], rows * live.shape[1] + selected, base + lands[rows]
+
+
+def _projective(name: str, lhs: _Product, rhs: _Product, tol: float) -> VerificationReport:
+    """``VerificationReport.projective`` of two composed sides, on the union of their keys.
+
+    Off the union both sides are zero, so the norms, the scalar and the
+    deviation are those of the dense sides, up to summation order.  Sides
+    on one support are compared as they are held.
+    """
+    if lhs.pattern == rhs.pattern:
+        return VerificationReport.projective(name, lhs.values[None], rhs.values[None], tol)
+    keys = np.union1d(lhs.keys, rhs.keys)
+    sides = np.zeros((2, len(keys)), dtype=np.complex128)
+    sides[0, np.searchsorted(keys, lhs.keys)] = lhs.values
+    sides[1, np.searchsorted(keys, rhs.keys)] = rhs.values
+    return VerificationReport.projective(name, sides[:1], sides[1:], tol)
+
+
 def check_ybe(s_ab, s_ac, s_bc, dims, tol: float = 1e-8) -> VerificationReport:
     """Yang-Baxter equation in braid form on three legs.
 
     LHS = (1 x S_ab)(S_ac x 1)(1 x S_bc) against
     RHS = (S_bc x 1)(1 x S_ac)(S_ab x 1), both V_a V_b V_c -> V_c V_b V_a.
     """
-    d_a, d_b, d_c = (int(d) for d in dims)
-    s_ab, s_ac, s_bc = as_matrix(s_ab), as_matrix(s_ac), as_matrix(s_bc)
-    lhs = (
-        embed_on_legs(s_ab, (1, 2), (d_c, d_a, d_b))
-        @ embed_on_legs(s_ac, (0, 1), (d_a, d_c, d_b))
-        @ embed_on_legs(s_bc, (1, 2), (d_a, d_b, d_c))
-    )
-    rhs = (
-        embed_on_legs(s_bc, (0, 1), (d_b, d_c, d_a))
-        @ embed_on_legs(s_ac, (1, 2), (d_b, d_a, d_c))
-        @ embed_on_legs(s_ab, (0, 1), (d_a, d_b, d_c))
-    )
-    return VerificationReport.projective("yang-baxter", lhs, rhs, tol)
+    check_tolerance(tol)
+    d_a, d_b, d_c = dims = tuple(int(d) for d in dims)
+    ab, ac, bc = (_factor(s) for s in (s_ab, s_ac, s_bc))
+    lhs = _compose(dims, (bc, (1, 2), (d_c, d_b)), (ac, (0, 1), (d_c, d_a)),
+                   (ab, (1, 2), (d_b, d_a)))
+    rhs = _compose(dims, (ab, (0, 1), (d_b, d_a)), (ac, (1, 2), (d_c, d_a)),
+                   (bc, (0, 1), (d_c, d_b)))
+    return _projective("yang-baxter", lhs, rhs, tol)
 
 
 def check_reflection_equation(
@@ -67,27 +260,16 @@ def check_reflection_equation(
     as maps V_mu x V_nu -> V_mubar x V_nubar.  All six inputs must be solved
     in one consistent convention (same conjugate representation objects).
     """
-    k_mu, k_nu = as_matrix(k_mu), as_matrix(k_nu)
-    d_mu = k_mu.shape[1]
-    d_mub = k_mu.shape[0]
-    d_nu = k_nu.shape[1]
-    d_nub = k_nu.shape[0]
-    eye = np.eye
-    left = (
-        kron(eye(d_mub), k_nu)
-        @ as_matrix(s_n_mb)
-        @ kron(eye(d_nu), k_mu)
-        @ as_matrix(s_mn)
-    )
-    right = (
-        as_matrix(s_nb_mb)
-        @ kron(eye(d_nub), k_mu)
-        @ as_matrix(s_m_nb)
-        @ kron(eye(d_mu), k_nu)
-    )
-    if left.shape != right.shape:
-        raise ValueError(f"path shapes disagree: {left.shape} vs {right.shape}")
-    return VerificationReport.projective("reflection-equation", left, right, tol)
+    check_tolerance(tol)
+    k_mu, k_nu, s_mn, s_m_nb, s_n_mb, s_nb_mb = (
+        _factor(m) for m in (k_mu, k_nu, s_mn, s_m_nb, s_n_mb, s_nb_mb))
+    d_mub, d_mu = k_mu.matrix.shape
+    d_nub, d_nu = k_nu.matrix.shape
+    left = _compose((d_mu, d_nu), (s_mn, (0, 1), (d_nu, d_mu)), (k_mu, (1,), (d_mub,)),
+                    (s_n_mb, (0, 1), (d_mub, d_nu)), (k_nu, (1,), (d_nub,)))
+    right = _compose((d_mu, d_nu), (k_nu, (1,), (d_nub,)), (s_m_nb, (0, 1), (d_nub, d_mu)),
+                     (k_mu, (1,), (d_mub,)), (s_nb_mb, (0, 1), (d_mub, d_nub)))
+    return _projective("reflection-equation", left, right, tol)
 
 
 def check_coideal_property(
@@ -122,16 +304,13 @@ def eval_b_matrix(k_mu, r_in, r_op_out) -> np.ndarray:
     evaluated on V_mubar x V_lambda; the companion leg lambda is whatever
     finite representation the R's were evaluated in.
     """
-    k_mu = as_matrix(k_mu)
-    r_in = as_matrix(r_in)
-    r_op_out = as_matrix(r_op_out)
-    d_mub, d_mu = k_mu.shape
-    if r_in.shape[0] != r_in.shape[1] or r_in.shape[0] % d_mu:
-        raise ValueError(f"r_in shape {r_in.shape} incompatible with K columns {d_mu}")
-    d_lam = r_in.shape[0] // d_mu
-    if r_op_out.shape != (d_mub * d_lam, d_mub * d_lam):
-        raise ValueError(f"r_op_out shape {r_op_out.shape} incompatible with K rows {d_mub}")
-    return r_op_out @ np.kron(k_mu, np.eye(d_lam, dtype=np.complex128)) @ r_in
+    k_mu, r_in, r_op_out = (_factor(m) for m in (k_mu, r_in, r_op_out))
+    d_mub, d_mu = k_mu.matrix.shape
+    d_lam = len(r_in.matrix) // d_mu  # each step checks its factor's shape against these
+    b = _compose((d_mu, d_lam), (r_in, (0, 1)), (k_mu, (0,), (d_mub,)), (r_op_out, (0, 1)))
+    dense = np.zeros((d_mub * d_lam, b.columns), dtype=np.complex128)
+    dense.T.flat[b.keys] = b.values  # keys run column-major
+    return dense
 
 
 def engine_blocks(matrices: dict, dim: int) -> dict:
@@ -205,24 +384,18 @@ def check_sklyanin(b1, b2, r_set: dict, tol: float = 1e-8) -> VerificationReport
 
     up to one scalar, both sides V_mu V_nu V_lam -> V_mubar V_nubar V_lam.
     """
-    b1 = as_matrix(b1)
-    b2 = as_matrix(b2)
+    check_tolerance(tol)
     required = ("r_mu_nu", "r_mu_nubar", "prp_nubar_mubar", "prp_nu_mubar")
     missing = [key for key in required if key not in r_set]
     if missing:
         raise ValueError(f"r_set missing channels: {missing}")
-    d_mu, d_nu, d_lam = (int(d) for d in r_set["dims"])
-    legs = (d_mu, d_nu, d_lam)
-    lhs = (
-        embed_on_legs(r_set["prp_nubar_mubar"], (0, 1), legs)
-        @ embed_on_legs(b1, (0, 2), legs)
-        @ embed_on_legs(r_set["r_mu_nubar"], (0, 1), legs)
-        @ embed_on_legs(b2, (1, 2), legs)
-    )
-    rhs = (
-        embed_on_legs(b2, (1, 2), legs)
-        @ embed_on_legs(r_set["prp_nu_mubar"], (0, 1), legs)
-        @ embed_on_legs(b1, (0, 2), legs)
-        @ embed_on_legs(r_set["r_mu_nu"], (0, 1), legs)
-    )
-    return VerificationReport.projective("sklyanin-exchange", lhs, rhs, tol)
+    dims = tuple(int(d) for d in r_set["dims"])
+    if len(dims) != 3:
+        raise ValueError(f"r_set dims {dims} do not name three legs")
+    b1, b2, r_mu_nu, r_mu_nubar, prp_nubar_mubar, prp_nu_mubar = (
+        _factor(m) for m in (b1, b2, *(r_set[key] for key in required)))
+    lhs = _compose(dims, (b2, (1, 2)), (r_mu_nubar, (0, 1)), (b1, (0, 2)),
+                   (prp_nubar_mubar, (0, 1)))
+    rhs = _compose(dims, (r_mu_nu, (0, 1)), (b1, (0, 2)), (prp_nu_mubar, (0, 1)),
+                   (b2, (1, 2)))
+    return _projective("sklyanin-exchange", lhs, rhs, tol)

@@ -13,6 +13,10 @@ under one cut.  ``stack_nullities`` ranks a scan's stack of either kind from
 singular values alone, through the same values-only SVD.  All three decide
 with one rule, ``_decide``, and merge blocks' values with one function,
 ``merged_singular_values``.
+
+``embed_on_legs`` and ``kron`` build dense Kronecker embeddings.  No library
+code calls them: the checks compose on nonzeros (``checks._on_legs``).  The
+tests keep them as the checks' dense oracle.
 """
 
 from __future__ import annotations

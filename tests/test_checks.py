@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -19,7 +20,13 @@ from qreflect.checks import (
     plain_r,
 )
 from qreflect.intertwiners import _solve_stacked, solve_bulk
-from qreflect.linalg import DEFAULT_REL_TOL, flip_operator
+from qreflect.linalg import (
+    DEFAULT_REL_TOL,
+    VerificationReport,
+    embed_on_legs,
+    flip_operator,
+    kron,
+)
 from qreflect.reps import coproduct, vector_rep
 
 Q_REF = 0.8 * np.exp(0.3j)
@@ -348,3 +355,269 @@ def test_b_commutation_on_a_rectangular_block_grid(rng):
     assert check_b_commutation(b_nu, 2.5 * b_nubar, k_nu).passed
     b_nubar[0:2, 4:6] *= 3.0  # block (0, 2) alone gets another scalar
     assert not check_b_commutation(b_nu, b_nubar, k_nu).passed
+
+
+def _misfit(shape_of):
+    """A finite matrix one size up from ``shape_of``'s, which no leg dims accept."""
+    rows, cols = np.shape(shape_of)
+    return np.ones((rows + 1, cols + 1))
+
+
+@pytest.mark.parametrize("which", range(3))
+def test_ybe_refuses_a_factor_off_its_dims(which):
+    channels = list(_ybe_channels(1))
+    channels[which] = _misfit(channels[which])
+    with pytest.raises(ValueError):
+        check_ybe(*channels, (2, 2, 2))
+    with pytest.raises(ValueError):
+        check_ybe(*_ybe_channels(1), (2, 2, 3))
+
+
+@pytest.mark.parametrize("key", ["k_mu", "k_nu", "s_mn", "s_m_nb", "s_n_mb", "s_nb_mb"])
+def test_reflection_equation_refuses_a_factor_off_its_dims(key):
+    objs = engine_point(1, Q_REF, THETAS[:2], (1.0, 1.0))
+    with pytest.raises(ValueError):
+        _re_report(dict(objs, **{key: _misfit(objs[key])}))
+
+
+@pytest.mark.parametrize("key", ["b1", "b2", "r_mu_nu", "r_mu_nubar", "prp_nubar_mubar",
+                                 "prp_nu_mubar", "dims"])
+def test_sklyanin_refuses_a_factor_off_its_dims(key):
+    b1, b2, r_set, _ = _sklyanin_inputs(1, (1.0, 1.0))
+    blocks = dict(r_set, b1=b1, b2=b2)
+    blocks[key] = (2, 2, 3) if key == "dims" else _misfit(blocks[key])
+    r_set = {k: v for k, v in blocks.items() if k not in ("b1", "b2")}
+    with pytest.raises(ValueError):
+        check_sklyanin(blocks["b1"], blocks["b2"], r_set, tol=1e-8)
+
+
+@pytest.mark.parametrize("which", range(3))
+def test_eval_b_matrix_refuses_a_factor_off_its_dims(which):
+    objs = engine_point(1, Q_REF, THETAS, (1.0, 1.0))
+    args = [objs["k_mu"], plain_r(objs["s_ml"], 2, 2),
+            opposite_r(plain_r(objs["s_l_mb"], 2, 2), 2, 2)]
+    assert eval_b_matrix(*args).shape == (4, 4)
+    args[which] = _misfit(args[which])
+    with pytest.raises(ValueError):
+        eval_b_matrix(*args)
+
+
+# The dense compositions the checks replaced, kept as their oracle: every factor embedded on its
+# legs as a dense N^3 x N^3 (or N^2 x N^2) matrix, the sides multiplied out.
+ROUNDOFF = 1e-12  # most |deviation| and |lambda| / |lambda| may move between the two
+
+
+def _dense_ybe(s_ab, s_ac, s_bc, dims, tol=1e-8):
+    d_a, d_b, d_c = dims
+    lhs = (embed_on_legs(s_ab, (1, 2), (d_c, d_a, d_b))
+           @ embed_on_legs(s_ac, (0, 1), (d_a, d_c, d_b))
+           @ embed_on_legs(s_bc, (1, 2), (d_a, d_b, d_c)))
+    rhs = (embed_on_legs(s_bc, (0, 1), (d_b, d_c, d_a))
+           @ embed_on_legs(s_ac, (1, 2), (d_b, d_a, d_c))
+           @ embed_on_legs(s_ab, (0, 1), (d_a, d_b, d_c)))
+    return VerificationReport.projective("yang-baxter", lhs, rhs, tol)
+
+
+def _dense_reflection_equation(k_mu, k_nu, s_mn, s_m_nb, s_n_mb, s_nb_mb, tol=1e-8):
+    (d_mub, d_mu), (d_nub, d_nu) = np.shape(k_mu), np.shape(k_nu)
+    left = kron(np.eye(d_mub), k_nu) @ s_n_mb @ kron(np.eye(d_nu), k_mu) @ s_mn
+    right = s_nb_mb @ kron(np.eye(d_nub), k_mu) @ s_m_nb @ kron(np.eye(d_mu), k_nu)
+    return VerificationReport.projective("reflection-equation", left, right, tol)
+
+
+def _dense_b(k_mu, r_in, r_op_out):
+    d_lam = len(r_in) // np.shape(k_mu)[1]
+    return r_op_out @ kron(k_mu, np.eye(d_lam)) @ r_in
+
+
+def _dense_sklyanin(b1, b2, r_set, tol=1e-8):
+    legs = r_set["dims"]
+    lhs = (embed_on_legs(r_set["prp_nubar_mubar"], (0, 1), legs) @ embed_on_legs(b1, (0, 2), legs)
+           @ embed_on_legs(r_set["r_mu_nubar"], (0, 1), legs) @ embed_on_legs(b2, (1, 2), legs))
+    rhs = (embed_on_legs(b2, (1, 2), legs) @ embed_on_legs(r_set["prp_nu_mubar"], (0, 1), legs)
+           @ embed_on_legs(b1, (0, 2), legs) @ embed_on_legs(r_set["r_mu_nu"], (0, 1), legs))
+    return VerificationReport.projective("sklyanin-exchange", lhs, rhs, tol)
+
+
+def _dense_blocks(objs, dim):
+    """``engine_blocks`` with every B composed densely."""
+    def r(key):
+        return plain_r(objs[key], dim, dim)
+
+    def prp(key):
+        return opposite_r(r(key), dim, dim)
+
+    r_set = {"dims": (dim, dim, dim), "r_mu_nu": r("s_mn"), "r_mu_nubar": r("s_m_nb"),
+             "prp_nubar_mubar": prp("s_nb_mb"), "prp_nu_mubar": prp("s_n_mb")}
+    return {"b_nu": _dense_b(objs["k_mu"], r_set["r_mu_nu"], r_set["prp_nu_mubar"]),
+            "b_nub": _dense_b(objs["k_mu"], r_set["r_mu_nubar"], r_set["prp_nubar_mubar"]),
+            "b1": _dense_b(objs["k_mu"], r("s_ml"), prp("s_l_mb")),
+            "b2": _dense_b(objs["k_nu"], r("s_nl"), prp("s_l_nb")), "r_set": r_set}
+
+
+def _assert_as_dense(report, oracle):
+    assert (report.name, report.passed, report.tol) == (oracle.name, oracle.passed, oracle.tol)
+    assert abs(report.deviation - oracle.deviation) <= ROUNDOFF
+    assert abs(report.lam - oracle.lam) <= ROUNDOFF * abs(oracle.lam)
+
+
+def _assert_boundary_checks_as_dense(objs, n):
+    """RE, the B blocks, b-comm and Sklyanin at one engine point, each against its oracle."""
+    args = [objs[key] for key in ("k_mu", "k_nu", "s_mn", "s_m_nb", "s_n_mb", "s_nb_mb")]
+    _assert_as_dense(check_reflection_equation(*args), _dense_reflection_equation(*args))
+    blocks, dense = engine_blocks(objs, n + 1), _dense_blocks(objs, n + 1)
+    for key in ("b_nu", "b_nub", "b1", "b2"):
+        scale = np.abs(dense[key]).max()
+        assert np.allclose(blocks[key], dense[key], rtol=0, atol=ROUNDOFF * scale)
+    _assert_as_dense(check_b_commutation(blocks["b_nu"], blocks["b_nub"], objs["k_nu"]),
+                     check_b_commutation(dense["b_nu"], dense["b_nub"], objs["k_nu"]))
+    _assert_as_dense(check_sklyanin(blocks["b1"], blocks["b2"], blocks["r_set"]),
+                     _dense_sklyanin(dense["b1"], dense["b2"], dense["r_set"]))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_ybe_gives_the_dense_verdict(n):
+    # verify ybe's solves at n = 1..8, the same triple with one S entry moved by 1e-6, which
+    # must fail, and with a transposed S: vector x vector braidings are symmetric, so that one
+    # passes, as it does densely
+    channels = list(_ybe_channels(n))
+    dims = (n + 1,) * 3
+    moved = channels[1].copy()
+    moved.flat[np.flatnonzero(moved)[-1]] *= 1 + 1e-6
+    for triple, passes in ((channels, True), ([channels[0], moved, channels[2]], False),
+                           ([channels[0], channels[1], channels[2].T], True)):
+        report = check_ybe(*triple, dims)
+        assert report.passed == passes
+        _assert_as_dense(report, _dense_ybe(*triple, dims))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_boundary_checks_give_the_dense_verdicts(n):
+    # the README's verify re, b-comm and sklyanin points at n = 1..6 (eps = 1 at n = 1, eps* at
+    # n >= 2), then broken inputs, which must fail: one K entry moved by 1e-6, a K solved at
+    # another eps and, from n = 2 on, where vector x dual braidings are not symmetric, a
+    # transposed S
+    eps = (1.0, 1.0) if n == 1 else (eps_star(Q_REF),) * (n + 1)
+    objs = engine_point(n, Q_REF, THETAS, eps)
+    keys = ("k_mu", "k_nu", "s_mn", "s_m_nb", "s_n_mb", "s_nb_mb")
+    assert check_reflection_equation(*(objs[key] for key in keys)).passed
+    _assert_boundary_checks_as_dense(objs, n)
+    moved = objs["k_mu"].copy()
+    moved.flat[np.flatnonzero(moved)[-1]] *= 1 + 1e-6
+    other = engine_point(n, Q_REF, THETAS, (1.0, -1.0) if n == 1 else (-eps_star(Q_REF),) * (n + 1))
+    broken = [{"k_mu": moved}, {"k_mu": other["k_mu"]}]
+    if n >= 2:
+        broken.append({"s_m_nb": objs["s_m_nb"].T})
+    for change in broken:
+        inputs = dict(objs, **change)
+        assert not check_reflection_equation(*(inputs[key] for key in keys)).passed
+        blocks = engine_blocks(inputs, n + 1)
+        assert not check_sklyanin(blocks["b1"], blocks["b2"], blocks["r_set"]).passed
+        _assert_boundary_checks_as_dense(inputs, n)
+
+
+@settings(derandomize=True, database=None, deadline=3000, max_examples=12)
+@given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_boundary_checks_give_the_dense_verdicts_at_random_engine_points(n, seed):
+    rng = np.random.default_rng(seed)
+    solved = _solve_random_engine_point(n, generic_point(rng)[0], rng)
+    _assert_boundary_checks_as_dense({key: sol.normalized for key, sol in solved.items()}, n)
+
+
+def _random_factor(rng, rows, cols, density):
+    """A random complex matrix with about ``density`` of its entries nonzero."""
+    m = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+    return m * (rng.random((rows, cols)) < density)
+
+
+@settings(derandomize=True, database=None, deadline=3000, max_examples=30)
+@given(dims=st.tuples(*[st.integers(1, 4)] * 3), density=st.sampled_from([0.1, 0.3, 1.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_checks_compose_as_dense_on_random_factors_of_unequal_dims(dims, density, seed):
+    # every leg its own dim, so a mix-up of legs or strides shows in the deviation; sparse
+    # factors also reach exact cancellations and all-zero sides
+    rng = np.random.default_rng(seed)
+    d_a, d_b, d_c = dims
+    s_ab, s_ac, s_bc = (_random_factor(rng, x * y, x * y, density)
+                        for x, y in ((d_a, d_b), (d_a, d_c), (d_b, d_c)))
+    try:
+        oracle = _dense_ybe(s_ab, s_ac, s_bc, dims)
+    except ValueError:  # both sides zero
+        with pytest.raises(ValueError, match="degenerate"):
+            check_ybe(s_ab, s_ac, s_bc, dims)
+    else:
+        _assert_as_dense(check_ybe(s_ab, s_ac, s_bc, dims), oracle)
+    d_mu, d_nu, d_mub, d_nub = rng.integers(1, 4, size=4)
+    re_args = [_random_factor(rng, *shape, density) for shape in (
+        (d_mub, d_mu), (d_nub, d_nu), (d_nu * d_mu, d_mu * d_nu), (d_nub * d_mu, d_mu * d_nub),
+        (d_mub * d_nu, d_nu * d_mub), (d_mub * d_nub, d_nub * d_mub))]
+    try:
+        oracle = _dense_reflection_equation(*re_args)
+    except ValueError:
+        with pytest.raises(ValueError, match="degenerate"):
+            check_reflection_equation(*re_args)
+    else:
+        _assert_as_dense(check_reflection_equation(*re_args), oracle)
+    k_mu, r_in = re_args[0], _random_factor(rng, d_mu * d_c, d_mu * d_c, density)
+    r_op_out = _random_factor(rng, d_mub * d_c, d_mub * d_c, density)
+    assert np.allclose(eval_b_matrix(k_mu, r_in, r_op_out), _dense_b(k_mu, r_in, r_op_out),
+                       rtol=0, atol=1e-13 * max(1.0, np.abs(_dense_b(k_mu, r_in, r_op_out)).max()))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_ybe_compares_sides_of_one_size_on_the_union_of_their_supports(seed):
+    # permutations with phases: each side holds one entry per column, so the two supports have
+    # the same size but, unless the braid relation holds, not the same keys
+    rng = np.random.default_rng(seed)
+    dims = (2, 3, 2)
+    factors = []
+    for size in (6, 4, 6):
+        factor = np.zeros((size, size), dtype=complex)
+        factor[rng.permutation(size), np.arange(size)] = np.exp(2j * np.pi * rng.random(size))
+        factors.append(factor)
+    _assert_as_dense(check_ybe(*factors, dims), _dense_ybe(*factors, dims))
+
+
+def test_reflection_equation_composes_as_dense_through_column_ranges(rng):
+    # dense factors whose K's change the leg dims, mu 6 -> 9 and nu 7 -> 8: the K steps hold
+    # more terms than a whole step may, so they run in column ranges whose rows change size
+    (d_mu, d_mub), (d_nu, d_nub) = (6, 9), (7, 8)
+    args = [_random_factor(rng, *shape, 1.0) for shape in (
+        (d_mub, d_mu), (d_nub, d_nu), (d_nu * d_mu, d_mu * d_nu), (d_nub * d_mu, d_mu * d_nub),
+        (d_mub * d_nu, d_nu * d_mub), (d_mub * d_nub, d_nub * d_mub))]
+    _assert_as_dense(check_reflection_equation(*args), _dense_reflection_equation(*args))
+
+
+def _dense_random_inputs(n, rng):
+    size = (n + 1) ** 2
+    triple = [_random_factor(rng, size, size, 1.0) for _ in range(3)]
+    r_set = {key: _random_factor(rng, size, size, 1.0) for key in
+             ("r_mu_nu", "r_mu_nubar", "prp_nubar_mubar", "prp_nu_mubar")}
+    return triple, _random_factor(rng, size, size, 1.0), _random_factor(rng, size, size, 1.0), \
+        dict(r_set, dims=(n + 1,) * 3)
+
+
+def _peak_bytes(fn, *args):
+    checks._leg_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        report = fn(*args)
+        return report, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_dense_factors_give_the_dense_verdict_within_twice_its_memory(n, rng):
+    # every entry nonzero: the composed sides hold one dense side each, and no step holds more
+    # terms at once than a dense side has entries, so the peak stays within 2x the dense one's
+    triple, b1, b2, r_set = _dense_random_inputs(n, rng)
+    dims = (n + 1,) * 3
+    for fn, oracle, args in ((check_ybe, _dense_ybe, (*triple, dims)),
+                             (check_sklyanin, _dense_sklyanin, (b1, b2, r_set))):
+        fn(*args), oracle(*args)  # first calls, so that no import or first-use cost is counted
+        report, peak = _peak_bytes(fn, *args)
+        dense_report, dense_peak = _peak_bytes(oracle, *args)
+        _assert_as_dense(report, dense_report)
+        assert not report.passed
+        assert peak <= 2 * dense_peak, (fn.__name__, peak, dense_peak)

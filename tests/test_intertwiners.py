@@ -14,7 +14,7 @@ from conftest import eps_star, generic_point
 from qreflect.boundary import solve_k, solve_paper_k
 from qreflect.checks import plain_r
 import qreflect
-from qreflect import boundary, intertwiners, reps
+from qreflect import boundary, checks, intertwiners, reps
 from qreflect.intertwiners import (
     _solve_stacked,
     closed_form_s,
@@ -1385,14 +1385,15 @@ def test_cached_plans_are_read_only_and_outlive_writes_to_the_factors():
 
 
 def test_plan_caches_are_bounded_by_one_module_constant():
-    # the package's only caches are the structural plans and the weight support keyed on the
-    # q^T diagonals, under the one bound
+    # the package's only caches are the structural plans, the checks' leg steps keyed on nonzero
+    # patterns, and the weight support keyed on the q^T diagonals, under the one bound
     modules = [importlib.import_module(f"qreflect.{m.name}")
                for m in pkgutil.iter_modules(qreflect.__path__)]
     caches = {f for m in modules for f in vars(m).values() if hasattr(f, "cache_info")}
     assert caches == {intertwiners._bulk_plan, intertwiners._stack_plan,
                       intertwiners._stack_defect_plan, intertwiners._reflection_plan,
-                      intertwiners._support_key, boundary._paper_plan, reps._vector_plan}
+                      intertwiners._support_key, boundary._paper_plan, reps._vector_plan,
+                      checks._leg_plan}
     for cache in caches:
         assert cache.cache_info().maxsize == intertwiners.PLAN_CACHE_SIZE
 
