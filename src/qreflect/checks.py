@@ -115,7 +115,7 @@ def _ranges(product: _Product, factor: _Factor, legs: tuple, dims: tuple) -> tup
     70 bytes, a dense entry 16.  ``np.bincount`` sums each range into its
     columns' slice of one dense side, whose nonzeros are the result.
     """
-    table = _column_table(factor.matrix != 0)
+    table = _column_table(factor.matrix != 0, legs, dims)
     flat = factor.matrix.ravel()
     rows_in, rows_out = math.prod(product.dims), math.prod(dims)
     sums = np.zeros(product.columns * rows_out, dtype=np.complex128)
@@ -166,7 +166,8 @@ def _leg_plan(pattern: bytes, columns: int, dims: tuple, factor_pattern: bytes, 
     """
     new_dims = _step_dims(dims, shape, legs, out_dims)
     keys = np.frombuffer(pattern, dtype=np.int64)
-    table = _column_table(np.frombuffer(factor_pattern, dtype=bool).reshape(shape))
+    table = _column_table(np.frombuffer(factor_pattern, dtype=bool).reshape(shape), legs,
+                          new_dims)
     if len(keys) * len(table[0]) > _whole_terms(columns, new_dims):
         return None
     live, pos, out = _terms(keys, dims, table, legs, new_dims)
@@ -182,25 +183,30 @@ def _leg_plan(pattern: bytes, columns: int, dims: tuple, factor_pattern: bytes, 
     return src, pos, starts, np.frombuffer(pattern, dtype=np.int64), pattern, new_dims
 
 
-def _column_table(nonzero: np.ndarray) -> tuple:
-    """(rows, live), both (width, columns): each column's nonzero rows, ascending, then zero rows.
+def _column_table(nonzero: np.ndarray, legs: tuple, new_dims: tuple) -> tuple:
+    """(pos, lands, live), each (width, columns): each factor column's nonzeros, then zeros.
 
-    Width is the most nonzeros in one column; ``live`` marks the nonzeros.
+    Width is the most nonzeros in one column.  Slot w of column c holds the
+    factor entry's row-major index, the offset its row adds to an output key
+    at the leg dims ``new_dims``, and whether the entry is a nonzero.
     """
     width = int(nonzero.sum(axis=0).max(initial=0))
     rows = np.argsort(~nonzero, axis=0, kind="stable")[:width]
-    return rows, np.take_along_axis(nonzero, rows, axis=0)
+    strides = np.cumprod((1,) + new_dims[:0:-1])[::-1]
+    digits = np.unravel_index(rows, [new_dims[leg] for leg in legs])
+    lands = sum(digit * strides[leg] for leg, digit in zip(legs, digits))
+    pos = rows * nonzero.shape[1] + np.arange(nonzero.shape[1])
+    return pos, lands, np.take_along_axis(nonzero, rows, axis=0)
 
 
 def _terms(keys: np.ndarray, dims: tuple, table: tuple, legs: tuple, new_dims: tuple) -> tuple:
     """(live, pos, out), each (width, entries): every product entry against its factor column.
 
-    The entry's digits on ``legs`` select a factor column; against each of
-    its slots, pos is the factor entry's row-major index, out the output key
-    and live whether the factor entry is a nonzero.  Only index arithmetic
-    and gathers: nothing is contracted densely.
+    The entry's digits on ``legs`` select a column of ``_column_table``;
+    against each of its slots, out is the output key.  Only index
+    arithmetic and gathers: nothing is contracted densely.
     """
-    rows, live = table
+    pos, lands, live = table
     digits = [None] * len(dims)
     column = keys
     for leg in reversed(range(len(dims))):
@@ -210,12 +216,7 @@ def _terms(keys: np.ndarray, dims: tuple, table: tuple, legs: tuple, new_dims: t
         selected = selected * dims[leg] + digits[leg]
     for leg, dim in enumerate(new_dims):
         base = base * dim + (0 if leg in legs else digits[leg])
-    strides = np.cumprod((1,) + new_dims[:0:-1])[::-1]
-    out_digits = np.unravel_index(np.arange(math.prod(new_dims[leg] for leg in legs)),
-                                  [new_dims[leg] for leg in legs])
-    lands = sum(digit * strides[leg] for leg, digit in zip(legs, out_digits))  # key offset per row
-    rows = rows[:, selected]
-    return live[:, selected], rows * live.shape[1] + selected, base + lands[rows]
+    return live[:, selected], pos[:, selected], base + lands[:, selected]
 
 
 def _projective(name: str, lhs: _Product, rhs: _Product, tol: float) -> VerificationReport:
