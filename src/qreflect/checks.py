@@ -65,8 +65,8 @@ class _Product(NamedTuple):
 
     A key indexes (column, output legs) row-major over (columns, *dims), so
     each column, the image of one input basis vector, is one run of keys.
-    ``pattern`` is the keys' bytes, which ``keys`` views; None after column
-    ranges, since a product that large takes ranges again.
+    ``pattern`` is the keys' bytes, which ``keys`` views; None after a step
+    too large to cache, and later steps are not cached either.
     """
 
     columns: int
@@ -74,6 +74,12 @@ class _Product(NamedTuple):
     keys: np.ndarray
     values: np.ndarray
     pattern: bytes | None
+
+
+# Most terms a cached step plan holds (~130 KB of index arrays, so PLAN_CACHE_SIZE plans keep
+# at most ~17 MB), and the fewest a step must hold before it is contracted densely, so that
+# the n = 1 checks' nearly dense products, on sides of 16 or 64 entries, stay on cached plans.
+_PLAN_TERMS = 4096
 
 
 def _compose(dims: tuple, *steps) -> _Product:
@@ -93,44 +99,46 @@ def _on_legs(product: _Product, factor: _Factor, legs: tuple, out_dims=None) -> 
     The factor maps the legs' joint index, row-major over their dims, to one
     over ``out_dims`` (by default their own dims); other legs and the
     columns are carried, and terms that land on one key are summed.  A step
-    of at most ``_whole_terms`` terms runs on its plan, cached on the two
-    nonzero patterns; a larger one, and any step after one, in ``_ranges``.
+    of at most ``_PLAN_TERMS`` terms runs on its plan, cached on the two
+    nonzero patterns; one of at most a dense side's entries on a plan made
+    for this call; a larger one, whose product is nearly dense, in
+    ``_dense_step``.
     """
     plan = product.pattern is not None and _leg_plan(
-        product.pattern, product.columns, product.dims, factor.pattern, factor.matrix.shape,
-        legs, out_dims)
+        product.pattern, product.dims, factor.pattern, factor.matrix.shape, legs, out_dims)
     if plan:
         src, pos, starts, keys, pattern, dims = plan
-        values = np.add.reduceat(product.values[src] * factor.matrix.ravel()[pos], starts)
-        return _Product(product.columns, dims, keys, values, pattern)
-    dims = _step_dims(product.dims, factor.matrix.shape, legs, out_dims)
-    return _Product(product.columns, dims, *_ranges(product, factor, legs, dims), None)
+    else:
+        dims = _step_dims(product.dims, factor.matrix.shape, legs, out_dims)
+        plan = _plan(product.keys, product.dims, factor.matrix != 0, legs, dims,
+                     max(product.columns * math.prod(dims), _PLAN_TERMS))
+        if plan is None:
+            return _Product(product.columns, dims, *_dense_step(product, factor, legs, dims),
+                            None)
+        (src, pos, starts, keys), pattern = plan, None
+    values = np.add.reduceat(product.values[src] * factor.matrix.ravel()[pos], starts)
+    return _Product(product.columns, dims, keys, values, pattern)
 
 
-def _ranges(product: _Product, factor: _Factor, legs: tuple, dims: tuple) -> tuple:
-    """(keys, values) of a step too large to plan whole, summed range by range.
+def _dense_step(product: _Product, factor: _Factor, legs: tuple, dims: tuple) -> tuple:
+    """(keys, values) of a step with more terms than a dense side has entries.
 
-    A range holds whole columns, so no two share a key, and about a quarter
-    of ``_whole_terms`` terms: a term's index and value temporaries take some
-    70 bytes, a dense entry 16.  ``np.bincount`` sums each range into its
-    columns' slice of one dense side, whose nonzeros are the result.
+    The product is scattered into its dense (columns, *dims) side and the
+    factor contracted with its legs by one ``np.tensordot``; every temporary
+    is one dense side.  Solved factors never come here: their steps hold
+    far fewer terms.
     """
-    table = _column_table(factor.matrix != 0, legs, dims)
-    flat = factor.matrix.ravel()
-    rows_in, rows_out = math.prod(product.dims), math.prod(dims)
-    sums = np.zeros(product.columns * rows_out, dtype=np.complex128)
-    per = max(1, _whole_terms(product.columns, dims) // (4 * max(len(table[0]), 1)))
-    cuts = np.unique(np.searchsorted(product.keys, product.keys[::per] // rows_in * rows_in))
-    for a, b in zip(cuts, np.append(cuts[1:], len(product.keys))):
-        keys = product.keys[a:b]
-        _, pos, out = _terms(keys, product.dims, table, legs, dims)
-        first, last = keys[0] // rows_in * rows_out, (keys[-1] // rows_in + 1) * rows_out
-        out -= first
-        terms = product.values[a:b] * flat[pos]
-        sums.real[first:last] = np.bincount(out.ravel(), terms.real.ravel(), last - first)
-        sums.imag[first:last] = np.bincount(out.ravel(), terms.imag.ravel(), last - first)
-    keys = np.flatnonzero(sums)
-    return keys, sums[keys]
+    side = np.zeros(product.columns * math.prod(product.dims), dtype=np.complex128)
+    side[product.keys] = product.values
+    side = side.reshape(product.columns, *product.dims)
+    op = factor.matrix.reshape(*(dims[leg] for leg in legs),
+                               *(product.dims[leg] for leg in legs))
+    axes = [1 + leg for leg in legs]
+    out = np.tensordot(op, side, axes=(list(range(len(legs), 2 * len(legs))), axes))
+    del side
+    out = np.moveaxis(out, range(len(legs)), axes).ravel()
+    keys = np.flatnonzero(out)
+    return keys, out[keys]
 
 
 def _step_dims(dims: tuple, shape: tuple, legs: tuple, out_dims) -> tuple:
@@ -145,30 +153,36 @@ def _step_dims(dims: tuple, shape: tuple, legs: tuple, out_dims) -> tuple:
     return tuple(dims)
 
 
-def _whole_terms(columns: int, dims: tuple) -> int:
-    """Terms a step may hold at once: one dense side's entries, and no fewer than 4096.
-
-    Below 4096 terms (~130 KB of plan) ranges only add work per call: the
-    n = 1 checks' products are nearly dense, on sides of 16 or 64 entries.
-    """
-    return max(columns * math.prod(dims), 4096)
-
-
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _leg_plan(pattern: bytes, columns: int, dims: tuple, factor_pattern: bytes, shape: tuple,
-              legs: tuple, out_dims) -> tuple | None:
-    """One whole ``_on_legs`` step on the keys in ``pattern``, or None if it is too large.
+def _leg_plan(pattern: bytes, dims: tuple, factor_pattern: bytes, shape: tuple, legs: tuple,
+              out_dims) -> tuple | None:
+    """``_plan`` on the keys in ``pattern``, read-only, or None past ``_PLAN_TERMS`` terms.
 
-    (src, pos, starts, keys, pattern, dims): term t multiplies product entry
-    src[t] by the factor's row-major entry pos[t]; the terms from starts[k]
-    to starts[k + 1] sum to the entry at keys[k], a read-only view of the
-    new pattern; ``dims`` are the leg dims after the step.
+    (src, pos, starts, keys, pattern, dims): ``keys`` views the new
+    ``pattern``, and ``dims`` are the leg dims after the step.
     """
     new_dims = _step_dims(dims, shape, legs, out_dims)
-    keys = np.frombuffer(pattern, dtype=np.int64)
-    table = _column_table(np.frombuffer(factor_pattern, dtype=bool).reshape(shape), legs,
-                          new_dims)
-    if len(keys) * len(table[0]) > _whole_terms(columns, new_dims):
+    nonzero = np.frombuffer(factor_pattern, dtype=bool).reshape(shape)
+    plan = _plan(np.frombuffer(pattern, dtype=np.int64), dims, nonzero, legs, new_dims,
+                 _PLAN_TERMS)
+    if plan is None:
+        return None
+    src, pos, starts, keys = plan
+    pattern = keys.tobytes()
+    return (*frozen(src, pos, starts), np.frombuffer(pattern, dtype=np.int64), pattern,
+            new_dims)
+
+
+def _plan(keys: np.ndarray, dims: tuple, nonzero: np.ndarray, legs: tuple, new_dims: tuple,
+          limit: int) -> tuple | None:
+    """One step's (src, pos, starts, keys) on the product's ``keys``, or None past ``limit`` terms.
+
+    Term t multiplies product entry src[t] by the factor's row-major entry
+    pos[t]; the terms from starts[k] to starts[k + 1] sum to the entry at
+    the new keys[k].
+    """
+    table = _column_table(nonzero, legs, new_dims)
+    if len(keys) * len(table[0]) > limit:
         return None
     live, pos, out = _terms(keys, dims, table, legs, new_dims)
     live = np.flatnonzero(live)
@@ -178,9 +192,7 @@ def _leg_plan(pattern: bytes, columns: int, dims: tuple, factor_pattern: bytes, 
     head = np.ones(len(out), dtype=bool)
     head[1:] = out[1:] != out[:-1]
     starts = np.flatnonzero(head)
-    pattern = out[starts].tobytes()
-    src, pos, starts = frozen((live % len(keys))[order], pos.ravel()[live][order], starts)
-    return src, pos, starts, np.frombuffer(pattern, dtype=np.int64), pattern, new_dims
+    return (live % len(keys))[order], pos.ravel()[live][order], starts, out[starts]
 
 
 def _column_table(nonzero: np.ndarray, legs: tuple, new_dims: tuple) -> tuple:
@@ -224,9 +236,9 @@ def _projective(name: str, lhs: _Product, rhs: _Product, tol: float) -> Verifica
 
     Off the union both sides are zero, so the norms, the scalar and the
     deviation are those of the dense sides, up to summation order.  Sides
-    on one support are compared as they are held.
+    with one support are compared as they are held.
     """
-    if lhs.pattern == rhs.pattern:
+    if np.array_equal(lhs.keys, rhs.keys):
         return VerificationReport.projective(name, lhs.values[None], rhs.values[None], tol)
     keys = np.union1d(lhs.keys, rhs.keys)
     sides = np.zeros((2, len(keys)), dtype=np.complex128)

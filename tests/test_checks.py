@@ -578,14 +578,28 @@ def test_ybe_compares_sides_of_one_size_on_the_union_of_their_supports(seed):
     _assert_as_dense(check_ybe(*factors, dims), _dense_ybe(*factors, dims))
 
 
-def test_reflection_equation_composes_as_dense_through_column_ranges(rng):
+def test_reflection_equation_composes_as_dense_through_dense_steps(rng):
     # dense factors whose K's change the leg dims, mu 6 -> 9 and nu 7 -> 8: the K steps hold
-    # more terms than a whole step may, so they run in column ranges whose rows change size
+    # more terms than a dense side has entries, so they are contracted densely
     (d_mu, d_mub), (d_nu, d_nub) = (6, 9), (7, 8)
     args = [_random_factor(rng, *shape, 1.0) for shape in (
         (d_mub, d_mu), (d_nub, d_nu), (d_nu * d_mu, d_mu * d_nu), (d_nub * d_mu, d_mu * d_nub),
         (d_mub * d_nu, d_nu * d_mub), (d_mub * d_nub, d_nub * d_mub))]
     _assert_as_dense(check_reflection_equation(*args), _dense_reflection_equation(*args))
+
+
+@pytest.mark.parametrize("dims", [(4, 4, 4), (3, 4, 5)])
+def test_dense_steps_compare_sides_on_the_union_of_their_supports(dims, rng):
+    # dense S_ac and S_bc and an S_ab with one zero row: both sides end in dense steps, and the
+    # side that applies S_ab last misses that row's keys, which the other side holds
+    d_a, d_b, d_c = dims
+    s_ab, s_ac, s_bc = (_random_factor(rng, x * y, x * y, 1.0)
+                        for x, y in ((d_a, d_b), (d_a, d_c), (d_b, d_c)))
+    s_ab[1] = 0
+    with mock.patch.object(checks, "_dense_step", wraps=checks._dense_step) as dense_step:
+        report = check_ybe(s_ab, s_ac, s_bc, dims)
+    assert dense_step.call_count == 4  # the last two steps of each side
+    _assert_as_dense(report, _dense_ybe(s_ab, s_ac, s_bc, dims))
 
 
 def _dense_random_inputs(n, rng):
@@ -621,3 +635,28 @@ def test_dense_factors_give_the_dense_verdict_within_twice_its_memory(n, rng):
         _assert_as_dense(report, dense_report)
         assert not report.passed
         assert peak <= 2 * dense_peak, (fn.__name__, peak, dense_peak)
+
+
+def _held_bytes(fn, *args):
+    """Bytes a call of ``fn`` leaves allocated, its plans, on a cleared plan cache."""
+    fn(*args)  # a first call, so that no import or first-use allocation is counted
+    checks._leg_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("inputs", ["dense ybe", "dense sklyanin", "solved ybe"])
+def test_cached_plans_hold_at_most_plan_terms_per_step(inputs, rng):
+    # a cached plan holds at most _PLAN_TERMS terms of <= 40 bytes (its source, position, start
+    # and output key, and its key's input pattern), and larger steps are planned per call, so
+    # the cache keeps at most that much per step after dense factors at n = 4 (a dense side is
+    # 250 KB) or the solved n = 11 triple, whose larger steps hold up to 12 696 terms
+    triple, b1, b2, r_set = _dense_random_inputs(4, rng)
+    fn, args, steps = {"dense ybe": (check_ybe, (*triple, (5, 5, 5)), 6),
+                       "dense sklyanin": (check_sklyanin, (b1, b2, r_set), 8),
+                       "solved ybe": (check_ybe, (*_ybe_channels(11), (12, 12, 12)), 6)}[inputs]
+    assert _held_bytes(fn, *args) <= steps * 40 * checks._PLAN_TERMS
